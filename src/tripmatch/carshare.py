@@ -13,11 +13,10 @@ from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from . import metrics
 from .metrics import WgmWeights
-from .model import ScaleContext, Trip, od_rep, path_length, scale_point, spatial_distance
+from .model import ScaleContext, Trip, od_rep, path_length, spatial_distance
 
 
 @dataclass(frozen=True, slots=True)
@@ -79,10 +78,7 @@ def build_trip_dag(
         raise ValueError("thresholds must be positive")
     if ctx is None:
         ctx = ScaleContext.from_trips(trips)
-    ends = [scale_point(t.destination, ctx) for t in trips]
-    starts = [scale_point(t.origin, ctx) for t in trips]
-    od_reps = [od_rep(t, ctx) for t in trips] if whole_trip_weight else None
-    edges: dict[tuple[int, int], float] = {}
+    pairs = []
     for i, a in enumerate(trips):
         for j, b in enumerate(trips):
             if i == j:
@@ -92,12 +88,14 @@ def build_trip_dag(
                 continue
             if spatial_distance(a.destination, b.origin) > dist_threshold:
                 continue
-            if whole_trip_weight:
-                weight = metrics.wgm_sim(od_reps[i], od_reps[j], weights)
-            else:
-                e, s = ends[i], starts[j]
-                weight = metrics.psim((e.x, e.y, e.t), (s.x, s.y, s.t), weights)
-            edges[(i, j)] = weight
+            pairs.append((i, j))
+    reps = np.array([od_rep(t, ctx) for t in trips]).reshape(-1, 2, 3)
+    src, dst = np.array(pairs, dtype=int).reshape(-1, 2).T
+    if whole_trip_weight:
+        first, second = reps[src], reps[dst]
+    else:  # a's destination against b's origin, as one-point sequences
+        first, second = reps[src, 1:], reps[dst, :1]
+    edges = dict(zip(pairs, metrics.wgm_batch(first, second, weights).tolist()))
     dag = TripDag(tuple(t.id for t in trips), edges)
     _assert_acyclic(dag)
     return dag
@@ -143,6 +141,10 @@ def max_card_max_weight_matching(graph: BipartiteGraph) -> dict[int, int]:
         return {}
     if min(graph.edges.values()) < 0:
         raise ValueError("edge weights must be nonnegative")
+    # imported here: scipy.optimize costs about half a second to import,
+    # and no other subcommand needs it
+    from scipy.optimize import linear_sum_assignment
+
     top = max(graph.edges.values())
     shift = graph.n * top if top > 0 else 1.0
     costs = np.zeros((graph.n, graph.n))

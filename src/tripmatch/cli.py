@@ -237,49 +237,48 @@ def cmd_stats(cfg: dict, outdir: Path) -> dict:
     }
 
 
-def _build_symmetric_affinity(cfg: dict, trips: list[model.Trip]) -> tuple[np.ndarray, float]:
-    """Affinity for clustering: symmetric by construction or by decomposition."""
+#: The time mode each affinity scorer runs the WGM kernel under.
+_SCORER_MODES = {
+    "wgm": metrics.TimeMode.ABSOLUTE,
+    "car": metrics.TimeMode.SIGNED_CAR,
+    "cp": metrics.TimeMode.SIGNED_CP,
+}
+
+
+def _od_reps(trips: list[model.Trip]) -> np.ndarray:
+    """Stacked scaled OD representations, shape (n, 2, 3)."""
     ctx = model.ScaleContext.from_trips(trips)
-    reps = [model.od_rep(t, ctx) for t in trips]
-    weights = _weights(cfg)
-    scorer_name = cfg["scorer"]
-    if scorer_name == "wgm":
-        aff = affinity.build_affinity(
-            reps, lambda a, b: metrics.wgm_sim(a, b, weights), symmetric_scorer=True)
-        return aff.values, 1.0
-    pair = metrics.car_score if scorer_name == "car" else metrics.cp_score
-    aff = affinity.build_affinity(reps, lambda a, b: pair(a, b, weights))
-    sym, _, ratio = affinity.sym_decompose(aff.values)
-    return sym, ratio
+    return np.array([model.od_rep(t, ctx) for t in trips])
+
+
+def _affinity(cfg: dict, reps: np.ndarray) -> np.ndarray:
+    """Score matrix A[i, j] = scorer(reps[i], reps[j]) in one kernel call."""
+    if len(reps) < 2:
+        raise ValueError("affinity needs at least two trips")
+    return metrics.wgm_batch(reps[:, None], reps[None, :], _weights(cfg),
+                             _SCORER_MODES[cfg["scorer"]])
 
 
 def cmd_affinity(cfg: dict, outdir: Path) -> dict:
     if not cfg.get("trips"):
         raise ValueError("--trips is required")
     trips = _load_trips(cfg["trips"])
-    ctx = model.ScaleContext.from_trips(trips)
-    reps = [model.od_rep(t, ctx) for t in trips]
-    weights = _weights(cfg)
-    scorer_name = cfg["scorer"]
-    if scorer_name == "wgm":
-        aff = affinity.build_affinity(
-            reps, lambda a, b: metrics.wgm_sim(a, b, weights), symmetric_scorer=True)
-    else:
-        pair = metrics.car_score if scorer_name == "car" else metrics.cp_score
-        aff = affinity.build_affinity(reps, lambda a, b: pair(a, b, weights))
-    _, _, ratio = affinity.sym_decompose(aff.values)
+    values = _affinity(cfg, _od_reps(trips))
+    _, _, ratio = affinity.sym_decompose(values)
     ids = [t.id for t in trips]
+    n = len(ids)
     _write_csv(outdir / "affinity.csv", ["i", "j", "score"],
-               [[ids[i], ids[j], f"{aff.values[i, j]:.6f}"]
-                for i in range(aff.n) for j in range(aff.n)])
-    return {"n": aff.n, "scorer": scorer_name, "symmetric_ratio": round(ratio, 6)}
+               [[ids[i], ids[j], f"{values[i, j]:.6f}"]
+                for i in range(n) for j in range(n)])
+    return {"n": n, "scorer": cfg["scorer"], "symmetric_ratio": round(ratio, 6)}
 
 
 def cmd_cluster(cfg: dict, outdir: Path) -> dict:
     if not cfg.get("trips"):
         raise ValueError("--trips is required")
     trips = _load_trips(cfg["trips"])
-    sym, ratio = _build_symmetric_affinity(cfg, trips)
+    reps = _od_reps(trips)
+    sym, _, ratio = affinity.sym_decompose(_affinity(cfg, reps))
     if cfg.get("kernel_gamma"):
         sym = np.exp(-cfg["kernel_gamma"] * (1.0 - sym))
     labels = affinity.spectral_cluster(sym, cfg["k"], cfg["seed"])
@@ -287,9 +286,7 @@ def cmd_cluster(cfg: dict, outdir: Path) -> dict:
     _write_csv(outdir / "labels.csv", ["trip_id", "cluster"],
                [[i, int(c)] for i, c in zip(ids, labels)])
 
-    ctx = model.ScaleContext.from_trips(trips)
-    features = np.array([model.od_rep(t, ctx).reshape(-1) for t in trips])
-    coords_pca, explained = affinity.pca_2d(features, seed=cfg["seed"])
+    coords_pca, explained = affinity.pca_2d(reps.reshape(len(reps), -1), seed=cfg["seed"])
     _write_csv(outdir / "coords_pca.csv", ["trip_id", "x", "y"],
                [[i, f"{x:.6f}", f"{y:.6f}"] for i, (x, y) in zip(ids, coords_pca)])
     coords_mds = affinity.mds_2d(1.0 - sym)
@@ -454,7 +451,8 @@ def _add_split_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--n-rides", dest="n_rides", type=int, default=0)
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The top-level parser and the parser of each subcommand."""
     parser = argparse.ArgumentParser(prog="tripmatch", description=__doc__)
     subs = parser.add_subparsers(dest="command", required=True)
 
@@ -526,7 +524,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--w-time", dest="w_time", type=float, default=0.4)
     _add_common(p)
 
-    return parser
+    return parser, subs.choices
 
 
 def _read_config_file(path: str) -> dict:
@@ -555,10 +553,20 @@ def _coerce(value: object, template: object) -> object:
     return value
 
 
-def resolve_config(args: argparse.Namespace, defaults: dict) -> dict:
+def _given_flags(sub: argparse.ArgumentParser, argv: list[str], defaults: dict) -> dict:
+    """The flags argv sets, including those set to their default value.
+
+    Every destination starts at a sentinel that argparse keeps for the
+    flags argv leaves out.
+    """
+    unset = object()
+    given = sub.parse_args(argv, argparse.Namespace(**dict.fromkeys(defaults, unset)))
+    return {k: v for k, v in vars(given).items() if v is not unset}
+
+
+def resolve_config(args: argparse.Namespace, defaults: dict, explicit: dict) -> dict:
     """Merge defaults, config file, manifest, and explicit flags (in that order)."""
     cfg = dict(defaults)
-    explicit = {k: v for k, v in vars(args).items() if v != defaults.get(k)}
 
     if args.config:
         for key, value in _read_config_file(args.config).items():
@@ -595,11 +603,14 @@ _ERROR_CATEGORIES: tuple[tuple[type, str], ...] = (
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    parser, commands = build_parser()
     args = parser.parse_args(argv)
     defaults = vars(parser.parse_args([args.command]))
+    explicit = _given_flags(
+        commands[args.command], argv[argv.index(args.command) + 1:], defaults)
     try:
-        cfg = resolve_config(args, defaults)
+        cfg = resolve_config(args, defaults, explicit)
         outdir = Path(cfg["out"])
         outdir.mkdir(parents=True, exist_ok=True)
         summary = HANDLERS[args.command](cfg, outdir)

@@ -223,11 +223,28 @@ def write_trips_jsonl(trips: Iterable[Trip], sink: IO[str]) -> int:
 
 
 def read_trips_jsonl(source: Iterable[str]) -> Iterator[Trip]:
-    """Read trips from the line-delimited JSON format written by write_trips_jsonl."""
-    for line in source:
+    """Read trips from the line-delimited JSON format written by write_trips_jsonl.
+
+    Raises:
+        TraceFormatError: naming the line of a record that does not decode
+            to a valid trip, or whose id repeats an earlier record's; every
+            consumer keys trips by id.
+    """
+    first_seen: dict[str, int] = {}
+    for lineno, line in enumerate(source, start=1):
         line = line.strip()
         if not line:
             continue
-        obj = json.loads(line)
-        points = tuple(Waypoint(x, y, t) for t, x, y in obj["points"])
-        yield Trip(str(obj["id"]), points)
+        try:
+            obj = json.loads(line)
+            points = tuple(Waypoint(x, y, t) for t, x, y in obj["points"])
+            trip = Trip(str(obj["id"]), points)
+        except KeyError as exc:
+            raise TraceFormatError(f"line {lineno}: record has no {exc} field") from exc
+        except (TypeError, ValueError) as exc:
+            raise TraceFormatError(f"line {lineno}: {exc}") from exc
+        if trip.id in first_seen:
+            raise TraceFormatError(f"line {lineno}: duplicate trip id {trip.id!r}"
+                                   f" (first on line {first_seen[trip.id]})")
+        first_seen[trip.id] = lineno
+        yield trip

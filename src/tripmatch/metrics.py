@@ -166,6 +166,73 @@ def wgm_sim(
     return total / n
 
 
+#: Point pairs scored per tile by wgm_batch: each temporary holds about 2 MB,
+#: so a 10k x 10k score matrix never builds an (n, n, k) array.
+TILE_POINTS = 1 << 18
+
+#: Signs of t1 - t2 at the (origin, destination) under the signed modes.
+_ROLE_SIGNS = {TimeMode.SIGNED_CAR: (-1.0, 1.0), TimeMode.SIGNED_CP: (1.0, -1.0)}
+
+
+def wgm_batch(
+    a: np.ndarray,
+    b: np.ndarray,
+    w: WgmWeights = DEFAULT_WEIGHTS,
+    mode: TimeMode = TimeMode.ABSOLUTE,
+) -> np.ndarray:
+    """wgm_sim over stacked representations, broadcast along the leading axes.
+
+    a and b have shapes (..., k, 3) whose leading axes broadcast as numpy
+    does: a[:, None] against b[None, :] gives the (n, m) score matrix, two
+    (P, k, 3) stacks give P pair scores. Each element takes the same steps
+    as psim (hypot, log(1/(1+d)), clamped tau, weighted mean, exp) with the
+    roles of _role_of, so it agrees with wgm_sim to rounding. The work runs
+    in tiles of whole rows of the first leading axis, as many as fit in
+    TILE_POINTS point pairs (at least one).
+    """
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    if a.ndim < 2 or b.ndim < 2 or a.shape[-1] != 3 or b.shape[-1] != 3:
+        raise ValueError(f"reps must have shape (..., k, 3), got {a.shape} and {b.shape}")
+    k = a.shape[-2]
+    if k != b.shape[-2]:
+        raise ValueError(f"sequences must have equal length, got {k} and {b.shape[-2]}")
+    if k < 1:
+        raise ValueError("sequences must not be empty")
+    lead = np.broadcast_shapes(a.shape[:-2], b.shape[:-2])
+    if not lead:
+        return _wgm_tile(a, b, w, mode)
+    a = np.broadcast_to(a, lead + a.shape[-2:])
+    b = np.broadcast_to(b, lead + b.shape[-2:])
+    out = np.empty(lead)
+    rows = max(1, TILE_POINTS // max(1, math.prod(lead[1:]) * k))
+    for start in range(0, lead[0], rows):
+        tile = slice(start, start + rows)
+        out[tile] = _wgm_tile(a[tile], b[tile], w, mode)
+    return out
+
+
+def _wgm_tile(a: np.ndarray, b: np.ndarray, w: WgmWeights, mode: TimeMode) -> np.ndarray:
+    d = np.hypot(a[..., 0] - b[..., 0], a[..., 1] - b[..., 1])
+    dt = a[..., 2] - b[..., 2]
+    tau = np.abs(dt)
+    if mode is not TimeMode.ABSOLUTE:
+        origin, destination = _ROLE_SIGNS[mode]
+        tau[..., 0] = origin * dt[..., 0]
+        if tau.shape[-1] > 1:
+            tau[..., -1] = destination * dt[..., -1]
+        np.maximum(tau, 0.0, out=tau)
+    sim = np.exp(
+        (w.w_space * np.log(1.0 / (1.0 + d)) + w.w_time * np.log(1.0 / (1.0 + tau)))
+        / (w.w_space + w.w_time)
+    )
+    # summed in wgm_sim's order, so k = 1 returns the point score itself
+    total = sim[..., 0].copy()
+    for i in range(1, sim.shape[-1]):
+        total += sim[..., i]
+    return total / sim.shape[-1]
+
+
 def car_score(rider: np.ndarray, ride: np.ndarray, w: WgmWeights = DEFAULT_WEIGHTS) -> float:
     """Catch-a-ride score: how well `ride` fits inside `rider`'s window.
 

@@ -2,12 +2,21 @@
 
 from __future__ import annotations
 
+import csv
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import tripmatch
+from tripmatch import metrics
+from tripmatch.affinity import build_affinity
 from tripmatch.cli import main
+from tripmatch.ingest import read_trips_jsonl
+from tripmatch.model import ScaleContext, od_rep
 
 
 def run(capsys, *argv) -> tuple[int, dict]:
@@ -124,6 +133,22 @@ class TestAffinityAndCluster:
         assert 0.0 < summary["symmetric_ratio"] <= 1.0
         assert (out / "affinity.csv").exists()
 
+    @pytest.mark.parametrize("scorer, pair", [
+        ("wgm", metrics.wgm_sim), ("car", metrics.car_score), ("cp", metrics.cp_score)])
+    def test_affinity_matches_scalar_scorer(self, scorer, pair, trips_file, tmp_path, capsys):
+        out = tmp_path / "aff"
+        code, _ = run(capsys, "affinity", "--trips", str(trips_file), "--scorer", scorer,
+                      "--w-space", "0.3", "--w-time", "0.7", "--out", str(out))
+        assert code == 0
+        with open(trips_file) as fh:
+            trips = list(read_trips_jsonl(fh))
+        ctx = ScaleContext.from_trips(trips)
+        w = metrics.WgmWeights(0.3, 0.7)
+        oracle = build_affinity([od_rep(t, ctx) for t in trips], lambda a, b: pair(a, b, w))
+        with open(out / "affinity.csv", newline="") as fh:
+            got = [float(row["score"]) for row in csv.DictReader(fh)]
+        assert got == pytest.approx(oracle.values.reshape(-1).tolist(), rel=0, abs=1e-6)
+
     def test_cluster_outputs(self, trips_file, tmp_path, capsys):
         out = tmp_path / "clus"
         code, summary = run(capsys, "cluster", "--trips", str(trips_file),
@@ -225,6 +250,36 @@ class TestCompare:
         assert len((out / "wt_sweep.csv").read_text().splitlines()) == 3
 
 
+class TestTripFileErrors:
+    GOOD = '{"id":"a","points":[[0.0,1000.0,1000.0],[600.0,4000.0,4000.0]]}\n'
+
+    @pytest.mark.parametrize("bad", [
+        '{"id":"b","pts":[[900.0,4500.0,4000.0]]}',
+        '{"id":"b","points":[[900.0,4500.0,4000.0],[1500.0,8',
+        '{"id":"b","points":[[900.0,4500.0]]}',
+        '{"id":"b","points":[[900.0,4500.0,"x"]]}',
+        '["b"]',
+    ], ids=["no-points", "truncated", "short-point", "non-numeric", "not-a-record"])
+    def test_bad_record_is_format_error_with_line(self, bad, tmp_path, capsys):
+        trips = tmp_path / "trips.jsonl"
+        trips.write_text(self.GOOD + bad + "\n")
+        code, summary = run(capsys, "carshare", "--trips", str(trips),
+                            "--out", str(tmp_path / "o"))
+        assert code == 1
+        assert summary["category"] == "format"
+        assert summary["message"].startswith("line 2:")
+
+    def test_duplicate_trip_id_rejected(self, tmp_path, capsys):
+        trips = tmp_path / "trips.jsonl"
+        trips.write_text(self.GOOD + "\n" + self.GOOD)
+        code, summary = run(capsys, "carshare", "--trips", str(trips),
+                            "--out", str(tmp_path / "o"))
+        assert code == 1
+        assert summary["category"] == "format"
+        assert "duplicate trip id 'a'" in summary["message"]
+        assert summary["message"].startswith("line 3:")
+
+
 class TestCarshare:
     def test_three_trip_chain_fixture(self, tmp_path, capsys):
         # consecutive trips, each hand-off within 900 s and 1800 m
@@ -263,6 +318,22 @@ class TestConfigAndManifest:
         code, _ = run(capsys, "synth", "--config", str(cfg), "--n", "5",
                       "--out", str(out2))
         assert len((out2 / "trips.jsonl").read_text().splitlines()) == 5
+
+    def test_explicit_flag_beats_config_even_at_its_default(self, trips_file, tmp_path,
+                                                            capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("mode = carpool\n")
+        out = tmp_path / "m"
+        code, summary = run(capsys, "match", "--config", str(cfg), "--mode", "car",
+                            "--trips", str(trips_file), "--n-riders", "15",
+                            "--n-rides", "45", "--out", str(out))
+        assert code == 0 and summary["mode"] == "car"
+        manifest = json.loads((out / "run_manifest.json").read_text())
+        assert manifest["config"]["mode"] == "car"
+        code, summary = run(capsys, "match", "--config", str(cfg),
+                            "--trips", str(trips_file), "--n-riders", "15",
+                            "--n-rides", "45", "--out", str(tmp_path / "m2"))
+        assert code == 0 and summary["mode"] == "carpool"
 
     def test_unknown_config_key(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
@@ -310,3 +381,13 @@ class TestUsageErrors:
         with pytest.raises(SystemExit) as exc:
             main(["synth", "--does-not-exist"])
         assert exc.value.code == 2
+
+
+def test_import_does_not_load_the_assignment_solver():
+    src = str(Path(tripmatch.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    subprocess.run(
+        [sys.executable, "-c",
+         "import tripmatch.cli, sys; assert 'scipy.optimize' not in sys.modules"],
+        env=env, check=True, timeout=60)

@@ -7,9 +7,13 @@ on short random sequences.
 from __future__ import annotations
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 import tripmatch.metrics as metrics
 from tripmatch.metrics import (
@@ -26,6 +30,7 @@ from tripmatch.metrics import (
     laplacian_kernel,
     lcss,
     psim,
+    wgm_batch,
     wgm_sim,
 )
 
@@ -195,6 +200,60 @@ class TestWgmSim:
             calls.clear()
             wgm_sim(random_seq(rng, n), random_seq(rng, n), W)
             assert len(calls) == n
+
+
+def _reps(count: int, k: int):
+    return arrays(float, (count, k, 3), elements=st.floats(0.0, 1.0))
+
+
+@st.composite
+def kernel_cases(draw):
+    """Stacks A (n, k, 3) and B (m, k, 3), weights with either one possibly 0,
+    a mode, and a tile small enough that n is often not a multiple of it."""
+    k = draw(st.integers(1, 5))
+    n, m = draw(st.integers(1, 9)), draw(st.integers(1, 9))
+    weight = st.one_of(st.just(0.0), st.floats(0.01, 5.0))
+    w_space, w_time = draw(st.tuples(weight, weight).filter(lambda w: sum(w) > 0))
+    return (draw(_reps(n, k)), draw(_reps(m, k)), WgmWeights(w_space, w_time),
+            draw(st.sampled_from(list(TimeMode))), draw(st.integers(1, 4 * m * k)))
+
+
+class TestWgmBatch:
+    @settings(max_examples=300, deadline=None)
+    @given(kernel_cases())
+    def test_matches_scalar_wgm_sim(self, case):
+        a, b, w, mode, tile = case
+        with mock.patch.object(metrics, "TILE_POINTS", tile):
+            matrix = wgm_batch(a[:, None], b[None, :], w, mode)
+            pairs = wgm_batch(a, b[np.arange(len(a)) % len(b)], w, mode)
+        oracle = np.array([[wgm_sim(x, y, w, mode) for y in b] for x in a])
+        assert matrix.shape == (len(a), len(b))
+        np.testing.assert_allclose(matrix, oracle, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(pairs, oracle[np.arange(len(a)), np.arange(len(a)) % len(b)],
+                                   rtol=0, atol=1e-12)
+
+    @settings(max_examples=100, deadline=None)
+    @given(kernel_cases())
+    def test_exact_identities(self, case):
+        a, b, w, _, tile = case
+        with mock.patch.object(metrics, "TILE_POINTS", tile):
+            sym = wgm_batch(a[:, None], a[None, :], w)
+            car = wgm_batch(b[:, None], a[None, :], w, TimeMode.SIGNED_CAR)
+            cp = wgm_batch(a[:, None], b[None, :], w, TimeMode.SIGNED_CP)
+        assert np.array_equal(sym, sym.T)
+        assert np.array_equal(cp, car.T)
+
+    def test_ragged_last_tile(self):
+        rng = np.random.default_rng(5)
+        a, b = random_seq(rng, 21).reshape(7, 3, 3), random_seq(rng, 15).reshape(5, 3, 3)
+        oracle = np.array([[car_score(x, y, W) for y in b] for x in a])
+        with mock.patch.object(metrics, "TILE_POINTS", 3 * 5 * 3):  # tiles of 3, 3, 1 rows
+            got = wgm_batch(a[:, None], b[None, :], W, TimeMode.SIGNED_CAR)
+        np.testing.assert_allclose(got, oracle, rtol=0, atol=1e-12)
+
+    def test_length_mismatch(self):
+        with pytest.raises(ValueError, match="equal length"):
+            wgm_batch(np.zeros((4, 2, 3)), np.zeros((4, 3, 3)), W)
 
 
 class TestCarCpScores:
