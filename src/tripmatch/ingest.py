@@ -239,10 +239,8 @@ def read_trips_jsonl(source: Iterable[str]) -> Iterator[Trip]:
             obj = json.loads(line)
             points = tuple(Waypoint(x, y, t) for t, x, y in obj["points"])
             trip = Trip(str(obj["id"]), points)
-        except KeyError as exc:
-            raise TraceFormatError(f"line {lineno}: record has no {exc} field") from exc
-        except (TypeError, ValueError) as exc:
-            raise TraceFormatError(f"line {lineno}: {exc}") from exc
+        except (KeyError, TypeError, ValueError) as exc:
+            raise TraceFormatError(f"line {lineno}: {exc!r}") from exc
         if trip.id in first_seen:
             raise TraceFormatError(f"line {lineno}: duplicate trip id {trip.id!r}"
                                    f" (first on line {first_seen[trip.id]})")

@@ -184,36 +184,24 @@ def _candidate_indices(
     return out
 
 
-PairScorer = Callable[[Sequence[np.ndarray], Sequence[np.ndarray]], np.ndarray]
-
-
-def _each_pair(fn: Callable[[np.ndarray, np.ndarray], float]) -> PairScorer:
-    return lambda reqs, rides: np.array([fn(a, b) for a, b in zip(reqs, rides)], dtype=float)
-
-
 def _metric_fn(
     name: str, scenario: MatchScenario, ctx: ScaleContext
-) -> tuple[str, PairScorer]:
-    """Resolve a metric name to ("similarity" | "distance", scorer of P pairs).
-
-    The WGM metrics score all P pairs in one kernel call; the DP metrics loop.
-    """
-    if name in ("wgm", "wgm_time"):
-        weights = scenario.weights if name == "wgm" else metrics.TIME_HEAVY_WEIGHTS
-        # cp_score(a, b) == car_score(b, a) is wgm_sim(a, b) under SIGNED_CP
-        mode = (metrics.TimeMode.SIGNED_CAR if scenario.mode == "car"
-                else metrics.TimeMode.SIGNED_CP)
-        return "similarity", lambda reqs, rides: metrics.wgm_batch(
-            np.array(reqs), np.array(rides), weights, mode)
+) -> tuple[str, Callable[[np.ndarray, np.ndarray], float]]:
+    """Resolve a metric name to ("similarity" | "distance", pair scorer)."""
+    pair_score = metrics.car_score if scenario.mode == "car" else metrics.cp_score
+    if name == "wgm":
+        return "similarity", lambda a, b: pair_score(a, b, scenario.weights)
+    if name == "wgm_time":
+        return "similarity", lambda a, b: pair_score(a, b, metrics.TIME_HEAVY_WEIGHTS)
     if name == "lcss":
         params = MetricParams.for_context(ctx, scenario.dist_threshold, scenario.time_threshold)
-        return "similarity", _each_pair(lambda a, b: metrics.lcss(a, b, params))
+        return "similarity", lambda a, b: float(metrics.lcss(a, b, params))
     if name == "dtw":
-        return "distance", _each_pair(lambda a, b: metrics.dtw(a, b, "distance"))
+        return "distance", lambda a, b: metrics.dtw(a, b, "distance")
     if name == "dtw_time":
-        return "distance", _each_pair(lambda a, b: metrics.dtw(a, b, "distance_times_time"))
+        return "distance", lambda a, b: metrics.dtw(a, b, "distance_times_time")
     if name == "frechet":
-        return "distance", _each_pair(metrics.frechet_discrete)
+        return "distance", metrics.frechet_discrete
     raise ValueError(f"unknown metric {name!r}")
 
 
@@ -242,20 +230,16 @@ def _build_rows(
     reps_req: list[np.ndarray],
     reps_ride: list[np.ndarray],
     kind: str,
-    score: PairScorer,
+    score: Callable[[np.ndarray, np.ndarray], float],
 ) -> tuple[MatchRow, ...]:
-    pairs = [(i, j) for i, cands in enumerate(candidates) for j in cands]
-    scores = []
-    if pairs:
-        scores = score([reps_req[i] for i, _ in pairs], [reps_ride[j] for _, j in pairs]).tolist()
     rows = []
-    start = 0
-    for request, cands in zip(requests, candidates):
+    for i, request in enumerate(requests):
+        cands = candidates[i]
         if not cands:
             rows.append(MatchRow(request_id=request.id, **_UNMATCHED))
             continue
-        j, best = _choose(cands, scores[start:start + len(cands)], kind, rides)
-        start += len(cands)
+        scores = [score(reps_req[i], reps_ride[j]) for j in cands]
+        j, best = _choose(cands, scores, kind, rides)
         ride = rides[j]
         rows.append(MatchRow(
             request_id=request.id,

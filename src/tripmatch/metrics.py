@@ -182,7 +182,8 @@ def wgm_batch(
 ) -> np.ndarray:
     """wgm_sim over stacked representations, broadcast along the leading axes.
 
-    a and b have shapes (..., k, 3) whose leading axes broadcast as numpy
+    a and b have shapes (..., k, 3), at least one with a leading axis
+    (wgm_sim scores a single pair), whose leading axes broadcast as numpy
     does: a[:, None] against b[None, :] gives the (n, m) score matrix, two
     (P, k, 3) stacks give P pair scores. Each element takes the same steps
     as psim (hypot, log(1/(1+d)), clamped tau, weighted mean, exp) with the
@@ -192,16 +193,14 @@ def wgm_batch(
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
-    if a.ndim < 2 or b.ndim < 2 or a.shape[-1] != 3 or b.shape[-1] != 3:
-        raise ValueError(f"reps must have shape (..., k, 3), got {a.shape} and {b.shape}")
+    if min(a.ndim, b.ndim) < 2 or max(a.ndim, b.ndim) < 3 or {a.shape[-1], b.shape[-1]} != {3}:
+        raise ValueError(f"reps must be stacks of shape (..., k, 3), got {a.shape} and {b.shape}")
     k = a.shape[-2]
     if k != b.shape[-2]:
         raise ValueError(f"sequences must have equal length, got {k} and {b.shape[-2]}")
     if k < 1:
         raise ValueError("sequences must not be empty")
     lead = np.broadcast_shapes(a.shape[:-2], b.shape[:-2])
-    if not lead:
-        return _wgm_tile(a, b, w, mode)
     a = np.broadcast_to(a, lead + a.shape[-2:])
     b = np.broadcast_to(b, lead + b.shape[-2:])
     out = np.empty(lead)

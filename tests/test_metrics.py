@@ -175,6 +175,12 @@ class TestWgmSim:
         t2 = np.array([[0, 0, 0], [1, 0, 1]], dtype=float)
         assert math.isclose(wgm_sim(t1, t2, W), 0.75, rel_tol=1e-12)
 
+    def test_needs_a_stacked_input(self):
+        with pytest.raises(ValueError, match="stacks"):
+            wgm_batch(np.zeros((2, 3)), np.zeros((2, 3)), W)
+        with pytest.raises(ValueError, match="stacks"):
+            wgm_batch(np.zeros((4, 2, 3)), np.zeros((4, 2, 2)), W)
+
     def test_length_mismatch(self):
         with pytest.raises(ValueError, match="equal length"):
             wgm_sim(np.zeros((2, 3)), np.zeros((3, 3)), W)
@@ -250,6 +256,12 @@ class TestWgmBatch:
         with mock.patch.object(metrics, "TILE_POINTS", 3 * 5 * 3):  # tiles of 3, 3, 1 rows
             got = wgm_batch(a[:, None], b[None, :], W, TimeMode.SIGNED_CAR)
         np.testing.assert_allclose(got, oracle, rtol=0, atol=1e-12)
+
+    def test_needs_a_stacked_input(self):
+        with pytest.raises(ValueError, match="stacks"):
+            wgm_batch(np.zeros((2, 3)), np.zeros((2, 3)), W)
+        with pytest.raises(ValueError, match="stacks"):
+            wgm_batch(np.zeros((4, 2, 3)), np.zeros((4, 2, 2)), W)
 
     def test_length_mismatch(self):
         with pytest.raises(ValueError, match="equal length"):
