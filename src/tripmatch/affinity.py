@@ -168,37 +168,11 @@ def _fix_sign(v: np.ndarray) -> np.ndarray:
     return -v if v[pivot] < 0 else v
 
 
-def _power_iteration(
-    m: np.ndarray, rng: np.random.Generator, tol: float, max_iter: int = 50_000
-) -> tuple[float, np.ndarray]:
-    """Dominant eigenpair of a symmetric PSD matrix by power iteration."""
-    scale = float(np.linalg.norm(m))
-    if scale == 0.0:
-        v = np.zeros(m.shape[0])
-        v[0] = 1.0
-        return 0.0, v
-    v = rng.standard_normal(m.shape[0])
-    v /= np.linalg.norm(v)
-    lam = 0.0
-    for _ in range(max_iter):
-        u = m @ v
-        lam = float(v @ u)
-        if np.linalg.norm(u - lam * v) <= tol * scale:
-            break
-        norm_u = np.linalg.norm(u)
-        if norm_u == 0.0:
-            return 0.0, v
-        v = u / norm_u
-    return lam, _fix_sign(v)
-
-
-def pca_2d(
-    points: np.ndarray, seed: int = 0, tol: float = 1e-10
-) -> tuple[np.ndarray, np.ndarray]:
+def pca_2d(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Project points onto their first two principal components.
 
-    Computes the top-2 eigenpairs of the covariance matrix by power
-    iteration with deflation. Returns (coords, explained) where coords is
+    Takes the top-2 eigenpairs of the covariance matrix, each eigenvector
+    oriented by _fix_sign. Returns (coords, explained) where coords is
     (n, 2) and explained holds the two explained-variance ratios.
     """
     x = np.asarray(points, dtype=float)
@@ -209,17 +183,10 @@ def pca_2d(
     total_var = float(np.trace(cov))
     if total_var <= 0:
         raise DegenerateInputError("points have zero variance")
-    rng = np.random.default_rng(seed)
-    lam1, v1 = _power_iteration(cov, rng, tol)
-    lam2, v2 = _power_iteration(cov - lam1 * np.outer(v1, v1), rng, tol)
-    # re-orthogonalize against v1; deflation leaves a tiny residual
-    v2 = v2 - (v2 @ v1) * v1
-    norm2 = np.linalg.norm(v2)
-    if norm2 > 0:
-        v2 = v2 / norm2
-    coords = centered @ np.column_stack([v1, v2])
-    explained = np.array([max(lam1, 0.0), max(lam2, 0.0)]) / total_var
-    return coords, explained
+    eigvals, eigvecs = np.linalg.eigh(cov)  # ascending
+    top = [-1, -2]
+    coords = centered @ np.column_stack([_fix_sign(eigvecs[:, i]) for i in top])
+    return coords, np.maximum(eigvals[top], 0.0) / total_var
 
 
 def mds_2d(d: np.ndarray) -> np.ndarray:

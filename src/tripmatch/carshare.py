@@ -16,7 +16,7 @@ import numpy as np
 
 from . import metrics
 from .metrics import WgmWeights
-from .model import ScaleContext, Trip, od_rep, path_length, spatial_distance
+from .model import ScaleContext, Trip, od_reps, path_length, spatial_distance
 
 
 @dataclass(frozen=True, slots=True)
@@ -29,14 +29,6 @@ class TripDag:
     @property
     def n(self) -> int:
         return len(self.trip_ids)
-
-
-@dataclass(frozen=True, slots=True)
-class BipartiteGraph:
-    """Split graph: left node i = trip i as a predecessor, right j = as a successor."""
-
-    n: int
-    edges: dict[tuple[int, int], float]
 
 
 @dataclass(frozen=True, slots=True)
@@ -89,73 +81,47 @@ def build_trip_dag(
             if spatial_distance(a.destination, b.origin) > dist_threshold:
                 continue
             pairs.append((i, j))
-    reps = np.array([od_rep(t, ctx) for t in trips]).reshape(-1, 2, 3)
+    reps = od_reps(trips, ctx)
     src, dst = np.array(pairs, dtype=int).reshape(-1, 2).T
     if whole_trip_weight:
         first, second = reps[src], reps[dst]
     else:  # a's destination against b's origin, as one-point sequences
         first, second = reps[src, 1:], reps[dst, :1]
     edges = dict(zip(pairs, metrics.wgm_batch(first, second, weights).tolist()))
-    dag = TripDag(tuple(t.id for t in trips), edges)
-    _assert_acyclic(dag)
-    return dag
+    return TripDag(tuple(t.id for t in trips), edges)
 
 
-def _assert_acyclic(dag: TripDag) -> None:
-    """Kahn topological sort; edges built on strict time order cannot cycle."""
-    indeg = [0] * dag.n
-    succ: dict[int, list[int]] = {}
-    for (i, j) in dag.edges:
-        indeg[j] += 1
-        succ.setdefault(i, []).append(j)
-    queue = [v for v in range(dag.n) if indeg[v] == 0]
-    seen = 0
-    while queue:
-        v = queue.pop()
-        seen += 1
-        for u in succ.get(v, ()):
-            indeg[u] -= 1
-            if indeg[u] == 0:
-                queue.append(u)
-    if seen != dag.n:
-        raise ValueError("trip graph contains a cycle")
-
-
-def dag_to_bipartite(dag: TripDag) -> BipartiteGraph:
-    """Split every node into a predecessor (left) and successor (right) copy."""
-    return BipartiteGraph(dag.n, dict(dag.edges))
-
-
-def max_card_max_weight_matching(graph: BipartiteGraph) -> dict[int, int]:
+def max_card_max_weight_matching(dag: TripDag) -> dict[int, int]:
     """Maximum-cardinality matching of maximum total weight.
 
+    Edge (i, j) joins trip i as a predecessor to trip j as a successor.
     Adds n * max(weight) to every edge before solving the assignment
     problem: any matching with one more edge then always outweighs any
     smaller matching, so the solver returns the largest matching and,
     among those, one of maximum original weight. Weights must be in
     [0, max]; absent pairs never enter the matching.
 
-    Returns {left index: right index}.
+    Returns {predecessor index: successor index}.
     """
-    if not graph.edges:
+    if not dag.edges:
         return {}
-    if min(graph.edges.values()) < 0:
+    if min(dag.edges.values()) < 0:
         raise ValueError("edge weights must be nonnegative")
     # imported here: scipy.optimize costs about half a second to import,
     # and no other subcommand needs it
     from scipy.optimize import linear_sum_assignment
 
-    top = max(graph.edges.values())
-    shift = graph.n * top if top > 0 else 1.0
-    costs = np.zeros((graph.n, graph.n))
-    for (i, j), w in graph.edges.items():
+    top = max(dag.edges.values())
+    shift = dag.n * top if top > 0 else 1.0
+    costs = np.zeros((dag.n, dag.n))
+    for (i, j), w in dag.edges.items():
         costs[i, j] = w + shift
     rows, cols = linear_sum_assignment(costs, maximize=True)
-    return {int(i): int(j) for i, j in zip(rows, cols) if (int(i), int(j)) in graph.edges}
+    return {int(i): int(j) for i, j in zip(rows, cols) if (int(i), int(j)) in dag.edges}
 
 
 def extract_chains(dag: TripDag, matching: Mapping[int, int]) -> ChainSchedule:
-    """Turn a bipartite matching back into car chains.
+    """Turn a split-graph matching back into car chains.
 
     A trip whose successor-side copy is unmatched starts a chain; following
     each trip's matched successor walks the whole chain. The chains
@@ -217,5 +183,5 @@ def schedule_trips(
 ) -> tuple[TripDag, ChainSchedule]:
     """End-to-end pipeline: DAG, optimal matching, chains."""
     dag = build_trip_dag(trips, ctx, dist_threshold, time_threshold, weights)
-    matching = max_card_max_weight_matching(dag_to_bipartite(dag))
+    matching = max_card_max_weight_matching(dag)
     return dag, extract_chains(dag, matching)

@@ -29,6 +29,10 @@ _OUTDIR_ENV = "TRIPMATCH_OUTDIR"
 _INPUT_KEYS = ("input", "trips", "requests", "rides")
 
 
+class ReplayMismatchError(ValueError):
+    """Raised when an input of a replayed run no longer has its recorded digest."""
+
+
 # ---------------------------------------------------------------------------
 # small io helpers
 
@@ -247,8 +251,7 @@ _SCORER_MODES = {
 
 def _od_reps(trips: list[model.Trip]) -> np.ndarray:
     """Stacked scaled OD representations, shape (n, 2, 3)."""
-    ctx = model.ScaleContext.from_trips(trips)
-    return np.array([model.od_rep(t, ctx) for t in trips])
+    return model.od_reps(trips, model.ScaleContext.from_trips(trips))
 
 
 def _affinity(cfg: dict, reps: np.ndarray) -> np.ndarray:
@@ -279,14 +282,14 @@ def cmd_cluster(cfg: dict, outdir: Path) -> dict:
     trips = _load_trips(cfg["trips"])
     reps = _od_reps(trips)
     sym, _, ratio = affinity.sym_decompose(_affinity(cfg, reps))
-    if cfg.get("kernel_gamma"):
-        sym = np.exp(-cfg["kernel_gamma"] * (1.0 - sym))
+    if cfg.get("kernel_gamma") is not None:
+        sym = metrics.laplacian_kernel(sym, cfg["kernel_gamma"])
     labels = affinity.spectral_cluster(sym, cfg["k"], cfg["seed"])
     ids = [t.id for t in trips]
     _write_csv(outdir / "labels.csv", ["trip_id", "cluster"],
                [[i, int(c)] for i, c in zip(ids, labels)])
 
-    coords_pca, explained = affinity.pca_2d(reps.reshape(len(reps), -1), seed=cfg["seed"])
+    coords_pca, explained = affinity.pca_2d(reps.reshape(len(reps), -1))
     _write_csv(outdir / "coords_pca.csv", ["trip_id", "x", "y"],
                [[i, f"{x:.6f}", f"{y:.6f}"] for i, (x, y) in zip(ids, coords_pca)])
     coords_mds = affinity.mds_2d(1.0 - sym)
@@ -435,12 +438,20 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
                      help="re-run the configuration captured in a run_manifest.json")
 
 
-def _add_scenario_flags(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--mode", choices=["car", "carpool"], default="car")
-    sub.add_argument("--dist-threshold", dest="dist_threshold", type=float, default=1800.0)
-    sub.add_argument("--time-threshold", dest="time_threshold", type=float, default=900.0)
+def _add_weight_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--w-space", dest="w_space", type=float, default=0.6)
     sub.add_argument("--w-time", dest="w_time", type=float, default=0.4)
+
+
+def _add_threshold_flags(sub: argparse.ArgumentParser) -> None:
+    sub.add_argument("--dist-threshold", dest="dist_threshold", type=float, default=1800.0)
+    sub.add_argument("--time-threshold", dest="time_threshold", type=float, default=900.0)
+
+
+def _add_scenario_flags(sub: argparse.ArgumentParser) -> None:
+    sub.add_argument("--mode", choices=["car", "carpool"], default="car")
+    _add_threshold_flags(sub)
+    _add_weight_flags(sub)
 
 
 def _add_split_flags(sub: argparse.ArgumentParser) -> None:
@@ -482,8 +493,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     p = subs.add_parser("affinity", help="pairwise similarity matrix")
     p.add_argument("--trips", default=None)
     p.add_argument("--scorer", choices=["wgm", "car", "cp"], default="wgm")
-    p.add_argument("--w-space", dest="w_space", type=float, default=0.6)
-    p.add_argument("--w-time", dest="w_time", type=float, default=0.4)
+    _add_weight_flags(p)
     _add_common(p)
 
     p = subs.add_parser("cluster", help="spectral clustering plus 2-D embeddings")
@@ -491,8 +501,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     p.add_argument("--k", type=int, default=8)
     p.add_argument("--scorer", choices=["wgm", "car", "cp"], default="wgm")
     p.add_argument("--kernel-gamma", dest="kernel_gamma", type=float, default=None)
-    p.add_argument("--w-space", dest="w_space", type=float, default=0.6)
-    p.add_argument("--w-time", dest="w_time", type=float, default=0.4)
+    _add_weight_flags(p)
     _add_common(p)
 
     p = subs.add_parser("match", help="greedy rider-to-ride matching")
@@ -518,10 +527,8 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
 
     p = subs.add_parser("carshare", help="minimum-fleet chain scheduling")
     p.add_argument("--trips", default=None)
-    p.add_argument("--dist-threshold", dest="dist_threshold", type=float, default=1800.0)
-    p.add_argument("--time-threshold", dest="time_threshold", type=float, default=900.0)
-    p.add_argument("--w-space", dest="w_space", type=float, default=0.6)
-    p.add_argument("--w-time", dest="w_time", type=float, default=0.4)
+    _add_threshold_flags(p)
+    _add_weight_flags(p)
     _add_common(p)
 
     return parser, subs.choices
@@ -567,6 +574,7 @@ def _given_flags(sub: argparse.ArgumentParser, argv: list[str], defaults: dict) 
 def resolve_config(args: argparse.Namespace, defaults: dict, explicit: dict) -> dict:
     """Merge defaults, config file, manifest, and explicit flags (in that order)."""
     cfg = dict(defaults)
+    recorded: dict[str, str] = {}
 
     if args.config:
         for key, value in _read_config_file(args.config).items():
@@ -580,12 +588,18 @@ def resolve_config(args: argparse.Namespace, defaults: dict, explicit: dict) -> 
             raise ValueError(
                 f"manifest is for {manifest.get('command')!r}, not {args.command!r}")
         cfg.update(manifest["config"])
+        recorded = manifest["inputs"]
     cfg.update(explicit)
 
     # manifests must replay from anywhere, so inputs are pinned absolute
     for key in _INPUT_KEYS:
         if cfg.get(key):
             cfg[key] = os.path.abspath(cfg[key])
+    # a replay trusts only the recorded inputs it reads, not those named anew
+    replayed = {cfg[key] for key in _INPUT_KEYS if cfg.get(key) and key not in explicit}
+    for path, digest in recorded.items():
+        if path in replayed and _sha256(path) != digest:
+            raise ReplayMismatchError(f"input {path} changed since the manifest was written")
     if not cfg.get("out"):
         cfg["out"] = os.environ.get(_OUTDIR_ENV, "out")
     cfg["command"] = args.command
@@ -597,6 +611,7 @@ _ERROR_CATEGORIES: tuple[tuple[type, str], ...] = (
     (stats.DegenerateFitError, "degenerate-fit"),
     (affinity.DegenerateInputError, "degenerate-input"),
     (matching.UndefinedReportError, "undefined-report"),
+    (ReplayMismatchError, "replay-mismatch"),
     (ValueError, "invalid-argument"),
     (OSError, "io"),
 )

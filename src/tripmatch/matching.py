@@ -16,7 +16,7 @@ import numpy as np
 
 from . import metrics
 from .metrics import MetricParams, WgmWeights
-from .model import ScaleContext, Trip, od_rep, path_length, sampled_rep, spatial_distance
+from .model import ScaleContext, Trip, od_reps, path_length, sampled_rep, spatial_distance
 
 #: Metric names accepted by greedy_match and compare_metrics.
 METRIC_NAMES = ("wgm", "wgm_time", "lcss", "dtw", "dtw_time", "frechet")
@@ -125,62 +125,33 @@ class MatchReport:
         }
 
 
-def _order_feasible(request: Trip, ride: Trip, mode: str) -> bool:
-    if mode == "car":
-        return ride.start_time >= request.start_time and ride.end_time <= request.end_time
-    return ride.start_time <= request.start_time and ride.end_time >= request.end_time
-
-
-def _passes_filter(request: Trip, ride: Trip, scenario: MatchScenario) -> bool:
-    return (
-        spatial_distance(request.origin, ride.origin) <= scenario.dist_threshold
-        and spatial_distance(request.destination, ride.destination) <= scenario.dist_threshold
-        and abs(request.origin.t - ride.origin.t) <= scenario.time_threshold
-        and abs(request.destination.t - ride.destination.t) <= scenario.time_threshold
-        and _order_feasible(request, ride, scenario.mode)
-    )
-
-
-def feasible_candidates(
-    request: Trip, rides: Sequence[Trip], scenario: MatchScenario
-) -> list[Trip]:
-    """Rides passing the endpoint distance/time gates and the temporal order."""
-    return [ride for ride in rides if _passes_filter(request, ride, scenario)]
-
-
 def _candidate_indices(
     requests: Sequence[Trip], rides: Sequence[Trip], scenario: MatchScenario
 ) -> list[list[int]]:
-    """Per-request feasible ride indices.
+    """Per-request feasible ride indices, ascending.
 
-    A vectorized squared-distance prefilter (loosened by 1e-9 so boundary
-    cases cannot be lost to rounding) cuts the pair count; survivors are
-    confirmed with the exact scalar predicate.
+    A ride is a candidate when its origin and its destination each lie
+    within time_threshold seconds and dist_threshold meters of the
+    request's, and its window is ordered against the request's as the mode
+    requires. The cheap time and order gates run over every ride; the
+    distances are computed only for the rides that pass them.
     """
-    ox = np.array([r.origin.x for r in rides])
-    oy = np.array([r.origin.y for r in rides])
-    dx = np.array([r.destination.x for r in rides])
-    dy = np.array([r.destination.y for r in rides])
-    ot = np.array([r.origin.t for r in rides])
-    dt = np.array([r.destination.t for r in rides])
-    starts = np.array([r.start_time for r in rides])
-    ends = np.array([r.end_time for r in rides])
-    sq_limit = scenario.dist_threshold ** 2 * (1.0 + 1e-9)
-    t_limit = scenario.time_threshold * (1.0 + 1e-9)
-
+    ox, oy, ot, dx, dy, dt = np.array(
+        [(w[0].x, w[0].y, w[0].t, w[-1].x, w[-1].y, w[-1].t)
+         for w in (r.waypoints for r in rides)], dtype=float).reshape(-1, 6).T
+    dist, span = scenario.dist_threshold, scenario.time_threshold
     out = []
     for request in requests:
         o, d = request.origin, request.destination
-        mask = (ox - o.x) ** 2 + (oy - o.y) ** 2 <= sq_limit
-        mask &= (dx - d.x) ** 2 + (dy - d.y) ** 2 <= sq_limit
-        mask &= np.abs(ot - o.t) <= t_limit
-        mask &= np.abs(dt - d.t) <= t_limit
         if scenario.mode == "car":
-            mask &= (starts >= request.start_time) & (ends <= request.end_time)
+            gate = (ot >= o.t) & (dt <= d.t)
         else:
-            mask &= (starts <= request.start_time) & (ends >= request.end_time)
-        out.append([int(j) for j in np.flatnonzero(mask)
-                    if _passes_filter(request, rides[j], scenario)])
+            gate = (ot <= o.t) & (dt >= d.t)
+        gate &= (np.abs(ot - o.t) <= span) & (np.abs(dt - d.t) <= span)
+        idx = np.flatnonzero(gate)
+        near = np.hypot(ox[idx] - o.x, oy[idx] - o.y) <= dist
+        near &= np.hypot(dx[idx] - d.x, dy[idx] - d.y) <= dist
+        out.append(idx[near].tolist())
     return out
 
 
@@ -227,8 +198,8 @@ def _build_rows(
     requests: Sequence[Trip],
     rides: Sequence[Trip],
     candidates: list[list[int]],
-    reps_req: list[np.ndarray],
-    reps_ride: list[np.ndarray],
+    reps_req: Sequence[np.ndarray],
+    reps_ride: Sequence[np.ndarray],
     kind: str,
     score: Callable[[np.ndarray, np.ndarray], float],
 ) -> tuple[MatchRow, ...]:
@@ -298,8 +269,7 @@ def greedy_match(
         ctx = ScaleContext.from_trips(list(requests) + list(rides))
     kind, score = _metric_fn(scenario.metric, scenario, ctx)
     if rep_len is None:
-        reps_req = [od_rep(t, ctx) for t in requests]
-        reps_ride = [od_rep(t, ctx) for t in rides]
+        reps_req, reps_ride = od_reps(requests, ctx), od_reps(rides, ctx)
     else:
         reps_req = [sampled_rep(t, ctx, rep_len) for t in requests]
         reps_ride = [sampled_rep(t, ctx, rep_len) for t in rides]

@@ -332,8 +332,8 @@ def frechet_discrete(t1: np.ndarray, t2: np.ndarray) -> float:
     return prev[n]
 
 
-def laplacian_kernel(score: float, gamma: float = 3.0) -> float:
-    """exp(-gamma * (1 - score)): sharpens similarity contrast near 1."""
+def laplacian_kernel(score: float | np.ndarray, gamma: float = 3.0) -> float | np.ndarray:
+    """exp(-gamma * (1 - score)), elementwise: sharpens similarity contrast near 1."""
     if gamma <= 0:
-        raise ValueError("gamma must be positive")
-    return math.exp(-gamma * (1.0 - score))
+        raise ValueError(f"kernel gamma must be positive, got {gamma}")
+    return np.exp(-gamma * (1.0 - score))

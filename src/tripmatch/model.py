@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -117,15 +117,6 @@ class ScaleContext:
         return cls(min(xs), max(xs), min(ys), max(ys), min(ts), max(ts))
 
 
-@dataclass(frozen=True, slots=True)
-class ScaledPoint:
-    """A waypoint mapped into dimensionless [0, 1] coordinates."""
-
-    x: float
-    y: float
-    t: float
-
-
 def extract_od(trip: Trip) -> tuple[Waypoint, Waypoint]:
     """Origin/destination endpoints: the first and last waypoints of the trip."""
     return trip.waypoints[0], trip.waypoints[-1]
@@ -148,26 +139,11 @@ def sample_waypoints(trip: Trip, k: int) -> Trip:
     return Trip(trip.id, tuple(trip.waypoints[i] for i in indices))
 
 
-def _clamp01(v: float) -> float:
-    return 0.0 if v < 0.0 else 1.0 if v > 1.0 else v
-
-
-def scale_point(point: Waypoint, ctx: ScaleContext) -> ScaledPoint:
-    """Map a raw waypoint into [0, 1]^3, clamping out-of-bounds values."""
-    return ScaledPoint(
-        _clamp01((point.x - ctx.x_min) / ctx.x_span),
-        _clamp01((point.y - ctx.y_min) / ctx.y_span),
-        _clamp01((point.t - ctx.t_min) / ctx.t_span),
-    )
-
-
-def unscale_point(point: ScaledPoint, ctx: ScaleContext) -> Waypoint:
-    """Inverse of scale_point for in-bounds points."""
-    return Waypoint(
-        point.x * ctx.x_span + ctx.x_min,
-        point.y * ctx.y_span + ctx.y_min,
-        point.t * ctx.t_span + ctx.t_min,
-    )
+def _scale(raw: np.ndarray, ctx: ScaleContext) -> np.ndarray:
+    """Map (..., 3) raw x, y, t columns linearly onto the context box, unclamped."""
+    lo = np.array([ctx.x_min, ctx.y_min, ctx.t_min])
+    span = np.array([ctx.x_span, ctx.y_span, ctx.t_span])
+    return (raw - lo) / span
 
 
 def scale_trip(trip: Trip, ctx: ScaleContext) -> tuple[np.ndarray, int]:
@@ -176,20 +152,25 @@ def scale_trip(trip: Trip, ctx: ScaleContext) -> tuple[np.ndarray, int]:
     Returns an (n, 3) array with columns x, y, t in [0, 1] plus the number
     of waypoints that had at least one component clamped.
     """
-    raw = trip.xyt()
-    lo = np.array([ctx.x_min, ctx.y_min, ctx.t_min])
-    span = np.array([ctx.x_span, ctx.y_span, ctx.t_span])
-    scaled = (raw - lo) / span
+    scaled = _scale(trip.xyt(), ctx)
     clamped = int(np.any((scaled < 0.0) | (scaled > 1.0), axis=1).sum())
     return np.clip(scaled, 0.0, 1.0), clamped
 
 
+def od_reps(trips: Sequence[Trip], ctx: ScaleContext) -> np.ndarray:
+    """Scaled origin-destination representations, stacked: shape (n, 2, 3).
+
+    Row i holds trip i's first and last waypoints scaled as scale_trip
+    scales them, clamped into [0, 1].
+    """
+    raw = np.array([[(w[0].x, w[0].y, w[0].t), (w[-1].x, w[-1].y, w[-1].t)]
+                    for w in (t.waypoints for t in trips)], dtype=float)
+    return np.clip(_scale(raw.reshape(-1, 2, 3), ctx), 0.0, 1.0)
+
+
 def od_rep(trip: Trip, ctx: ScaleContext) -> np.ndarray:
-    """Scaled origin-destination representation: a (2, 3) array."""
-    o, d = extract_od(trip)
-    so = scale_point(o, ctx)
-    sd = scale_point(d, ctx)
-    return np.array([[so.x, so.y, so.t], [sd.x, sd.y, sd.t]], dtype=float)
+    """Scaled origin-destination representation of one trip: a (2, 3) array."""
+    return od_reps([trip], ctx)[0]
 
 
 def sampled_rep(trip: Trip, ctx: ScaleContext, k: int) -> np.ndarray:

@@ -15,12 +15,7 @@ import pytest
 
 import tripmatch.metrics as metrics
 from tripmatch.affinity import build_affinity, spectral_cluster, sym_decompose
-from tripmatch.carshare import (
-    dag_to_bipartite,
-    extract_chains,
-    max_card_max_weight_matching,
-    schedule_trips,
-)
+from tripmatch.carshare import extract_chains, max_card_max_weight_matching, schedule_trips
 from tripmatch.cli import main as cli_main
 from tripmatch.ingest import TimeWindow, build_trips, parse_trace
 from tripmatch.matching import MatchScenario, greedy_match, savings_accounting
@@ -179,7 +174,7 @@ def test_c06_min_path_partition_with_max_weight():
     rng = np.random.default_rng(6)
     for _ in range(1000):
         dag = random_dag(rng, max_n=8)
-        matching = max_card_max_weight_matching(dag_to_bipartite(dag))
+        matching = max_card_max_weight_matching(dag)
         schedule = extract_chains(dag, matching)
         count, weight = brute_force_min_path_partition(dag)
         assert schedule.n_cars == count
@@ -193,7 +188,7 @@ def test_c07_fleet_size_identity():
     rng = np.random.default_rng(7)
     for _ in range(200):
         dag = random_dag(rng, max_n=8)
-        matching = max_card_max_weight_matching(dag_to_bipartite(dag))
+        matching = max_card_max_weight_matching(dag)
         schedule = extract_chains(dag, matching)
         assert schedule.n_cars == dag.n - schedule.cardinality
     # the published fleet example: 2000 trips at cardinality 1370 need 630 cars

@@ -220,14 +220,14 @@ class TestPca2d:
     def test_isotropic_gaussian_ratios(self):
         rng = np.random.default_rng(8)
         pts = rng.normal(size=(1000, 3))
-        _, explained = pca_2d(pts, seed=1)
+        _, explained = pca_2d(pts)
         assert abs(explained[0] - 1 / 3) < 0.05
         assert abs(explained[1] - 1 / 3) < 0.05
 
     def test_projected_variance_identity(self):
         rng = np.random.default_rng(9)
         pts = rng.normal(size=(200, 4)) * np.array([3.0, 2.0, 1.0, 0.5])
-        coords, explained = pca_2d(pts, seed=2)
+        coords, explained = pca_2d(pts)
         centered = pts - pts.mean(axis=0)
         total = (centered ** 2).sum(axis=1).mean()
         projected = (coords ** 2).sum(axis=1).mean()
@@ -236,7 +236,7 @@ class TestPca2d:
     def test_matches_eigh_oracle(self):
         rng = np.random.default_rng(10)
         pts = rng.normal(size=(150, 5)) * np.array([4.0, 3.0, 2.0, 1.0, 0.5])
-        coords, explained = pca_2d(pts, seed=3)
+        coords, explained = pca_2d(pts)
         centered = pts - pts.mean(axis=0)
         cov = centered.T @ centered / len(pts)
         eigvals = np.sort(np.linalg.eigvalsh(cov))[::-1]

@@ -12,19 +12,19 @@ from functools import lru_cache
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tripmatch.carshare import (
-    BipartiteGraph,
     TripDag,
     build_trip_dag,
     chain_stats,
-    dag_to_bipartite,
     extract_chains,
     max_card_max_weight_matching,
     schedule_trips,
 )
 from tripmatch.metrics import WgmWeights, psim
-from tripmatch.model import ScaleContext, scale_point
+from tripmatch.model import ScaleContext
 
 from conftest import straight_trip
 
@@ -42,9 +42,38 @@ def random_dag(rng, max_n=8) -> TripDag:
     return TripDag(tuple(f"t{i}" for i in range(n)), edges)
 
 
-def brute_force_best_matching(graph: BipartiteGraph) -> tuple[int, float]:
+@st.composite
+def dags(draw, max_n=8) -> TripDag:
+    """Any DAG on a topological order, with weights in [0, 1]."""
+    n = draw(st.integers(1, max_n))
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    chosen = draw(st.lists(st.sampled_from(pairs), unique=True) if pairs else st.just([]))
+    weights = st.floats(0.0, 1.0, allow_nan=False)
+    return TripDag(tuple(f"t{i}" for i in range(n)), {e: draw(weights) for e in chosen})
+
+
+def assert_acyclic(dag: TripDag) -> None:
+    """Kahn topological sort over the DAG's edges."""
+    indeg = [0] * dag.n
+    succ: dict[int, list[int]] = {}
+    for (i, j) in dag.edges:
+        indeg[j] += 1
+        succ.setdefault(i, []).append(j)
+    queue = [v for v in range(dag.n) if indeg[v] == 0]
+    seen = 0
+    while queue:
+        v = queue.pop()
+        seen += 1
+        for u in succ.get(v, ()):
+            indeg[u] -= 1
+            if indeg[u] == 0:
+                queue.append(u)
+    assert seen == dag.n, "trip graph contains a cycle"
+
+
+def brute_force_best_matching(dag: TripDag) -> tuple[int, float]:
     """Max cardinality, then max weight, by enumerating every matching."""
-    edges = list(graph.edges.items())
+    edges = list(dag.edges.items())
 
     def explore(idx, used_left, used_right, size, weight):
         best = (size, weight)
@@ -148,9 +177,9 @@ class TestBuildTripDag:
         a = straight_trip("a", (1000, 1000), (5000, 5000), 0, 900)
         b = straight_trip("b", (5400, 5000), (9000, 9000), 1200, 2100)
         dag = build_trip_dag([a, b], self.CTX, weights=W)
-        end = scale_point(a.destination, self.CTX)
-        start = scale_point(b.origin, self.CTX)
-        expected = psim((end.x, end.y, end.t), (start.x, start.y, start.t), W)
+        end = (5000 / 20_000, 5000 / 20_000, 900 / 7200)
+        start = (5400 / 20_000, 5000 / 20_000, 1200 / 7200)
+        expected = psim(end, start, W)
         assert math.isclose(dag.edges[(0, 1)], expected, rel_tol=1e-12)
 
     def test_whole_trip_weight_variant(self):
@@ -169,58 +198,40 @@ class TestBuildTripDag:
             x0, y0 = rng.uniform(0, 18_000, 2)
             t0 = rng.uniform(0, 5000)
             trips.append(straight_trip(f"t{i:02d}", (x0, y0), (x0 + 1500, y0), t0, t0 + 600))
-        dag = build_trip_dag(trips, self.CTX)  # raises on a cycle
+        dag = build_trip_dag(trips, self.CTX)
+        assert_acyclic(dag)
         for (i, j) in dag.edges:
             assert trips[j].start_time > trips[i].end_time
 
 
-class TestDagToBipartite:
-    def test_chain(self):
-        dag = TripDag(("a", "b", "c"), {(0, 1): 0.9, (1, 2): 0.8})
-        b = dag_to_bipartite(dag)
-        assert b.n == 3
-        assert b.edges == {(0, 1): 0.9, (1, 2): 0.8}  # weights copied verbatim
-
-    def test_empty(self):
-        b = dag_to_bipartite(TripDag(("a", "b"), {}))
-        assert b.edges == {}
-
-    def test_edge_count_preserved(self):
-        rng = np.random.default_rng(1)
-        for _ in range(20):
-            dag = random_dag(rng)
-            assert len(dag_to_bipartite(dag).edges) == len(dag.edges)
-
-
 class TestMatching:
     def test_single_edge(self):
-        graph = BipartiteGraph(2, {(0, 1): 0.5})
-        assert max_card_max_weight_matching(graph) == {0: 1}
+        dag = TripDag(("a", "b"), {(0, 1): 0.5})
+        assert max_card_max_weight_matching(dag) == {0: 1}
 
     def test_chain_fully_matched(self):
-        graph = BipartiteGraph(3, {(0, 1): 0.9, (1, 2): 0.8})
-        assert max_card_max_weight_matching(graph) == {0: 1, 1: 2}
+        dag = TripDag(("a", "b", "c"), {(0, 1): 0.9, (1, 2): 0.8})
+        assert max_card_max_weight_matching(dag) == {0: 1, 1: 2}
 
     def test_empty(self):
-        assert max_card_max_weight_matching(BipartiteGraph(3, {})) == {}
+        assert max_card_max_weight_matching(TripDag(("a", "b", "c"), {})) == {}
 
     def test_negative_weights_rejected(self):
         with pytest.raises(ValueError):
-            max_card_max_weight_matching(BipartiteGraph(2, {(0, 1): -0.1}))
+            max_card_max_weight_matching(TripDag(("a", "b"), {(0, 1): -0.1}))
 
     def test_prefers_cardinality_over_weight(self):
         # taking the heavy middle edge alone would block a 2-edge matching
-        graph = BipartiteGraph(3, {(0, 1): 1.0, (1, 1): 0.01, (1, 2): 0.01})
-        matching = max_card_max_weight_matching(graph)
+        dag = TripDag(("a", "b", "c"), {(0, 1): 1.0, (1, 1): 0.01, (1, 2): 0.01})
+        matching = max_card_max_weight_matching(dag)
         assert len(matching) == 2
 
     def test_against_brute_force(self):
         rng = np.random.default_rng(2)
         for _ in range(300):
             dag = random_dag(rng, max_n=7)
-            graph = dag_to_bipartite(dag)
-            matching = max_card_max_weight_matching(graph)
-            size, weight = brute_force_best_matching(graph)
+            matching = max_card_max_weight_matching(dag)
+            size, weight = brute_force_best_matching(dag)
             assert len(matching) == size
             assert abs(matching_weight(dag, matching) - weight) < 1e-9
 
@@ -244,11 +255,22 @@ class TestExtractChains:
         rng = np.random.default_rng(3)
         for _ in range(100):
             dag = random_dag(rng)
-            matching = max_card_max_weight_matching(dag_to_bipartite(dag))
+            matching = max_card_max_weight_matching(dag)
             schedule = extract_chains(dag, matching)
             covered = [tid for chain in schedule.chains for tid in chain]
             assert sorted(covered) == sorted(dag.trip_ids)
             assert schedule.n_cars == dag.n - schedule.cardinality
+
+    @settings(max_examples=200, deadline=None)
+    @given(dags())
+    def test_chains_partition_trips_property(self, dag):
+        matching = max_card_max_weight_matching(dag)
+        schedule = extract_chains(dag, matching)
+        covered = [tid for chain in schedule.chains for tid in chain]
+        assert sorted(covered) == sorted(dag.trip_ids)
+        assert schedule.cardinality == len(matching)
+        assert schedule.n_cars == dag.n - len(matching)
+        assert len(matching) == brute_force_best_matching(dag)[0]
 
     def test_rejects_duplicated_successor(self):
         dag = TripDag(("a", "b", "c"), {(0, 2): 0.5, (1, 2): 0.5})
@@ -264,7 +286,7 @@ class TestExtractChains:
         rng = np.random.default_rng(4)
         for _ in range(200):
             dag = random_dag(rng)
-            matching = max_card_max_weight_matching(dag_to_bipartite(dag))
+            matching = max_card_max_weight_matching(dag)
             schedule = extract_chains(dag, matching)
             count, weight = brute_force_min_path_partition(dag)
             assert schedule.n_cars == count

@@ -14,7 +14,7 @@ import pytest
 import tripmatch
 from tripmatch import metrics
 from tripmatch.affinity import build_affinity
-from tripmatch.cli import main
+from tripmatch.cli import build_parser, main
 from tripmatch.ingest import read_trips_jsonl
 from tripmatch.model import ScaleContext, od_rep
 
@@ -170,6 +170,13 @@ class TestAffinityAndCluster:
         assert 0.0 < summary["symmetric_ratio"] <= 1.0
         labels = (out / "labels.csv").read_text().splitlines()[1:]
         assert {int(line.split(",")[1]) for line in labels} <= {0, 1}
+
+    @pytest.mark.parametrize("gamma", ["-2", "0"])
+    def test_nonpositive_kernel_gamma_rejected(self, gamma, trips_file, tmp_path, capsys):
+        code, summary = run(capsys, "cluster", "--trips", str(trips_file), "--k", "2",
+                            "--kernel-gamma", gamma, "--out", str(tmp_path / "c"))
+        assert code == 1 and summary["category"] == "invalid-argument"
+        assert "gamma" in summary["message"]
 
 
 class TestMatch:
@@ -355,6 +362,40 @@ class TestConfigAndManifest:
         assert code == 0
         for name, blob in first.items():
             assert read(replay / name) == blob
+
+    def test_replay_rejects_an_edited_input(self, trips_file, tmp_path, capsys):
+        trips = tmp_path / "trips.jsonl"
+        lines = trips_file.read_text().splitlines(keepends=True)
+        trips.write_text("".join(lines))
+        out = tmp_path / "cs"
+        code, _ = run(capsys, "carshare", "--trips", str(trips), "--out", str(out))
+        assert code == 0
+        trips.write_text("".join(lines[:40]))
+        manifest = str(out / "run_manifest.json")
+        code, summary = run(capsys, "carshare", "--from-manifest", manifest,
+                            "--out", str(tmp_path / "replay"))
+        assert code == 1 and summary["category"] == "replay-mismatch"
+        assert str(trips) in summary["message"]
+        # an input named on the command line is read as it is now
+        code, summary = run(capsys, "carshare", "--from-manifest", manifest,
+                            "--trips", str(trips), "--out", str(tmp_path / "fresh"))
+        assert code == 0 and summary["n_trips"] == 40
+
+    def test_shared_flags_keep_defaults_and_precedence(self, trips_file, tmp_path, capsys):
+        parser, _ = build_parser()
+        for name in ("affinity", "cluster", "match", "compare", "carshare"):
+            given = vars(parser.parse_args([name]))
+            assert (given["w_space"], given["w_time"]) == (0.6, 0.4)
+            if name in ("match", "compare", "carshare"):
+                assert (given["dist_threshold"], given["time_threshold"]) == (1800.0, 900.0)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("w-space = 0.9\ndist-threshold = 900\n")
+        out = tmp_path / "cs"
+        code, _ = run(capsys, "carshare", "--config", str(cfg), "--trips", str(trips_file),
+                      "--w-space", "0.6", "--out", str(out))
+        assert code == 0
+        config = json.loads((out / "run_manifest.json").read_text())["config"]
+        assert (config["w_space"], config["dist_threshold"]) == (0.6, 900.0)
 
     def test_manifest_command_mismatch(self, trips_file, tmp_path, capsys):
         out = tmp_path / "m3"

@@ -6,21 +6,83 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tripmatch.matching import (
     MatchReport,
     MatchScenario,
     UndefinedReportError,
+    _candidate_indices,
     compare_metrics,
-    feasible_candidates,
     greedy_match,
     match_counts_curve,
     savings_accounting,
 )
 from tripmatch.metrics import WgmWeights, car_score, cp_score
-from tripmatch.model import ScaleContext, od_rep, path_length, spatial_distance
+from tripmatch.model import ScaleContext, Trip, od_rep, path_length, spatial_distance
 
 from conftest import rider_ride_population, straight_trip
+
+
+def passes_filter(request: Trip, ride: Trip, scenario: MatchScenario) -> bool:
+    """The scalar candidate predicate: endpoint gates plus the mode's time order."""
+    if scenario.mode == "car":
+        ordered = ride.start_time >= request.start_time and ride.end_time <= request.end_time
+    else:
+        ordered = ride.start_time <= request.start_time and ride.end_time >= request.end_time
+    return (
+        spatial_distance(request.origin, ride.origin) <= scenario.dist_threshold
+        and spatial_distance(request.destination, ride.destination) <= scenario.dist_threshold
+        and abs(request.origin.t - ride.origin.t) <= scenario.time_threshold
+        and abs(request.destination.t - ride.destination.t) <= scenario.time_threshold
+        and ordered
+    )
+
+
+def feasible_candidates(request: Trip, rides: list[Trip], scenario: MatchScenario) -> list[Trip]:
+    """The rides _candidate_indices admits for one request."""
+    (indices,) = _candidate_indices([request], rides, scenario)
+    return [rides[j] for j in indices]
+
+
+@st.composite
+def filter_cases(draw) -> tuple[list[Trip], list[Trip], MatchScenario]:
+    """Requests plus rides offset from them, many exactly at a threshold.
+
+    Coordinates and times are multiples of 1/4, so every offset adds
+    exactly. Boundary offsets are axis-aligned or Pythagorean (3u, 4u, 5u),
+    distances that math.hypot and np.hypot both compute exactly; elsewhere
+    the two may differ in the last bit.
+    """
+    def quarter(lo: int, hi: int) -> st.SearchStrategy[float]:
+        return st.integers(4 * lo, 4 * hi).map(lambda v: v / 4)
+
+    u = draw(st.integers(1, 600))
+    dist, span = 5.0 * u, float(draw(st.integers(1, 1800)))
+    scenario = MatchScenario(mode=draw(st.sampled_from(["car", "carpool"])),
+                             dist_threshold=dist, time_threshold=span)
+    space = st.one_of(
+        st.sampled_from([(dist, 0.0), (0.0, -dist), (-3.0 * u, 4.0 * u), (4.0 * u, 3.0 * u),
+                         (0.0, 0.0)]),
+        st.tuples(quarter(-2 * int(dist), 2 * int(dist)), quarter(-2 * int(dist), 2 * int(dist))))
+    time = st.one_of(st.sampled_from([span, -span, 0.0]), quarter(-2 * int(span), 2 * int(span)))
+    requests = []
+    for i in range(draw(st.integers(1, 3))):
+        ox, oy, dx, dy = (draw(quarter(8000, 12_000)) for _ in range(4))
+        t0 = draw(quarter(4000, 6000))
+        requests.append(straight_trip(f"req-{i}", (ox, oy), (dx, dy), t0,
+                                      t0 + draw(quarter(0, 3000))))
+    rides = []
+    for j in range(draw(st.integers(0, 12))):
+        base = draw(st.sampled_from(requests))
+        (oxo, oyo), (dxo, dyo) = draw(space), draw(space)
+        t0 = base.start_time + draw(time)
+        t1 = max(base.end_time + draw(time), t0)
+        rides.append(straight_trip(
+            f"ride-{j:02d}", (base.origin.x + oxo, base.origin.y + oyo),
+            (base.destination.x + dxo, base.destination.y + dyo), t0, t1))
+    return requests, rides, scenario
 
 
 def published_car_report() -> MatchReport:
@@ -74,6 +136,16 @@ class TestFeasibleCandidates:
         wrapping = straight_trip("w", (1000, 1000), (5000, 5000), 200, 800)
         nested = straight_trip("n", (1000, 1000), (5000, 5000), 400, 600)
         assert feasible_candidates(req, [wrapping, nested], scen) == [wrapping]
+
+
+class TestCandidateIndices:
+    @settings(max_examples=200, deadline=None)
+    @given(filter_cases())
+    def test_equals_scalar_predicate(self, case):
+        requests, rides, scenario = case
+        expected = [[j for j, ride in enumerate(rides) if passes_filter(request, ride, scenario)]
+                    for request in requests]
+        assert _candidate_indices(requests, rides, scenario) == expected
 
 
 class TestMatchCountsCurve:

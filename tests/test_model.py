@@ -2,10 +2,11 @@
 
 from __future__ import annotations
 
-import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tripmatch.model import (
     ScaleContext,
@@ -13,15 +14,25 @@ from tripmatch.model import (
     Waypoint,
     extract_od,
     od_displacement,
+    od_rep,
+    od_reps,
     path_length,
     sample_waypoints,
-    scale_point,
     scale_trip,
     spatial_distance,
-    unscale_point,
 )
 
 from conftest import make_trip
+
+
+def scale_point(w: Waypoint, ctx: ScaleContext) -> tuple[float, float, float]:
+    """Per-point scaling in plain floats, clamped into [0, 1]."""
+    return tuple(min(max((v - lo) / span, 0.0), 1.0) for v, lo, span in (
+        (w.x, ctx.x_min, ctx.x_span), (w.y, ctx.y_min, ctx.y_span), (w.t, ctx.t_min, ctx.t_span)))
+
+
+def point_trip(*points: tuple[float, float, float]) -> Trip:
+    return make_trip("p", list(points))
 
 
 class TestWaypoint:
@@ -112,25 +123,22 @@ class TestSampleWaypoints:
 
 class TestScaling:
     def test_corners_and_midpoint(self, ctx):
-        low = scale_point(Waypoint(0, 0, 0), ctx)
-        assert (low.x, low.y, low.t) == (0.0, 0.0, 0.0)
-        mid = scale_point(Waypoint(5000, 5000, 1800), ctx)
-        assert (mid.x, mid.y, mid.t) == (0.5, 0.5, 0.5)
-        high = scale_point(Waypoint(10_000, 10_000, 3600), ctx)
-        assert (high.x, high.y, high.t) == (1.0, 1.0, 1.0)
+        rep = od_rep(point_trip((0, 0, 0), (5000, 5000, 1800), (10_000, 10_000, 3600)), ctx)
+        assert rep.tolist() == [[0.0, 0.0, 0.0], [1.0, 1.0, 1.0]]
+        mid, _ = scale_trip(point_trip((5000, 5000, 1800)), ctx)
+        assert mid.tolist() == [[0.5, 0.5, 0.5]]
 
     def test_round_trip(self, ctx):
         rng = np.random.default_rng(1)
-        for _ in range(200):
-            w = Waypoint(*(rng.uniform(0, b) for b in (10_000, 10_000, 3600)))
-            back = unscale_point(scale_point(w, ctx), ctx)
-            assert math.isclose(back.x, w.x, rel_tol=1e-9, abs_tol=1e-9)
-            assert math.isclose(back.y, w.y, rel_tol=1e-9, abs_tol=1e-9)
-            assert math.isclose(back.t, w.t, rel_tol=1e-9, abs_tol=1e-9)
+        raw = np.column_stack([np.sort(rng.uniform(0, b, 200)) for b in (10_000, 10_000, 3600)])
+        scaled, clamped = scale_trip(make_trip("t", [tuple(r) for r in raw]), ctx)
+        assert clamped == 0
+        back = scaled * [ctx.x_span, ctx.y_span, ctx.t_span] + [ctx.x_min, ctx.y_min, ctx.t_min]
+        np.testing.assert_allclose(back, raw, rtol=1e-9, atol=1e-9)
 
     def test_out_of_bounds_clamps(self, ctx):
-        p = scale_point(Waypoint(20_000, -5, 99_999), ctx)
-        assert (p.x, p.y, p.t) == (1.0, 0.0, 1.0)
+        rep = od_rep(point_trip((20_000, -5, 0), (-1, 20_000, 99_999)), ctx)
+        assert rep.tolist() == [[1.0, 0.0, 0.0], [0.0, 1.0, 1.0]]
 
     def test_scale_trip_counts_clamped(self, ctx):
         trip = make_trip("t", [(100, 100, 0.0), (20_000, 100, 10.0), (100, 100, 99_999.0)])
@@ -142,8 +150,27 @@ class TestScaling:
     def test_strictly_monotone_inside_bounds(self, ctx):
         rng = np.random.default_rng(2)
         xs = np.unique(rng.uniform(0, 10_000, 50))
-        scaled = [scale_point(Waypoint(x, 0, 0), ctx).x for x in xs]
+        scaled = od_reps([point_trip((x, 0, 0)) for x in xs], ctx)[:, 0, 0]
         assert all(b > a for a, b in zip(scaled, scaled[1:]))
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.lists(st.tuples(st.floats(-5e4, 5e4), st.floats(-5e4, 5e4),
+                                       st.floats(0, 2e5)), min_size=1, max_size=4),
+                    max_size=6),
+           st.tuples(st.floats(-1e4, 1e4), st.floats(1e-3, 3e4), st.floats(-1e4, 1e4),
+                     st.floats(1e-3, 3e4), st.floats(0, 1e5), st.floats(1e-3, 1e5)))
+    def test_od_reps_bit_equal_to_per_point_scaling(self, trips, box):
+        x0, xs, y0, ys, t0, ts = box
+        ctx = ScaleContext(x0, x0 + xs, y0, y0 + ys, t0, t0 + ts)
+        trips = [make_trip(f"t{i}", sorted(pts, key=lambda p: p[2]))
+                 for i, pts in enumerate(trips)]
+        reps = od_reps(trips, ctx)
+        assert reps.shape == (len(trips), 2, 3)
+        expected = [[scale_point(t.origin, ctx), scale_point(t.destination, ctx)] for t in trips]
+        assert reps.tolist() == [[list(p) for p in pair] for pair in expected]
+        for trip, rep in zip(trips, reps):
+            scaled, _ = scale_trip(trip, ctx)
+            assert np.array_equal(rep, scaled[[0, -1]])
 
     def test_degenerate_context_rejected(self):
         with pytest.raises(ValueError, match="span"):
