@@ -121,7 +121,7 @@ def max_card_max_weight_matching(dag: TripDag) -> dict[int, int]:
 
 
 def extract_chains(dag: TripDag, matching: Mapping[int, int]) -> ChainSchedule:
-    """Turn a split-graph matching back into car chains.
+    """Turn a predecessor-to-successor matching back into car chains.
 
     A trip whose successor-side copy is unmatched starts a chain; following
     each trip's matched successor walks the whole chain. The chains
