@@ -65,28 +65,40 @@ def build_trip_dag(
     meters of a's destination. The edge weight is the point similarity of
     the hand-off pair (or the whole-trip OD similarity when
     whole_trip_weight is set), always with absolute time differences.
+    Edges are keyed in ascending (a, b) order.
+
+    Trips are swept in start-time order: a bisection finds each trip's
+    window of successors, and the exact predicate runs on those alone.
     """
     if dist_threshold <= 0 or time_threshold <= 0:
         raise ValueError("thresholds must be positive")
     if ctx is None:
         ctx = ScaleContext.from_trips(trips)
-    pairs = []
-    for i, a in enumerate(trips):
-        for j, b in enumerate(trips):
-            if i == j:
-                continue
-            gap = b.start_time - a.end_time
-            if gap <= 0 or gap > time_threshold:
-                continue
-            if spatial_distance(a.destination, b.origin) > dist_threshold:
-                continue
-            pairs.append((i, j))
+    od = np.array([(t.origin.x, t.origin.y, t.start_time,
+                    t.destination.x, t.destination.y, t.end_time) for t in trips],
+                  dtype=float).reshape(-1, 6)
+    origin, start, dest, end = od[:, :2], od[:, 2], od[:, 3:5], od[:, 5]
+    order = np.argsort(start, kind="stable")
+    # each trip's window (end, end + T] as sorted positions lo .. hi - 1; the
+    # upper bound is widened by a relative slack because start <= end + T
+    # and start - end <= T can round apart, and the exact gap test decides
+    lo = np.searchsorted(start[order], end, side="right")
+    hi = np.searchsorted(start[order], (end + time_threshold) * (1 + 1e-12), side="right")
+    src = np.repeat(np.arange(len(trips)), hi - lo)
+    first_slot = np.cumsum(hi - lo) - (hi - lo)
+    dst = order[np.arange(len(src)) - first_slot[src] + lo[src]]
+    gap = start[dst] - end[src]
+    keep = (gap > 0) & (gap <= time_threshold)
+    keep &= np.hypot(*(dest[src] - origin[dst]).T) <= dist_threshold
+    src, dst = src[keep], dst[keep]
+    by_pair = np.lexsort((dst, src))
+    src, dst = src[by_pair], dst[by_pair]
     reps = od_reps(trips, ctx)
-    src, dst = np.array(pairs, dtype=int).reshape(-1, 2).T
     if whole_trip_weight:
         first, second = reps[src], reps[dst]
     else:  # a's destination against b's origin, as one-point sequences
         first, second = reps[src, 1:], reps[dst, :1]
+    pairs = zip(src.tolist(), dst.tolist())
     edges = dict(zip(pairs, metrics.wgm_batch(first, second, weights).tolist()))
     return TripDag(tuple(t.id for t in trips), edges)
 
@@ -95,29 +107,35 @@ def max_card_max_weight_matching(dag: TripDag) -> dict[int, int]:
     """Maximum-cardinality matching of maximum total weight.
 
     Edge (i, j) joins trip i as a predecessor to trip j as a successor.
-    Adds n * max(weight) to every edge before solving the assignment
-    problem: any matching with one more edge then always outweighs any
-    smaller matching, so the solver returns the largest matching and,
-    among those, one of maximum original weight. Weights must be in
-    [0, max]; absent pairs never enter the matching.
+    Solves a sparse min-cost full matching of the n predecessors into n
+    successor columns plus n dummy columns, one per predecessor. Edge
+    (i, j) costs 1 + top - w and dummy column n + i costs n * (top + 1) + 1,
+    more than any n real edges: the solver therefore matches as many
+    predecessors to real successors as possible and, among those
+    matchings, one of maximum weight. Weights must be nonnegative; absent
+    pairs never enter the matching.
 
     Returns {predecessor index: successor index}.
     """
     if not dag.edges:
         return {}
-    if min(dag.edges.values()) < 0:
+    weights = np.fromiter(dag.edges.values(), dtype=float, count=len(dag.edges))
+    if weights.min() < 0:
         raise ValueError("edge weights must be nonnegative")
-    # imported here: scipy.optimize costs about half a second to import,
+    # imported here: scipy.sparse costs about a quarter second to import,
     # and no other subcommand needs it
-    from scipy.optimize import linear_sum_assignment
+    from scipy.sparse import csr_array
+    from scipy.sparse.csgraph import min_weight_full_bipartite_matching
 
-    top = max(dag.edges.values())
-    shift = dag.n * top if top > 0 else 1.0
-    costs = np.zeros((dag.n, dag.n))
-    for (i, j), w in dag.edges.items():
-        costs[i, j] = w + shift
-    rows, cols = linear_sum_assignment(costs, maximize=True)
-    return {int(i): int(j) for i, j in zip(rows, cols) if (int(i), int(j)) in dag.edges}
+    n, top = dag.n, weights.max()
+    rows, cols = np.array(list(dag.edges), dtype=np.intp).T
+    dummies = np.arange(n)
+    costs = csr_array(
+        (np.concatenate([1 + top - weights, np.full(n, n * (top + 1) + 1)]),
+         (np.concatenate([rows, dummies]), np.concatenate([cols, n + dummies]))),
+        shape=(n, 2 * n))
+    matched_rows, matched_cols = min_weight_full_bipartite_matching(costs)
+    return {i: j for i, j in zip(matched_rows.tolist(), matched_cols.tolist()) if j < n}
 
 
 def extract_chains(dag: TripDag, matching: Mapping[int, int]) -> ChainSchedule:

@@ -548,18 +548,6 @@ def _read_config_file(path: str) -> dict:
     return values
 
 
-def _coerce(value: object, template: object) -> object:
-    if value is None or not isinstance(value, str):
-        return value
-    if isinstance(template, bool):
-        return value.lower() in ("1", "true", "yes")
-    if isinstance(template, int):
-        return int(value)
-    if isinstance(template, float):
-        return float(value)
-    return value
-
-
 def _given_flags(sub: argparse.ArgumentParser, argv: list[str], defaults: dict) -> dict:
     """The flags argv sets, including those set to their default value.
 
@@ -571,8 +559,13 @@ def _given_flags(sub: argparse.ArgumentParser, argv: list[str], defaults: dict) 
     return {k: v for k, v in vars(given).items() if v is not unset}
 
 
-def resolve_config(args: argparse.Namespace, defaults: dict, explicit: dict) -> dict:
-    """Merge defaults, config file, manifest, and explicit flags (in that order)."""
+def resolve_config(args: argparse.Namespace, defaults: dict, explicit: dict,
+                   types: dict[str, Callable[[str], object]]) -> dict:
+    """Merge defaults, config file, manifest, and explicit flags (in that order).
+
+    A config-file value is converted by the type its flag declares in
+    `types`; a flag without one keeps the string.
+    """
     cfg = dict(defaults)
     recorded: dict[str, str] = {}
 
@@ -580,7 +573,10 @@ def resolve_config(args: argparse.Namespace, defaults: dict, explicit: dict) -> 
         for key, value in _read_config_file(args.config).items():
             if key not in defaults:
                 raise ValueError(f"unknown config key {key!r}")
-            cfg[key] = _coerce(value, defaults[key])
+            try:
+                cfg[key] = types[key](value) if key in types else value
+            except ValueError as exc:
+                raise ValueError(f"config key {key!r}: {exc}") from None
     if args.from_manifest:
         with open(args.from_manifest) as fh:
             manifest = json.load(fh)
@@ -622,10 +618,11 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser, commands = build_parser()
     args = parser.parse_args(argv)
     defaults = vars(parser.parse_args([args.command]))
-    explicit = _given_flags(
-        commands[args.command], argv[argv.index(args.command) + 1:], defaults)
+    sub = commands[args.command]
+    explicit = _given_flags(sub, argv[argv.index(args.command) + 1:], defaults)
+    types = {action.dest: action.type for action in sub._actions if action.type}
     try:
-        cfg = resolve_config(args, defaults, explicit)
+        cfg = resolve_config(args, defaults, explicit, types)
         outdir = Path(cfg["out"])
         outdir.mkdir(parents=True, exist_ok=True)
         summary = HANDLERS[args.command](cfg, outdir)

@@ -23,8 +23,8 @@ from tripmatch.carshare import (
     max_card_max_weight_matching,
     schedule_trips,
 )
-from tripmatch.metrics import WgmWeights, psim
-from tripmatch.model import ScaleContext
+from tripmatch.metrics import WgmWeights, psim, wgm_sim
+from tripmatch.model import ScaleContext, Trip, od_rep, spatial_distance
 
 from conftest import straight_trip
 
@@ -43,13 +43,62 @@ def random_dag(rng, max_n=8) -> TripDag:
 
 
 @st.composite
-def dags(draw, max_n=8) -> TripDag:
-    """Any DAG on a topological order, with weights in [0, 1]."""
+def dags(draw, max_n=8, tied=False) -> TripDag:
+    """Any DAG on a topological order, with weights in [0, 1].
+
+    With tied set, the weights are all zero or take at most three values.
+    """
     n = draw(st.integers(1, max_n))
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
     chosen = draw(st.lists(st.sampled_from(pairs), unique=True) if pairs else st.just([]))
     weights = st.floats(0.0, 1.0, allow_nan=False)
+    if tied:
+        weights = st.sampled_from(draw(st.lists(weights, min_size=1, max_size=3))) \
+            if draw(st.booleans()) else st.just(0.0)
     return TripDag(tuple(f"t{i}" for i in range(n)), {e: draw(weights) for e in chosen})
+
+
+@st.composite
+def handoff_cases(draw) -> tuple[list[Trip], float, float]:
+    """Trips that follow earlier ones, many exactly at a hand-off threshold.
+
+    Coordinates and times are multiples of 1/4 and the 3-4-5 unit u is an
+    integer, so those offsets add exactly, and math.hypot and np.hypot
+    agree on every distance at or near the threshold. Thresholds may be
+    non-dyadic (900.1) and durations arbitrary floats: then end + T
+    rounds, an offset of exactly T or D may round, and a start one ulp
+    past end + T may still have a gap of at most T.
+    """
+    def quarter(lo: int, hi: int) -> st.SearchStrategy[float]:
+        return st.integers(4 * lo, 4 * hi).map(lambda v: v / 4)
+
+    u = draw(st.integers(1, 400))
+    dist = 5.0 * u + draw(st.sampled_from([0.0, 0.3]))
+    span = float(draw(st.integers(1, 1800))) + draw(st.sampled_from([0.0, 0.1, 0.25]))
+    space = st.one_of(
+        st.sampled_from([(dist, 0.0), (0.0, -dist), (0.0, 0.0)]),
+        st.sampled_from([(-3.0 * u, 4.0 * u), (4.0 * u, 3.0 * u)]) if dist == 5.0 * u
+        else st.just((0.0, dist)),
+        st.tuples(quarter(-2 * int(dist), 2 * int(dist)), quarter(-2 * int(dist), 2 * int(dist))))
+    gap = st.one_of(st.sampled_from([span, 0.0, -0.25]),
+                    quarter(-int(span), 2 * int(span)))
+    trips: list[Trip] = []
+    for i in range(draw(st.integers(1, 12))):
+        dx, dy = draw(quarter(5000, 15_000)), draw(quarter(5000, 15_000))
+        if trips and draw(st.booleans()):
+            base = draw(st.sampled_from(trips))
+            ox, oy = (c + off for c, off in zip((base.destination.x, base.destination.y),
+                                                draw(space)))
+            t0 = draw(st.one_of(
+                gap.map(lambda g, t=base.end_time: max(t + g, 0.0)),
+                st.just(math.nextafter(base.end_time + span, math.inf)),
+                st.sampled_from([t.start_time for t in trips])))  # equal start times
+        else:
+            ox, oy = draw(quarter(5000, 15_000)), draw(quarter(5000, 15_000))
+            t0 = draw(quarter(0, 6000))
+        duration = draw(st.one_of(quarter(0, 1200), st.floats(0, 1200)))
+        trips.append(straight_trip(f"t{i:02d}", (ox, oy), (dx, dy), t0, t0 + duration))
+    return trips, dist, span
 
 
 def assert_acyclic(dag: TripDag) -> None:
@@ -203,8 +252,65 @@ class TestBuildTripDag:
         for (i, j) in dag.edges:
             assert trips[j].start_time > trips[i].end_time
 
+    def test_gap_decides_where_the_window_bound_rounds(self):
+        # b starts one ulp past a.end + T in floats, yet b.start - a.end == T
+        a = straight_trip("a", (1000, 1000), (5000, 5000), 0, 463.7997569242769)
+        b = straight_trip("b", (5000, 5000), (9000, 9000), 986.999756924277, 1500)
+        assert b.start_time > a.end_time + 523.2
+        assert b.start_time - a.end_time == 523.2
+        assert set(build_trip_dag([a, b], self.CTX, time_threshold=523.2).edges) == {(0, 1)}
+
+    @settings(max_examples=300, deadline=None)
+    @given(handoff_cases(), st.booleans())
+    def test_sweep_equals_scalar_predicate(self, case, whole_trip_weight):
+        trips, dist, span = case
+        expected = []
+        for i, a in enumerate(trips):
+            for j, b in enumerate(trips):
+                gap = b.start_time - a.end_time
+                if i != j and 0 < gap <= span and \
+                        spatial_distance(a.destination, b.origin) <= dist:
+                    expected.append((i, j))
+        dag = build_trip_dag(trips, self.CTX, dist, span, W, whole_trip_weight)
+        assert list(dag.edges) == expected
+        for (i, j), weight in dag.edges.items():
+            a, b = od_rep(trips[i], self.CTX), od_rep(trips[j], self.CTX)
+            oracle = wgm_sim(a, b, W) if whole_trip_weight else psim(a[1], b[0], W)
+            assert math.isclose(weight, oracle, rel_tol=1e-12)
+
+
+def dense_oracle(dag: TripDag) -> tuple[int, float]:
+    """Max cardinality, then max weight, from a dense assignment with a shift.
+
+    Every edge gets n * (top + 1) + 1 on top of its weight, so one more edge
+    outweighs any difference in weight; non-edges stay at zero.
+    """
+    from scipy.optimize import linear_sum_assignment
+
+    if not dag.edges:
+        return 0, 0.0
+    shift = dag.n * (max(dag.edges.values()) + 1) + 1
+    profit = np.zeros((dag.n, dag.n))
+    for (i, j), w in dag.edges.items():
+        profit[i, j] = w + shift
+    rows, cols = linear_sum_assignment(profit, maximize=True)
+    chosen = [(i, j) for i, j in zip(rows.tolist(), cols.tolist()) if (i, j) in dag.edges]
+    return len(chosen), sum(dag.edges[e] for e in chosen)
+
 
 class TestMatching:
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(dags(tied=True), dags()))
+    def test_sparse_solver_equals_oracles(self, dag):
+        matching = max_card_max_weight_matching(dag)
+        assert all(edge in dag.edges for edge in matching.items())
+        assert len(set(matching.values())) == len(matching)
+        size, weight = brute_force_best_matching(dag)
+        dense_size, dense_weight = dense_oracle(dag)
+        assert len(matching) == size == dense_size
+        assert math.isclose(matching_weight(dag, matching), weight, abs_tol=1e-9)
+        assert math.isclose(dense_weight, weight, abs_tol=1e-9)
+
     def test_single_edge(self):
         dag = TripDag(("a", "b"), {(0, 1): 0.5})
         assert max_card_max_weight_matching(dag) == {0: 1}

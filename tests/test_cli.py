@@ -342,6 +342,26 @@ class TestConfigAndManifest:
                             "--n-rides", "45", "--out", str(tmp_path / "m2"))
         assert code == 0 and summary["mode"] == "carpool"
 
+    def test_config_value_takes_its_flags_type(self, trips_file, tmp_path, capsys):
+        # --kernel-gamma defaults to None, so its type comes from the flag alone
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("kernel-gamma = 2\n")
+        args = ("cluster", "--trips", str(trips_file), "--k", "3")
+        code, _ = run(capsys, *args, "--config", str(cfg), "--out", str(tmp_path / "cfg"))
+        assert code == 0
+        code, _ = run(capsys, *args, "--kernel-gamma", "2", "--out", str(tmp_path / "flag"))
+        assert code == 0
+        for name in ("labels.csv", "coords_pca.csv", "coords_mds.csv", "cluster_summary.csv"):
+            assert read(tmp_path / "cfg" / name) == read(tmp_path / "flag" / name)
+
+    def test_unparsable_config_value(self, trips_file, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("kernel-gamma = abc\n")
+        code, summary = run(capsys, "cluster", "--trips", str(trips_file), "--k", "3",
+                            "--config", str(cfg), "--out", str(tmp_path / "c"))
+        assert code == 1 and summary["category"] == "invalid-argument"
+        assert "kernel_gamma" in summary["message"]
+
     def test_unknown_config_key(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("bogus = 1\n")
@@ -424,11 +444,23 @@ class TestUsageErrors:
         assert exc.value.code == 2
 
 
-def test_import_does_not_load_the_assignment_solver():
+def _run_python(code: str) -> None:
     src = str(Path(tripmatch.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    subprocess.run(
-        [sys.executable, "-c",
-         "import tripmatch.cli, sys; assert 'scipy.optimize' not in sys.modules"],
-        env=env, check=True, timeout=60)
+    subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=60)
+
+
+def test_import_does_not_load_the_assignment_solver():
+    _run_python("import tripmatch.cli, sys\n"
+                "assert 'scipy.optimize' not in sys.modules\n"
+                "assert 'scipy.sparse' not in sys.modules")
+
+
+def test_carshare_never_loads_scipy_optimize(trips_file, tmp_path):
+    _run_python("import sys\n"
+                "from tripmatch.cli import main\n"
+                f"assert main(['carshare', '--trips', {str(trips_file)!r}, "
+                f"'--out', {str(tmp_path / 'cs')!r}]) == 0\n"
+                "assert 'scipy.sparse.csgraph' in sys.modules\n"
+                "assert 'scipy.optimize' not in sys.modules")

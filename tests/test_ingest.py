@@ -7,6 +7,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tripmatch.ingest import (
     SynthConfig,
@@ -20,6 +22,15 @@ from tripmatch.ingest import (
     write_trips_jsonl,
 )
 from tripmatch.model import ScaleContext, od_displacement, path_length
+
+#: Tokens that parse as numbers, fail to, or parse to non-finite values.
+TOKENS = st.one_of(
+    st.sampled_from(["1.0", "-0", "nan", "inf", "-inf", "1e400", "0x1p3", "1_0", "oops", ""]),
+    st.floats(allow_nan=True, allow_infinity=True).map(repr),
+    st.text(max_size=6),
+)
+FIELD_ORDERS = st.one_of(st.permutations(["t", "id", "x", "y", "speed"]),
+                         st.permutations(["t", "id", "x", "y"]))
 
 
 class TestParseTrace:
@@ -75,6 +86,19 @@ class TestParseTrace:
         stream = io.StringIO("1.0 a 2.0 3.0 4.0\n2.0 a 2.5 3.5 4.0\n")
         records, _ = parse_trace(stream)
         assert len(records) == 2
+
+    @settings(max_examples=300, deadline=None)
+    @given(FIELD_ORDERS,
+           st.lists(st.one_of(st.text(), st.lists(TOKENS, max_size=7).map(" ".join)),
+                    max_size=30))
+    def test_arbitrary_lines_raise_only_format_errors(self, fields, lines):
+        try:
+            records, skipped = parse_trace(lines, fmt=" ".join(fields))
+        except ValueError:  # TraceFormatError included
+            return
+        assert len(records) + skipped == sum(1 for line in lines if line.split())
+        for rec in records:
+            assert math.isfinite(rec.t) and math.isfinite(rec.x) and math.isfinite(rec.y)
 
 
 class TestBuildTrips:
