@@ -9,6 +9,7 @@ minimum partitions we pick one maximizing the total hand-off similarity.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
@@ -16,7 +17,7 @@ import numpy as np
 
 from . import metrics
 from .metrics import WgmWeights
-from .model import ScaleContext, Trip, od_reps, path_length, spatial_distance
+from .model import ScaleContext, Trip, od_points, od_reps, path_length
 
 
 @dataclass(frozen=True, slots=True)
@@ -74,10 +75,8 @@ def build_trip_dag(
         raise ValueError("thresholds must be positive")
     if ctx is None:
         ctx = ScaleContext.from_trips(trips)
-    od = np.array([(t.origin.x, t.origin.y, t.start_time,
-                    t.destination.x, t.destination.y, t.end_time) for t in trips],
-                  dtype=float).reshape(-1, 6)
-    origin, start, dest, end = od[:, :2], od[:, 2], od[:, 3:5], od[:, 5]
+    od = od_points(trips)
+    origin, start, dest, end = od[:, 0, :2], od[:, 0, 2], od[:, 1, :2], od[:, 1, 2]
     order = np.argsort(start, kind="stable")
     # each trip's window (end, end + T] as sorted positions lo .. hi - 1; the
     # upper bound is widened by a relative slack because start <= end + T
@@ -177,11 +176,12 @@ def chain_stats(schedule: ChainSchedule, trips: Sequence[Trip]) -> list[ChainSta
     for idx, chain in enumerate(schedule.chains):
         members = [by_id[tid] for tid in chain]
         travel = sum(path_length(t) for t in members)
+        od = od_points(members).tolist()
         pickup_m = 0.0
         pickup_s = 0.0
-        for prev, nxt in zip(members, members[1:]):
-            pickup_m += spatial_distance(prev.destination, nxt.origin)
-            pickup_s += nxt.start_time - prev.end_time
+        for (_, prev_dest), (next_origin, _) in zip(od, od[1:]):
+            pickup_m += math.hypot(prev_dest[0] - next_origin[0], prev_dest[1] - next_origin[1])
+            pickup_s += next_origin[2] - prev_dest[2]
         out.append(ChainStat(
             chain_id=idx,
             length=len(members),

@@ -203,7 +203,7 @@ def cmd_stats(cfg: dict, outdir: Path) -> dict:
     cdf_exports = {
         "duration": durations,
         "distance": distances,
-        "waypoints": [len(t.waypoints) for t in trips],
+        "waypoints": [len(t.xyt()) for t in trips],
         "start_time": [t.start_time for t in trips],
         "end_time": [t.end_time for t in trips],
     }
@@ -231,7 +231,7 @@ def cmd_stats(cfg: dict, outdir: Path) -> dict:
 
     try:
         correlation = stats.pearson(
-            [len(t.waypoints) for t in trips], [model.path_length(t) for t in trips])
+            [len(t.xyt()) for t in trips], [model.path_length(t) for t in trips])
     except ValueError:
         correlation = None
     return {
@@ -300,19 +300,18 @@ def cmd_cluster(cfg: dict, outdir: Path) -> dict:
     header = ["cluster", "n"]
     for name in variables:
         header += [f"{name}_mean", f"{name}_median", f"{name}_std"]
+    od = model.od_points(trips)
+    # one row per variable, in the order of `variables`
+    by_variable = np.stack([od[:, 0, 0], od[:, 0, 1], od[:, 1, 0], od[:, 1, 1],
+                            od[:, 0, 2], od[:, 1, 2]])
     summary_rows = []
     for cluster in range(cfg["k"]):
-        members = [t for t, c in zip(trips, labels) if c == cluster]
-        if not members:
+        members = by_variable[:, labels == cluster]
+        if not members.shape[1]:
             summary_rows.append([cluster, 0] + [""] * (3 * len(variables)))
             continue
-        cells: list[object] = [cluster, len(members)]
-        for values in (
-            [t.origin.x for t in members], [t.origin.y for t in members],
-            [t.destination.x for t in members], [t.destination.y for t in members],
-            [t.start_time for t in members], [t.end_time for t in members],
-        ):
-            arr = np.asarray(values)
+        cells: list[object] = [cluster, members.shape[1]]
+        for arr in members:
             cells += [f"{arr.mean():.3f}", f"{np.median(arr):.3f}", f"{arr.std():.3f}"]
         summary_rows.append(cells)
     _write_csv(outdir / "cluster_summary.csv", header, summary_rows)

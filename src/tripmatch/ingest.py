@@ -9,7 +9,7 @@ from typing import IO, Iterable, Iterator
 
 import numpy as np
 
-from .model import ScaleContext, Trip, Waypoint
+from .model import ScaleContext, Trip
 
 
 class TraceFormatError(ValueError):
@@ -122,8 +122,7 @@ def build_trips(records: Iterable[TraceRecord], window: TimeWindow) -> list[Trip
     trips = []
     for trip_id, recs in groups.items():
         recs.sort(key=lambda r: r.t)
-        points = tuple(Waypoint(r.x, r.y, r.t, r.speed) for r in recs)
-        trips.append(Trip(trip_id, points))
+        trips.append(Trip.from_xyt(trip_id, [(r.x, r.y, r.t) for r in recs]))
     return trips
 
 
@@ -207,8 +206,7 @@ def generate_synthetic(cfg: SynthConfig) -> list[Trip]:
             ys[1:-1] += rng.normal(0.0, sigma, m - 2)
             xs[1:-1] = np.clip(xs[1:-1], box.x_min, box.x_max)
             ys[1:-1] = np.clip(ys[1:-1], box.y_min, box.y_max)
-        points = tuple(Waypoint(float(x), float(y), float(t)) for x, y, t in zip(xs, ys, ts))
-        trips.append(Trip(f"synth-{i:05d}", points))
+        trips.append(Trip.from_xyt(f"synth-{i:05d}", np.column_stack([xs, ys, ts])))
     return trips
 
 
@@ -216,14 +214,48 @@ def write_trips_jsonl(trips: Iterable[Trip], sink: IO[str]) -> int:
     """Write trips as line-delimited JSON: {"id": ..., "points": [[t, x, y], ...]}."""
     n = 0
     for trip in trips:
-        obj = {"id": trip.id, "points": [[w.t, w.x, w.y] for w in trip.waypoints]}
+        obj = {"id": trip.id, "points": trip.xyt()[:, [2, 0, 1]].tolist()}
         sink.write(json.dumps(obj, separators=(",", ":")) + "\n")
         n += 1
     return n
 
 
+#: Above this magnitude a JSON integer may round onto its float neighbour.
+_EXACT_FLOAT_LIMIT = 2.0 ** 53
+
+
+def _points_xyt(points: object) -> np.ndarray:
+    """A record's [[t, x, y], ...] as an (m, 3) float array of x, y, t rows.
+
+    Every point must be a [t, x, y] triple of JSON numbers (true and false
+    count as 1 and 0): numeric strings, null and nested lists are rejected,
+    as is an integer too large for a float. Past 2**53, where two integers
+    can round to one float, the order of the times is checked on the JSON
+    values themselves. The other checks are the Trip's own.
+    """
+    raw = np.array(points)
+    if raw.shape == (0,):
+        return raw.reshape(0, 3)
+    if raw.ndim != 2 or raw.shape[1] != 3:
+        raise ValueError(f"points must be [t, x, y] triples, got shape {raw.shape}")
+    if raw.dtype.kind == "O":  # integers past int64, or values that are not numbers
+        if not all(type(v) in (int, float, bool) for v in raw.flat):
+            raise ValueError("points must hold JSON numbers only")
+    elif raw.dtype.kind not in "biuf":
+        raise ValueError("points must hold JSON numbers only")
+    xyt = raw[:, [1, 2, 0]].astype(float, copy=False)
+    # the last time is the largest unless the Trip rejects their order anyway
+    ts = [p[0] for p in points] if xyt[-1, 2] >= _EXACT_FLOAT_LIMIT else []
+    if any(b < a for a, b in zip(ts, ts[1:])):
+        raise ValueError("waypoints are not sorted by time")
+    return xyt
+
+
 def read_trips_jsonl(source: Iterable[str]) -> Iterator[Trip]:
     """Read trips from the line-delimited JSON format written by write_trips_jsonl.
+
+    Each record's points go straight into the trip's array and are
+    validated once, as a whole.
 
     Raises:
         TraceFormatError: naming the line of a record that does not decode
@@ -237,9 +269,9 @@ def read_trips_jsonl(source: Iterable[str]) -> Iterator[Trip]:
             continue
         try:
             obj = json.loads(line)
-            points = tuple(Waypoint(x, y, t) for t, x, y in obj["points"])
-            trip = Trip(str(obj["id"]), points)
-        except (KeyError, TypeError, ValueError) as exc:
+            xyt = _points_xyt(obj["points"])
+            trip = Trip.from_xyt(str(obj["id"]), xyt)
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise TraceFormatError(f"line {lineno}: {exc!r}") from exc
         if trip.id in first_seen:
             raise TraceFormatError(f"line {lineno}: duplicate trip id {trip.id!r}"

@@ -9,6 +9,7 @@ request, so the request's window must nest inside the ride's.
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -16,7 +17,7 @@ import numpy as np
 
 from . import metrics
 from .metrics import MetricParams, WgmWeights
-from .model import ScaleContext, Trip, od_reps, path_length, sampled_rep, spatial_distance
+from .model import ScaleContext, Trip, od_points, od_reps, path_length, sampled_rep
 
 #: Metric names accepted by greedy_match and compare_metrics.
 METRIC_NAMES = ("wgm", "wgm_time", "lcss", "dtw", "dtw_time", "frechet")
@@ -136,21 +137,18 @@ def _candidate_indices(
     requires. The cheap time and order gates run over every ride; the
     distances are computed only for the rides that pass them.
     """
-    ox, oy, ot, dx, dy, dt = np.array(
-        [(w[0].x, w[0].y, w[0].t, w[-1].x, w[-1].y, w[-1].t)
-         for w in (r.waypoints for r in rides)], dtype=float).reshape(-1, 6).T
+    ox, oy, ot, dx, dy, dt = od_points(rides).reshape(-1, 6).T
     dist, span = scenario.dist_threshold, scenario.time_threshold
     out = []
-    for request in requests:
-        o, d = request.origin, request.destination
+    for rox, roy, rot, rdx, rdy, rdt in od_points(requests).reshape(-1, 6).tolist():
         if scenario.mode == "car":
-            gate = (ot >= o.t) & (dt <= d.t)
+            gate = (ot >= rot) & (dt <= rdt)
         else:
-            gate = (ot <= o.t) & (dt >= d.t)
-        gate &= (np.abs(ot - o.t) <= span) & (np.abs(dt - d.t) <= span)
+            gate = (ot <= rot) & (dt >= rdt)
+        gate &= (np.abs(ot - rot) <= span) & (np.abs(dt - rdt) <= span)
         idx = np.flatnonzero(gate)
-        near = np.hypot(ox[idx] - o.x, oy[idx] - o.y) <= dist
-        near &= np.hypot(dx[idx] - d.x, dy[idx] - d.y) <= dist
+        near = np.hypot(ox[idx] - rox, oy[idx] - roy) <= dist
+        near &= np.hypot(dx[idx] - rdx, dy[idx] - rdy) <= dist
         out.append(idx[near].tolist())
     return out
 
@@ -211,14 +209,14 @@ def _build_rows(
             continue
         scores = [score(reps_req[i], reps_ride[j]) for j in cands]
         j, best = _choose(cands, scores, kind, rides)
-        ride = rides[j]
+        (o, d), (ride_o, ride_d) = od_points([request, rides[j]]).tolist()
         rows.append(MatchRow(
             request_id=request.id,
-            ride_id=ride.id,
-            oo_dist_m=spatial_distance(request.origin, ride.origin),
-            dd_dist_m=spatial_distance(request.destination, ride.destination),
-            oo_time_s=abs(request.origin.t - ride.origin.t),
-            dd_time_s=abs(request.destination.t - ride.destination.t),
+            ride_id=rides[j].id,
+            oo_dist_m=math.hypot(o[0] - ride_o[0], o[1] - ride_o[1]),
+            dd_dist_m=math.hypot(d[0] - ride_d[0], d[1] - ride_d[1]),
+            oo_time_s=abs(o[2] - ride_o[2]),
+            dd_time_s=abs(d[2] - ride_d[2]),
             score=best,
         ))
     return tuple(rows)

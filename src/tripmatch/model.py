@@ -7,15 +7,16 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
+from numpy.typing import ArrayLike
 
 
 @dataclass(frozen=True, slots=True)
 class Waypoint:
     """One (x, y, t) sample of a trip.
 
-    Coordinates are planar meters, t is seconds. speed (m/s) is carried
-    through from the source trace when available and never enters any
-    geometry computation.
+    Coordinates are planar meters, t is seconds. speed (m/s) is optional
+    metadata: it never enters any geometry computation, and a Trip does not
+    keep it.
     """
 
     x: float
@@ -30,43 +31,102 @@ class Waypoint:
             raise ValueError(f"waypoint time must be finite and >= 0, got {self.t}")
 
 
-@dataclass(frozen=True, slots=True)
 class Trip:
-    """An identified sequence of waypoints, ordered by time."""
+    """An identified sequence of waypoints, ordered by time.
 
-    id: str
-    waypoints: tuple[Waypoint, ...]
+    The points are stored once, as a read-only float array of shape (m, 3)
+    with columns x, y, t; `waypoints`, `origin` and `destination` build
+    Waypoint objects from it on demand. A trip is immutable, and two trips
+    are equal when their ids and points are.
+    """
 
-    def __post_init__(self) -> None:
-        if len(self.waypoints) < 1:
-            raise ValueError(f"trip {self.id!r} has no waypoints")
-        ts = [w.t for w in self.waypoints]
-        if any(b < a for a, b in zip(ts, ts[1:])):
-            raise ValueError(f"trip {self.id!r} waypoints are not sorted by time")
+    __slots__ = ("id", "_xyt")
+
+    def __init__(self, id: str, waypoints: Iterable[Waypoint]) -> None:
+        self._adopt(id, np.array([(w.x, w.y, w.t) for w in waypoints],
+                                 dtype=float).reshape(-1, 3))
+
+    @classmethod
+    def from_xyt(cls, id: str, xyt: ArrayLike) -> "Trip":
+        """A trip from an (m, 3) array of x, y, t rows, held as a private copy.
+
+        Raises:
+            ValueError: unless there is at least one row, every value is
+                finite, and the times are >= 0 and non-decreasing.
+        """
+        trip = cls.__new__(cls)
+        trip._adopt(id, np.array(xyt, dtype=float))
+        return trip
+
+    def _adopt(self, id: str, xyt: np.ndarray) -> None:
+        """Validate an array no one else holds, and keep it read-only."""
+        _check_points(id, xyt)
+        xyt.flags.writeable = False
+        object.__setattr__(self, "id", id)
+        object.__setattr__(self, "_xyt", xyt)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"Trip is immutable; cannot set {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"Trip is immutable; cannot delete {name!r}")
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Trip):
+            return NotImplemented
+        return self.id == other.id and np.array_equal(self._xyt, other._xyt)
+
+    def __hash__(self) -> int:
+        return hash((self.id, len(self._xyt)))
+
+    def __reduce__(self):
+        return Trip.from_xyt, (self.id, self._xyt)
+
+    def __repr__(self) -> str:
+        return f"Trip(id={self.id!r}, xyt={self._xyt.tolist()!r})"
+
+    @property
+    def waypoints(self) -> tuple[Waypoint, ...]:
+        return tuple(Waypoint(x, y, t) for x, y, t in self._xyt.tolist())
 
     @property
     def origin(self) -> Waypoint:
-        return self.waypoints[0]
+        return Waypoint(*self._xyt[0].tolist())
 
     @property
     def destination(self) -> Waypoint:
-        return self.waypoints[-1]
+        return Waypoint(*self._xyt[-1].tolist())
 
     @property
     def start_time(self) -> float:
-        return self.waypoints[0].t
+        return float(self._xyt[0, 2])
 
     @property
     def end_time(self) -> float:
-        return self.waypoints[-1].t
+        return float(self._xyt[-1, 2])
 
     @property
     def duration(self) -> float:
         return self.end_time - self.start_time
 
     def xyt(self) -> np.ndarray:
-        """Raw waypoints as an (n, 3) array with columns x, y, t."""
-        return np.array([[w.x, w.y, w.t] for w in self.waypoints], dtype=float)
+        """The waypoints as a read-only (m, 3) array with columns x, y, t."""
+        return self._xyt
+
+
+def _check_points(trip_id: str, xyt: np.ndarray) -> None:
+    """Raise ValueError unless xyt holds a valid trip's (m, 3) x, y, t rows."""
+    if xyt.ndim != 2 or xyt.shape[1] != 3:
+        raise ValueError(f"trip {trip_id!r} points must have shape (m, 3), got {xyt.shape}")
+    if len(xyt) < 1:
+        raise ValueError(f"trip {trip_id!r} has no waypoints")
+    if not np.isfinite(xyt).all():
+        raise ValueError(f"trip {trip_id!r} has a non-finite coordinate or time")
+    t = xyt[:, 2]
+    if t.min() < 0:
+        raise ValueError(f"trip {trip_id!r} has a waypoint time below 0")
+    if (t[1:] < t[:-1]).any():
+        raise ValueError(f"trip {trip_id!r} waypoints are not sorted by time")
 
 
 @dataclass(frozen=True, slots=True)
@@ -104,22 +164,24 @@ class ScaleContext:
     @classmethod
     def from_trips(cls, trips: Iterable[Trip]) -> "ScaleContext":
         """Tight bounds over every waypoint of the given trips."""
-        xs: list[float] = []
-        ys: list[float] = []
-        ts: list[float] = []
-        for trip in trips:
-            for w in trip.waypoints:
-                xs.append(w.x)
-                ys.append(w.y)
-                ts.append(w.t)
-        if not xs:
+        points = [trip.xyt() for trip in trips]
+        if not points:
             raise ValueError("cannot derive scale context from an empty trip set")
-        return cls(min(xs), max(xs), min(ys), max(ys), min(ts), max(ts))
+        stacked = np.concatenate(points)
+        (x_min, y_min, t_min), (x_max, y_max, t_max) = (
+            stacked.min(axis=0).tolist(), stacked.max(axis=0).tolist())
+        return cls(x_min, x_max, y_min, y_max, t_min, t_max)
 
 
 def extract_od(trip: Trip) -> tuple[Waypoint, Waypoint]:
     """Origin/destination endpoints: the first and last waypoints of the trip."""
-    return trip.waypoints[0], trip.waypoints[-1]
+    return trip.origin, trip.destination
+
+
+def od_points(trips: Iterable[Trip]) -> np.ndarray:
+    """Raw origin and destination points, stacked: shape (n, 2, 3), columns x, y, t."""
+    return np.array([(p[0], p[-1]) for p in (t.xyt() for t in trips)],
+                    dtype=float).reshape(-1, 2, 3)
 
 
 def sample_waypoints(trip: Trip, k: int) -> Trip:
@@ -131,12 +193,12 @@ def sample_waypoints(trip: Trip, k: int) -> Trip:
     """
     if k < 2:
         raise ValueError(f"sample size must be >= 2, got {k}")
-    n = len(trip.waypoints)
+    n = len(trip.xyt())
     if n <= k:
         return trip
     step = (n - 1) / (k - 1)
-    indices = [int(math.floor(i * step + 0.5)) for i in range(k)]
-    return Trip(trip.id, tuple(trip.waypoints[i] for i in indices))
+    indices = np.floor(np.arange(k) * step + 0.5).astype(np.intp)
+    return Trip.from_xyt(trip.id, trip.xyt()[indices])
 
 
 def _scale(raw: np.ndarray, ctx: ScaleContext) -> np.ndarray:
@@ -163,9 +225,7 @@ def od_reps(trips: Sequence[Trip], ctx: ScaleContext) -> np.ndarray:
     Row i holds trip i's first and last waypoints scaled as scale_trip
     scales them, clamped into [0, 1].
     """
-    raw = np.array([[(w[0].x, w[0].y, w[0].t), (w[-1].x, w[-1].y, w[-1].t)]
-                    for w in (t.waypoints for t in trips)], dtype=float)
-    return np.clip(_scale(raw.reshape(-1, 2, 3), ctx), 0.0, 1.0)
+    return np.clip(_scale(od_points(trips), ctx), 0.0, 1.0)
 
 
 def od_rep(trip: Trip, ctx: ScaleContext) -> np.ndarray:
@@ -181,9 +241,9 @@ def sampled_rep(trip: Trip, ctx: ScaleContext, k: int) -> np.ndarray:
 
 def path_length(trip: Trip) -> float:
     """Total traveled distance in meters: sum of consecutive segment lengths."""
-    if len(trip.waypoints) == 1:
-        return 0.0
     xy = trip.xyt()[:, :2]
+    if len(xy) == 1:
+        return 0.0
     return float(np.hypot(*np.diff(xy, axis=0).T).sum())
 
 

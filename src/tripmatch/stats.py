@@ -8,7 +8,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .model import ScaleContext, Trip
+from .model import ScaleContext, Trip, od_points
 
 
 class DegenerateFitError(ValueError):
@@ -168,11 +168,13 @@ class GridStats:
     values: np.ndarray
 
 
-def _cell_of(x: float, y: float, ctx: ScaleContext, rows: int, cols: int) -> tuple[int, int]:
+def _cells_of(x: np.ndarray, y: np.ndarray, ctx: ScaleContext, rows: int, cols: int
+              ) -> np.ndarray:
+    """Flat cell index row * cols + col of each point."""
     # Points on or past the upper bound clamp into the last cell.
-    col = int((x - ctx.x_min) / ctx.x_span * cols)
-    row = int((y - ctx.y_min) / ctx.y_span * rows)
-    return min(max(row, 0), rows - 1), min(max(col, 0), cols - 1)
+    col = np.clip((x - ctx.x_min) / ctx.x_span * cols, 0, cols - 1).astype(np.intp)
+    row = np.clip((y - ctx.y_min) / ctx.y_span * rows, 0, rows - 1).astype(np.intp)
+    return row * cols + col
 
 
 def grid_unique_counts(
@@ -181,12 +183,12 @@ def grid_unique_counts(
     """Distinct trips touching each grid cell; revisits by a trip count once."""
     if rows < 1 or cols < 1:
         raise ValueError("grid must have at least one row and column")
-    counts = np.zeros((rows, cols), dtype=int)
-    for trip in trips:
-        cells = {_cell_of(w.x, w.y, ctx, rows, cols) for w in trip.waypoints}
-        for r, c in cells:
-            counts[r, c] += 1
-    return GridStats(rows, cols, "unique_count", counts)
+    points = [trip.xyt() for trip in trips]
+    xyt = np.concatenate(points) if points else np.empty((0, 3))
+    owner = np.repeat(np.arange(len(points)), [len(p) for p in points])
+    visits = np.unique(owner * (rows * cols) + _cells_of(xyt[:, 0], xyt[:, 1], ctx, rows, cols))
+    counts = np.bincount(visits % (rows * cols), minlength=rows * cols)
+    return GridStats(rows, cols, "unique_count", counts.reshape(rows, cols))
 
 
 def grid_duration_stats(
@@ -195,11 +197,10 @@ def grid_duration_stats(
     """Duration five-number summary per origin cell (NaN-filled when empty)."""
     if rows < 1 or cols < 1:
         raise ValueError("grid must have at least one row and column")
-    buckets: dict[tuple[int, int], list[float]] = {}
-    for trip in trips:
-        cell = _cell_of(trip.origin.x, trip.origin.y, ctx, rows, cols)
-        buckets.setdefault(cell, []).append(trip.duration)
-    values = np.full((rows, cols, 5), np.nan)
-    for (r, c), durations in buckets.items():
-        values[r, c] = np.percentile(durations, [0, 25, 50, 75, 100])
-    return GridStats(rows, cols, "duration_quartiles", values)
+    od = od_points(trips)
+    cells = _cells_of(od[:, 0, 0], od[:, 0, 1], ctx, rows, cols)
+    durations = od[:, 1, 2] - od[:, 0, 2]
+    values = np.full((rows * cols, 5), np.nan)
+    for cell in np.unique(cells):
+        values[cell] = np.percentile(durations[cells == cell], [0, 25, 50, 75, 100])
+    return GridStats(rows, cols, "duration_quartiles", values.reshape(rows, cols, 5))

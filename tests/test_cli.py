@@ -276,6 +276,15 @@ class TestTripFileErrors:
         assert summary["category"] == "format"
         assert summary["message"].startswith("line 2:")
 
+    def test_integer_too_large_for_a_float_is_a_format_error(self, tmp_path, capsys):
+        trips = tmp_path / "trips.jsonl"
+        trips.write_text(self.GOOD + '{"id":"b","points":[[0.0,1%s,2000.0]]}\n' % ("0" * 400))
+        code, summary = run(capsys, "stats", "--trips", str(trips),
+                            "--out", str(tmp_path / "o"))
+        assert code == 1
+        assert summary["category"] == "format"
+        assert summary["message"].startswith("line 2:")
+
     def test_duplicate_trip_id_rejected(self, tmp_path, capsys):
         trips = tmp_path / "trips.jsonl"
         trips.write_text(self.GOOD + "\n" + self.GOOD)

@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import io
+import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -21,7 +23,7 @@ from tripmatch.ingest import (
     read_trips_jsonl,
     write_trips_jsonl,
 )
-from tripmatch.model import ScaleContext, od_displacement, path_length
+from tripmatch.model import ScaleContext, Waypoint, od_displacement, path_length
 
 #: Tokens that parse as numbers, fail to, or parse to non-finite values.
 TOKENS = st.one_of(
@@ -211,3 +213,131 @@ class TestJsonl:
         (trip,) = read_trips_jsonl(['{"id": "a", "points": [[1.0, 2.0, 3.0]]}'])
         assert trip.id == "a"
         assert trip.waypoints[0].t == 1.0 and trip.waypoints[0].x == 2.0
+
+
+# -- the reader against its Waypoint-based predecessor ----------------------
+
+class _OracleCrash(Exception):
+    """Marks the line where the Waypoint-based reader let an OverflowError escape."""
+
+    def __init__(self, lineno: int) -> None:
+        super().__init__(lineno)
+        self.lineno = lineno
+
+
+def oracle_read_trips_jsonl(source):
+    """read_trips_jsonl as it was when a trip held one validated Waypoint per point.
+
+    Yields (id, xyt), with xyt built as that Trip.xyt() built it. That
+    Trip's own checks (at least one point; times compared as the JSON values
+    themselves) are written out here, because Trip now stores floats.
+    """
+    first_seen: dict[str, int] = {}
+    for lineno, line in enumerate(source, start=1):
+        line = line.strip()
+        if not line:
+            continue
+        try:
+            obj = json.loads(line)
+            points = tuple(Waypoint(x, y, t) for t, x, y in obj["points"])
+            if len(points) < 1:
+                raise ValueError("no waypoints")
+            ts = [w.t for w in points]
+            if any(b < a for a, b in zip(ts, ts[1:])):
+                raise ValueError("waypoints are not sorted by time")
+            trip_id = str(obj["id"])
+        except (KeyError, TypeError, ValueError) as exc:
+            raise TraceFormatError(f"line {lineno}: {exc!r}") from exc
+        except OverflowError as exc:
+            raise _OracleCrash(lineno) from exc
+        if trip_id in first_seen:
+            raise TraceFormatError(f"line {lineno}: duplicate trip id {trip_id!r}")
+        first_seen[trip_id] = lineno
+        yield trip_id, np.array([[w.x, w.y, w.t] for w in points], dtype=float)
+
+
+def _outcome(pairs) -> tuple[list[tuple[str, np.ndarray]], int | None]:
+    """(the (id, xyt) pairs read, the line of the rejected record or None)."""
+    accepted = []
+    try:
+        for pair in pairs:
+            accepted.append(pair)
+    except TraceFormatError as exc:
+        return accepted, int(re.match(r"line (\d+): ", str(exc)).group(1))
+    except _OracleCrash as crash:
+        return accepted, crash.lineno
+    return accepted, None
+
+
+#: Times and coordinates a valid record may hold: ints (some past 2**53 and
+#: int64, where rounding and numpy's integer types come in), floats, booleans.
+TIMES = st.one_of(st.integers(0, 10**6), st.floats(0, 1e9), st.booleans(), st.just(-0.0),
+                  st.integers(2**53 - 3, 2**53 + 3), st.integers(2**63 - 2, 2**64 + 2))
+COORDS = st.one_of(st.integers(-10**6, 10**6), st.floats(allow_nan=False, allow_infinity=False),
+                   st.booleans(), st.integers(-2**64, 2**64))
+#: Point values that are not finite JSON numbers a float can hold.
+BAD_VALUES = st.one_of(st.sampled_from(["1.5", "0", "", "NaN"]), st.none(),
+                       st.lists(st.integers(0, 9), max_size=3),
+                       st.sampled_from([math.nan, math.inf, -math.inf, 10**400, -10**400]),
+                       st.dictionaries(st.text(max_size=2), st.integers(), max_size=2))
+IDS = st.one_of(st.sampled_from(["a", "b", "1"]), st.integers(0, 2), st.booleans(),
+                st.text(max_size=2))
+MUTATIONS = ("valid", "valid", "valid", "value", "negative-t", "unsorted", "rounded-tie",
+             "empty", "arity", "points-not-a-list", "no-id", "no-points", "not-an-object")
+
+
+@st.composite
+def record_lines(draw) -> str:
+    """One trips.jsonl line: a valid record, or one with a single defect."""
+    times = sorted(draw(st.lists(TIMES, min_size=1, max_size=5)))
+    if draw(st.booleans()):
+        times.append(times[-1])  # equal timestamps are valid
+    points = [[t, draw(COORDS), draw(COORDS)] for t in times]
+    rec = {"id": draw(IDS), "points": points}
+    kind = draw(st.sampled_from(MUTATIONS))
+    i = draw(st.integers(0, len(points) - 1))
+    if kind == "value":
+        points[i][draw(st.integers(0, 2))] = draw(BAD_VALUES)
+    elif kind == "negative-t":
+        points[0][0] = draw(st.sampled_from([-1, -0.5, -5e-324, -10**6]))
+    elif kind == "unsorted":
+        points.append([points[-1][0] - draw(st.sampled_from([1, 0.25, 5e-324])), 0, 0])
+    elif kind == "rounded-tie":  # exactly decreasing, equal once rounded to floats
+        big = draw(st.integers(2**53 + 1, 2**70))
+        rec["points"] = [[big, 0, 0], [draw(st.sampled_from([big - 1, float(big)])), 0, 0]]
+    elif kind == "empty":
+        rec["points"] = []
+    elif kind == "arity":
+        points[i] = points[i][:draw(st.integers(0, 2))] if draw(st.booleans()) else points[i] + [0]
+    elif kind == "points-not-a-list":
+        rec["points"] = draw(st.sampled_from(["abc", "", {}, {"abc": 1}, 5, None, True]))
+    elif kind == "no-id":
+        del rec["id"]
+    elif kind == "no-points":
+        del rec["points"]
+    elif kind == "not-an-object":
+        return draw(st.sampled_from(["[1, 2]", "3", '"x"', "null", "{", "true", "[]"]))
+    return json.dumps(rec)
+
+
+class TestReaderMatchesWaypointOracle:
+    @settings(max_examples=500, deadline=None)
+    @given(st.lists(st.one_of(record_lines(), st.sampled_from(["", "  "])),
+                    min_size=1, max_size=6))
+    def test_same_decisions_ids_and_bits(self, lines):
+        expected, expected_line = _outcome(oracle_read_trips_jsonl(lines))
+        got, got_line = _outcome((t.id, t.xyt()) for t in read_trips_jsonl(lines))
+        assert got_line == expected_line
+        assert [i for i, _ in got] == [i for i, _ in expected]
+        for (_, xyt), (_, oracle_xyt) in zip(got, expected):
+            assert xyt.shape == oracle_xyt.shape
+            assert xyt.tobytes() == oracle_xyt.tobytes()
+
+    def test_huge_integer_is_a_format_error_where_the_oracle_crashed(self):
+        lines = ['{"id": "a", "points": [[0, 1, 2]]}',
+                 '{"id": "b", "points": [[0, 1%s, 2]]}' % ("0" * 400)]
+        with pytest.raises(_OracleCrash) as crash:
+            list(oracle_read_trips_jsonl(lines))
+        assert crash.value.lineno == 2
+        with pytest.raises(TraceFormatError, match=r"^line 2: "):
+            list(read_trips_jsonl(lines))

@@ -12,8 +12,10 @@ import numpy as np
 import pytest
 import scipy.special
 import scipy.stats
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from tripmatch.model import ScaleContext
+from tripmatch.model import ScaleContext, Trip
 from tripmatch.stats import (
     DegenerateFitError,
     digamma,
@@ -213,3 +215,49 @@ class TestGrids:
         grid = grid_duration_stats(trips, self.BOX, 2, 2)
         assert grid.values[0, 0][2] == 20.0
         assert list(grid.values[0, 0]) == [10.0, 15.0, 20.0, 25.0, 30.0]
+
+
+# -- the grids against their per-waypoint predecessors ----------------------
+
+def _scalar_cell(x: float, y: float, ctx: ScaleContext, rows: int, cols: int) -> tuple[int, int]:
+    col = int((x - ctx.x_min) / ctx.x_span * cols)
+    row = int((y - ctx.y_min) / ctx.y_span * rows)
+    return min(max(row, 0), rows - 1), min(max(col, 0), cols - 1)
+
+
+def scalar_unique_counts(trips: list[Trip], ctx: ScaleContext, rows: int, cols: int) -> np.ndarray:
+    counts = np.zeros((rows, cols), dtype=int)
+    for trip in trips:
+        for r, c in {_scalar_cell(w.x, w.y, ctx, rows, cols) for w in trip.waypoints}:
+            counts[r, c] += 1
+    return counts
+
+
+def scalar_duration_stats(trips: list[Trip], ctx: ScaleContext, rows: int, cols: int
+                          ) -> np.ndarray:
+    buckets: dict[tuple[int, int], list[float]] = {}
+    for trip in trips:
+        cell = _scalar_cell(trip.origin.x, trip.origin.y, ctx, rows, cols)
+        buckets.setdefault(cell, []).append(trip.duration)
+    values = np.full((rows, cols, 5), np.nan)
+    for (r, c), durations in buckets.items():
+        values[r, c] = np.percentile(durations, [0, 25, 50, 75, 100])
+    return values
+
+
+class TestGridsMatchScalarOracle:
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.lists(st.tuples(st.floats(-50, 150), st.floats(-50, 150),
+                                       st.floats(0, 2000)), min_size=1, max_size=6),
+                    max_size=8),
+           st.integers(1, 5), st.integers(1, 5))
+    def test_bit_equal_to_per_waypoint_loops(self, trips, rows, cols):
+        """Points outside the box clamp into the edge cells in both versions."""
+        box = TestGrids.BOX
+        trips = [make_trip(f"t{i}", sorted(pts, key=lambda p: p[2]))
+                 for i, pts in enumerate(trips)]
+        unique = grid_unique_counts(trips, box, rows, cols).values
+        assert np.array_equal(unique, scalar_unique_counts(trips, box, rows, cols))
+        quart = grid_duration_stats(trips, box, rows, cols).values
+        expected = scalar_duration_stats(trips, box, rows, cols)
+        assert quart.tobytes() == expected.tobytes()
