@@ -14,17 +14,16 @@ class DegenerateInputError(ValueError):
 
 Scorer = Callable[[np.ndarray, np.ndarray], float]
 
+#: k-means++ seedings per kmeans call, and Lloyd iterations per seeding.
+KMEANS_RESTARTS = 100
+KMEANS_MAX_ITER = 300
+
 
 @dataclass(frozen=True, slots=True)
 class AffinityMatrix:
     """Dense pairwise score matrix over a trip set; asymmetric scorers allowed."""
 
     values: np.ndarray
-    symmetric: bool
-
-    @property
-    def n(self) -> int:
-        return self.values.shape[0]
 
 
 def build_affinity(
@@ -45,7 +44,7 @@ def build_affinity(
             values[i, j] = scorer(reps[i], reps[j])
             if symmetric_scorer:
                 values[j, i] = values[i, j]
-    return AffinityMatrix(values, symmetric_scorer)
+    return AffinityMatrix(values)
 
 
 def sym_decompose(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
@@ -82,13 +81,11 @@ def _kmeans_pp_init(points: np.ndarray, k: int, rng: np.random.Generator) -> np.
     return centers
 
 
-def _lloyd(
-    points: np.ndarray, centers: np.ndarray, max_iter: int
-) -> tuple[np.ndarray, float]:
+def _lloyd(points: np.ndarray, centers: np.ndarray) -> tuple[np.ndarray, float]:
     """Lloyd iterations until assignments stabilize; returns labels and inertia."""
     k = centers.shape[0]
     labels = np.full(points.shape[0], -1)
-    for _ in range(max_iter):
+    for _ in range(KMEANS_MAX_ITER):
         d2 = ((points[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
         new_labels = d2.argmin(axis=1)
         if np.array_equal(new_labels, labels):
@@ -107,22 +104,16 @@ def _lloyd(
     return labels, inertia
 
 
-def kmeans(
-    points: np.ndarray,
-    k: int,
-    seed: int,
-    n_restarts: int = 100,
-    max_iter: int = 300,
-) -> np.ndarray:
-    """Seeded k-means with k-means++ restarts; keeps the lowest-inertia run."""
+def kmeans(points: np.ndarray, k: int, seed: int) -> np.ndarray:
+    """Seeded k-means with KMEANS_RESTARTS k-means++ restarts; keeps the lowest-inertia run."""
     if not 1 <= k <= points.shape[0]:
         raise ValueError(f"k must be in [1, {points.shape[0]}], got {k}")
     rng = np.random.default_rng(seed)
     best_labels: np.ndarray | None = None
     best_inertia = np.inf
-    for _ in range(n_restarts):
+    for _ in range(KMEANS_RESTARTS):
         centers = _kmeans_pp_init(points, k, rng)
-        labels, inertia = _lloyd(points, centers.copy(), max_iter)
+        labels, inertia = _lloyd(points, centers.copy())
         if inertia < best_inertia:
             best_labels, best_inertia = labels, inertia
         if best_inertia == 0.0:
@@ -131,9 +122,7 @@ def kmeans(
     return best_labels
 
 
-def spectral_cluster(
-    s: np.ndarray, k: int, seed: int, n_restarts: int = 100
-) -> np.ndarray:
+def spectral_cluster(s: np.ndarray, k: int, seed: int) -> np.ndarray:
     """Normalized spectral clustering of a symmetric affinity matrix.
 
     Forms the symmetric normalized Laplacian L = I - D^{-1/2} S D^{-1/2},
@@ -159,7 +148,7 @@ def spectral_cluster(
     norms = np.linalg.norm(embedding, axis=1, keepdims=True)
     norms[norms == 0.0] = 1.0
     embedding = embedding / norms
-    return kmeans(embedding, k, seed, n_restarts=n_restarts)
+    return kmeans(embedding, k, seed)
 
 
 def _fix_sign(v: np.ndarray) -> np.ndarray:

@@ -57,16 +57,14 @@ def build_trip_dag(
     dist_threshold: float = 1800.0,
     time_threshold: float = 900.0,
     weights: WgmWeights = metrics.DEFAULT_WEIGHTS,
-    whole_trip_weight: bool = False,
 ) -> TripDag:
     """Build the hand-off DAG over a trip set.
 
     Edge (a, b) exists when b starts strictly after a ends, the gap is at
     most time_threshold seconds, and b's origin lies within dist_threshold
     meters of a's destination. The edge weight is the point similarity of
-    the hand-off pair (or the whole-trip OD similarity when
-    whole_trip_weight is set), always with absolute time differences.
-    Edges are keyed in ascending (a, b) order.
+    the hand-off pair, a's destination against b's origin, with absolute
+    time differences. Edges are keyed in ascending (a, b) order.
 
     Trips are swept in start-time order: a bisection finds each trip's
     window of successors, and the exact predicate runs on those alone.
@@ -93,12 +91,9 @@ def build_trip_dag(
     by_pair = np.lexsort((dst, src))
     src, dst = src[by_pair], dst[by_pair]
     reps = od_reps(trips, ctx)
-    if whole_trip_weight:
-        first, second = reps[src], reps[dst]
-    else:  # a's destination against b's origin, as one-point sequences
-        first, second = reps[src, 1:], reps[dst, :1]
-    pairs = zip(src.tolist(), dst.tolist())
-    edges = dict(zip(pairs, metrics.wgm_batch(first, second, weights).tolist()))
+    # a's destination against b's origin, as one-point sequences
+    weight = metrics.wgm_batch(reps[src, 1:], reps[dst, :1], weights)
+    edges = dict(zip(zip(src.tolist(), dst.tolist()), weight.tolist()))
     return TripDag(tuple(t.id for t in trips), edges)
 
 
@@ -171,15 +166,16 @@ def extract_chains(dag: TripDag, matching: Mapping[int, int]) -> ChainSchedule:
 
 def chain_stats(schedule: ChainSchedule, trips: Sequence[Trip]) -> list[ChainStat]:
     """Per-chain travel, hand-off distance, and hand-off wait totals."""
-    by_id = {t.id: t for t in trips}
+    index = {t.id: i for i, t in enumerate(trips)}
+    od = od_points(trips).tolist()
     out = []
     for idx, chain in enumerate(schedule.chains):
-        members = [by_id[tid] for tid in chain]
-        travel = sum(path_length(t) for t in members)
-        od = od_points(members).tolist()
+        members = [index[tid] for tid in chain]
+        travel = sum(path_length(trips[i]) for i in members)
         pickup_m = 0.0
         pickup_s = 0.0
-        for (_, prev_dest), (next_origin, _) in zip(od, od[1:]):
+        for a, b in zip(members, members[1:]):
+            prev_dest, next_origin = od[a][1], od[b][0]
             pickup_m += math.hypot(prev_dest[0] - next_origin[0], prev_dest[1] - next_origin[1])
             pickup_s += next_origin[2] - prev_dest[2]
         out.append(ChainStat(

@@ -188,8 +188,9 @@ def cmd_stats(cfg: dict, outdir: Path) -> dict:
     trips = _load_trips(cfg["trips"])
     ctx = model.ScaleContext.from_trips(trips)
     durations = [t.duration for t in trips if t.duration > 0]
-    distances = [model.path_length(t) for t in trips]
-    distances = [d for d in distances if d > 0]
+    lengths = [model.path_length(t) for t in trips]
+    n_points = [len(t.xyt()) for t in trips]
+    distances = [d for d in lengths if d > 0]
 
     fit_rows = []
     for name, samples in (("duration", durations), ("distance", distances)):
@@ -203,7 +204,7 @@ def cmd_stats(cfg: dict, outdir: Path) -> dict:
     cdf_exports = {
         "duration": durations,
         "distance": distances,
-        "waypoints": [len(t.xyt()) for t in trips],
+        "waypoints": n_points,
         "start_time": [t.start_time for t in trips],
         "end_time": [t.end_time for t in trips],
     }
@@ -215,13 +216,13 @@ def cmd_stats(cfg: dict, outdir: Path) -> dict:
     rows, cols = cfg["grid_rows"], cfg["grid_cols"]
     unique = stats.grid_unique_counts(trips, ctx, rows, cols)
     _write_csv(outdir / "grid_unique.csv", ["row", "col", "value"],
-               [[r, c, int(unique.values[r, c])]
+               [[r, c, int(unique[r, c])]
                 for r in range(rows) for c in range(cols)])
     quart = stats.grid_duration_stats(trips, ctx, rows, cols)
     grid_rows = []
     for r in range(rows):
         for c in range(cols):
-            cell = quart.values[r, c]
+            cell = quart[r, c]
             if np.isnan(cell).any():
                 grid_rows.append([r, c, "", "", "", "", ""])
             else:
@@ -230,8 +231,7 @@ def cmd_stats(cfg: dict, outdir: Path) -> dict:
                ["row", "col", "min", "q1", "median", "q3", "max"], grid_rows)
 
     try:
-        correlation = stats.pearson(
-            [len(t.xyt()) for t in trips], [model.path_length(t) for t in trips])
+        correlation = stats.pearson(n_points, lengths)
     except ValueError:
         correlation = None
     return {
@@ -365,9 +365,8 @@ def cmd_compare(cfg: dict, outdir: Path) -> dict:
     if cfg.get("wt_sweep"):
         sweep_rows = []
         for wt in _parse_floats(cfg["wt_sweep"]):
-            swept = dataclasses.replace(
-                scenario, weights=metrics.WgmWeights(1.0 - wt, wt), metric="wgm")
-            rep = matching.greedy_match(requests, rides, swept, rep_len=cfg["rep_len"])
+            swept = dataclasses.replace(scenario, weights=metrics.WgmWeights(1.0 - wt, wt))
+            rep = matching.compare_metrics(requests, rides, ["wgm"], swept, cfg["rep_len"])["wgm"]
             sweep_rows.append([f"{wt:.3f}", f"{rep.oo_dist_km:.3f}", f"{rep.dd_dist_km:.3f}",
                                _sec(rep.oo_time_s), _sec(rep.dd_time_s)])
         _write_csv(outdir / "wt_sweep.csv",
@@ -558,32 +557,53 @@ def _given_flags(sub: argparse.ArgumentParser, argv: list[str], defaults: dict) 
     return {k: v for k, v in vars(given).items() if v is not unset}
 
 
+#: Keys that name the run itself rather than configure it; neither a config
+#: file nor a manifest's config may set them.
+_RESERVED_KEYS = ("command", "config", "from_manifest")
+
+
+def _read_manifest(path: str, command: str) -> tuple[dict, dict]:
+    """The recorded config (less its command) and input digests of a manifest."""
+    with open(path) as fh:
+        try:
+            manifest = json.load(fh)
+        except ValueError as exc:
+            raise ValueError(f"manifest {path}: {exc}") from None
+    if not isinstance(manifest, dict):
+        raise ValueError(f"manifest {path} is not a JSON object")
+    config, inputs = manifest.get("config"), manifest.get("inputs")
+    if not isinstance(config, dict) or not isinstance(inputs, dict):
+        raise ValueError(f"manifest {path} needs a 'config' and an 'inputs' object")
+    for named in (manifest.get("command"), config.pop("command", command)):
+        if named != command:
+            raise ValueError(f"manifest {path} is for {named!r}, not {command!r}")
+    return config, inputs
+
+
 def resolve_config(args: argparse.Namespace, defaults: dict, explicit: dict,
                    types: dict[str, Callable[[str], object]]) -> dict:
     """Merge defaults, config file, manifest, and explicit flags (in that order).
 
-    A config-file value is converted by the type its flag declares in
-    `types`; a flag without one keeps the string.
+    A config-file or manifest value must name a flag, and it is converted
+    by the type that flag declares in `types` (a string without one); a
+    recorded null stays None.
     """
     cfg = dict(defaults)
-    recorded: dict[str, str] = {}
-
+    sources: list[tuple[str, dict]] = []
+    recorded: dict = {}
     if args.config:
-        for key, value in _read_config_file(args.config).items():
-            if key not in defaults:
-                raise ValueError(f"unknown config key {key!r}")
-            try:
-                cfg[key] = types[key](value) if key in types else value
-            except ValueError as exc:
-                raise ValueError(f"config key {key!r}: {exc}") from None
+        sources.append((f"config file {args.config}", _read_config_file(args.config)))
     if args.from_manifest:
-        with open(args.from_manifest) as fh:
-            manifest = json.load(fh)
-        if manifest.get("command") != args.command:
-            raise ValueError(
-                f"manifest is for {manifest.get('command')!r}, not {args.command!r}")
-        cfg.update(manifest["config"])
-        recorded = manifest["inputs"]
+        config, recorded = _read_manifest(args.from_manifest, args.command)
+        sources.append((f"manifest {args.from_manifest}", config))
+    for source, values in sources:
+        for key, value in values.items():
+            if key not in defaults or key in _RESERVED_KEYS:
+                raise ValueError(f"{source}: unknown config key {key!r}")
+            try:
+                cfg[key] = None if value is None else types.get(key, str)(str(value))
+            except ValueError as exc:
+                raise ValueError(f"{source}: config key {key!r}: {exc}") from None
     cfg.update(explicit)
 
     # manifests must replay from anywhere, so inputs are pinned absolute

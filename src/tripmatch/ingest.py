@@ -22,6 +22,10 @@ _KNOWN_FIELDS = ("t", "id", "x", "y", "speed")
 #: Fraction of malformed lines above which parsing aborts.
 _MALFORMED_LIMIT = 0.10
 
+#: Standard deviation of a synthetic trip's interior waypoint jitter, as a
+#: fraction of its displacement.
+_JITTER_FRAC = 0.05
+
 
 @dataclass(frozen=True, slots=True)
 class TraceRecord:
@@ -142,7 +146,6 @@ class SynthConfig:
     lognorm_mu: float = 8.0
     lognorm_sigma: float = 0.6
     waypoints_per_trip: int = 10
-    jitter_frac: float = 0.05
     seed: int = 7
 
     def __post_init__(self) -> None:
@@ -152,8 +155,6 @@ class SynthConfig:
             raise ValueError("distribution parameters must be strictly positive")
         if self.waypoints_per_trip < 2:
             raise ValueError("waypoints_per_trip must be >= 2")
-        if self.jitter_frac < 0:
-            raise ValueError("jitter_frac must be >= 0")
 
 
 def generate_synthetic(cfg: SynthConfig) -> list[Trip]:
@@ -200,8 +201,8 @@ def generate_synthetic(cfg: SynthConfig) -> list[Trip]:
         frac = np.linspace(0.0, 1.0, m)
         xs = ox + frac * (dx - ox)
         ys = oy + frac * (dy - oy)
-        if m > 2 and cfg.jitter_frac > 0:
-            sigma = cfg.jitter_frac * displacement
+        if m > 2:
+            sigma = _JITTER_FRAC * displacement
             xs[1:-1] += rng.normal(0.0, sigma, m - 2)
             ys[1:-1] += rng.normal(0.0, sigma, m - 2)
             xs[1:-1] = np.clip(xs[1:-1], box.x_min, box.x_max)
@@ -210,14 +211,11 @@ def generate_synthetic(cfg: SynthConfig) -> list[Trip]:
     return trips
 
 
-def write_trips_jsonl(trips: Iterable[Trip], sink: IO[str]) -> int:
+def write_trips_jsonl(trips: Iterable[Trip], sink: IO[str]) -> None:
     """Write trips as line-delimited JSON: {"id": ..., "points": [[t, x, y], ...]}."""
-    n = 0
     for trip in trips:
         obj = {"id": trip.id, "points": trip.xyt()[:, [2, 0, 1]].tolist()}
         sink.write(json.dumps(obj, separators=(",", ":")) + "\n")
-        n += 1
-    return n
 
 
 #: Above this magnitude a JSON integer may round onto its float neighbour.

@@ -223,16 +223,19 @@ def _build_rows(
 
 
 def _build_report(
-    requests: Sequence[Trip],
+    req_len: Sequence[float],
     rides: Sequence[Trip],
     rows: tuple[MatchRow, ...],
     mode: str,
     metric: str,
 ) -> MatchReport:
-    req_len = {t.id: path_length(t) for t in requests}
-    ride_len = {t.id: path_length(t) for t in rides}
+    """Aggregate the rows; req_len holds each request's path length, in row order.
+
+    Path lengths are computed only for the rides some request picked.
+    """
+    by_id = {t.id: t for t in rides}
     matched = [r for r in rows if r.matched]
-    distinct_rides = {r.ride_id for r in matched}
+    ride_len = {i: path_length(by_id[i]) for i in dict.fromkeys(r.ride_id for r in matched)}
     return MatchReport(
         mode=mode,
         metric=metric,
@@ -240,9 +243,9 @@ def _build_report(
         n_requests=len(rows),
         n_matched=len(matched),
         match_travels_km=sum(ride_len[r.ride_id] for r in matched) / 1000.0,
-        match_travels_distinct_km=sum(ride_len[i] for i in distinct_rides) / 1000.0,
-        req_travels_km=sum(req_len[r.request_id] for r in rows) / 1000.0,
-        req_travels_matched_km=sum(req_len[r.request_id] for r in matched) / 1000.0,
+        match_travels_distinct_km=sum(ride_len.values()) / 1000.0,
+        req_travels_km=sum(req_len) / 1000.0,
+        req_travels_matched_km=sum(n for r, n in zip(rows, req_len) if r.matched) / 1000.0,
         oo_dist_km=sum(r.oo_dist_m for r in matched) / 1000.0,
         dd_dist_km=sum(r.dd_dist_m for r in matched) / 1000.0,
         oo_time_s=sum(r.oo_time_s for r in matched),
@@ -251,32 +254,24 @@ def _build_report(
 
 
 def greedy_match(
-    requests: Sequence[Trip],
-    rides: Sequence[Trip],
-    scenario: MatchScenario,
-    ctx: ScaleContext | None = None,
-    rep_len: int | None = None,
+    requests: Sequence[Trip], rides: Sequence[Trip], scenario: MatchScenario
 ) -> MatchReport:
     """Match every request to its best feasible ride, independently.
 
     Rides have no capacity limit, so per-request choices are independent
-    and a greedy scan is optimal. rep_len=None scores on the scaled OD
-    endpoints; otherwise trips are resampled to rep_len waypoints first.
+    and a greedy scan is optimal. Trips are scored on their scaled OD
+    endpoints.
     """
-    if ctx is None:
-        ctx = ScaleContext.from_trips(list(requests) + list(rides))
+    ctx = ScaleContext.from_trips(list(requests) + list(rides))
     kind, score = _metric_fn(scenario.metric, scenario, ctx)
-    if rep_len is None:
-        reps_req, reps_ride = od_reps(requests, ctx), od_reps(rides, ctx)
-    else:
-        reps_req = [sampled_rep(t, ctx, rep_len) for t in requests]
-        reps_ride = [sampled_rep(t, ctx, rep_len) for t in rides]
     candidates = _candidate_indices(requests, rides, scenario)
-    rows = _build_rows(requests, rides, candidates, reps_req, reps_ride, kind, score)
-    return _build_report(requests, rides, rows, scenario.mode, scenario.metric)
+    rows = _build_rows(requests, rides, candidates, od_reps(requests, ctx), od_reps(rides, ctx),
+                       kind, score)
+    req_len = [path_length(t) for t in requests]
+    return _build_report(req_len, rides, rows, scenario.mode, scenario.metric)
 
 
-def savings_accounting(report: MatchReport, mode: str | None = None) -> dict[str, float]:
+def savings_accounting(report: MatchReport) -> dict[str, float]:
     """Traveled-kilometer totals with and without sharing, and the saving.
 
     car: with sharing, matched requests ride along, so the shared total is
@@ -284,18 +279,16 @@ def savings_accounting(report: MatchReport, mode: str | None = None) -> dict[str
     still drives, plus the pick-up and drop-off detours; without sharing
     the match trips would run separately.
     """
-    if mode is None:
-        mode = report.mode
     without = report.req_travels_km + report.match_travels_km
     if without <= 0:
         raise UndefinedReportError("no traveled kilometers to account for")
-    if mode == "car":
+    if report.mode == "car":
         unmatched = report.req_travels_km - report.req_travels_matched_km
         with_sharing = unmatched + report.match_travels_km
-    elif mode == "carpool":
+    elif report.mode == "carpool":
         with_sharing = report.req_travels_km + report.oo_dist_km + report.dd_dist_km
     else:
-        raise ValueError(f"unknown mode {mode!r}")
+        raise ValueError(f"unknown mode {report.mode!r}")
     return {
         "with_sharing_km": with_sharing,
         "without_sharing_km": without,
@@ -341,7 +334,6 @@ def compare_metrics(
     metric_names: Sequence[str],
     scenario: MatchScenario,
     rep_len: int = 50,
-    ctx: ScaleContext | None = None,
 ) -> dict[str, MatchReport]:
     """Run the same matching scenario under several metrics.
 
@@ -350,8 +342,7 @@ def compare_metrics(
     criterion changes. All trips must yield a full rep_len-waypoint
     representation so the aligned-sequence metrics stay comparable.
     """
-    if ctx is None:
-        ctx = ScaleContext.from_trips(list(requests) + list(rides))
+    ctx = ScaleContext.from_trips(list(requests) + list(rides))
     reps_req = [sampled_rep(t, ctx, rep_len) for t in requests]
     reps_ride = [sampled_rep(t, ctx, rep_len) for t in rides]
     for rep, trip in zip(reps_req + reps_ride, list(requests) + list(rides)):
@@ -360,9 +351,10 @@ def compare_metrics(
                 f"trip {trip.id!r} has only {len(rep)} waypoints; need {rep_len}"
             )
     candidates = _candidate_indices(requests, rides, scenario)
+    req_len = [path_length(t) for t in requests]
     reports = {}
     for name in metric_names:
         kind, score = _metric_fn(name, scenario, ctx)
         rows = _build_rows(requests, rides, candidates, reps_req, reps_ride, kind, score)
-        reports[name] = _build_report(requests, rides, rows, scenario.mode, name)
+        reports[name] = _build_report(req_len, rides, rows, scenario.mode, name)
     return reports

@@ -61,40 +61,24 @@ TIME_HEAVY_WEIGHTS = WgmWeights(0.1, 0.9)
 
 @dataclass(frozen=True, slots=True)
 class MetricParams:
-    """Thresholds and modes for the comparison metrics.
-
-    eps_space/eps_time are in scaled units. dtw_cost_mode is "distance"
-    or "distance_times_time".
-    """
+    """LCSS match thresholds, in scaled units."""
 
     eps_space: float
     eps_time: float
-    dtw_cost_mode: str = "distance"
 
     def __post_init__(self) -> None:
         if self.eps_space <= 0 or self.eps_time <= 0:
             raise ValueError("matching thresholds must be positive")
-        if self.dtw_cost_mode not in ("distance", "distance_times_time"):
-            raise ValueError(f"unknown dtw cost mode {self.dtw_cost_mode!r}")
 
     @classmethod
-    def for_context(
-        cls,
-        ctx: ScaleContext,
-        dist_threshold: float = 1800.0,
-        time_threshold: float = 900.0,
-        dtw_cost_mode: str = "distance",
-    ) -> "MetricParams":
+    def for_context(cls, ctx: ScaleContext, dist_threshold: float, time_threshold: float
+                    ) -> "MetricParams":
         """Scaled equivalents of raw meter/second thresholds.
 
         The spatial epsilon divides by the larger of the two axis spans,
         the conservative choice when the bounding box is not square.
         """
-        return cls(
-            eps_space=dist_threshold / max(ctx.x_span, ctx.y_span),
-            eps_time=time_threshold / ctx.t_span,
-            dtw_cost_mode=dtw_cost_mode,
-        )
+        return cls(dist_threshold / max(ctx.x_span, ctx.y_span), time_threshold / ctx.t_span)
 
 
 def _xy_dist(p: Sequence[float], q: Sequence[float]) -> float:
@@ -236,14 +220,9 @@ def car_score(rider: np.ndarray, ride: np.ndarray, w: WgmWeights = DEFAULT_WEIGH
     """Catch-a-ride score: how well `ride` fits inside `rider`'s window.
 
     Signed time terms reward rides that start after the rider starts and
-    end before the rider ends; use car_feasible for the hard constraint.
+    end before the rider ends.
     """
     return wgm_sim(rider, ride, w, TimeMode.SIGNED_CAR)
-
-
-def car_feasible(rider: np.ndarray, ride: np.ndarray) -> bool:
-    """True when the ride starts at/after the rider and ends at/before it."""
-    return bool(ride[0][2] >= rider[0][2] and ride[-1][2] <= rider[-1][2])
 
 
 def cp_score(a: np.ndarray, b: np.ndarray, w: WgmWeights = DEFAULT_WEIGHTS) -> float:
@@ -254,11 +233,6 @@ def cp_score(a: np.ndarray, b: np.ndarray, w: WgmWeights = DEFAULT_WEIGHTS) -> f
     at its own destination on time.
     """
     return car_score(b, a, w)
-
-
-def cp_feasible(a: np.ndarray, b: np.ndarray) -> bool:
-    """Transpose of car_feasible: b's window must contain a's."""
-    return car_feasible(b, a)
 
 
 def lcss(t1: np.ndarray, t2: np.ndarray, params: MetricParams) -> int:

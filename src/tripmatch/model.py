@@ -173,11 +173,6 @@ class ScaleContext:
         return cls(x_min, x_max, y_min, y_max, t_min, t_max)
 
 
-def extract_od(trip: Trip) -> tuple[Waypoint, Waypoint]:
-    """Origin/destination endpoints: the first and last waypoints of the trip."""
-    return trip.origin, trip.destination
-
-
 def od_points(trips: Iterable[Trip]) -> np.ndarray:
     """Raw origin and destination points, stacked: shape (n, 2, 3), columns x, y, t."""
     return np.array([(p[0], p[-1]) for p in (t.xyt() for t in trips)],
@@ -208,15 +203,9 @@ def _scale(raw: np.ndarray, ctx: ScaleContext) -> np.ndarray:
     return (raw - lo) / span
 
 
-def scale_trip(trip: Trip, ctx: ScaleContext) -> tuple[np.ndarray, int]:
-    """Scale every waypoint of a trip.
-
-    Returns an (n, 3) array with columns x, y, t in [0, 1] plus the number
-    of waypoints that had at least one component clamped.
-    """
-    scaled = _scale(trip.xyt(), ctx)
-    clamped = int(np.any((scaled < 0.0) | (scaled > 1.0), axis=1).sum())
-    return np.clip(scaled, 0.0, 1.0), clamped
+def scale_trip(trip: Trip, ctx: ScaleContext) -> np.ndarray:
+    """Every waypoint of a trip scaled: an (n, 3) array of x, y, t clamped into [0, 1]."""
+    return np.clip(_scale(trip.xyt(), ctx), 0.0, 1.0)
 
 
 def od_reps(trips: Sequence[Trip], ctx: ScaleContext) -> np.ndarray:
@@ -235,8 +224,7 @@ def od_rep(trip: Trip, ctx: ScaleContext) -> np.ndarray:
 
 def sampled_rep(trip: Trip, ctx: ScaleContext, k: int) -> np.ndarray:
     """Scaled k-waypoint representation (fewer if the trip is shorter)."""
-    arr, _ = scale_trip(sample_waypoints(trip, k), ctx)
-    return arr
+    return scale_trip(sample_waypoints(trip, k), ctx)
 
 
 def path_length(trip: Trip) -> float:
@@ -245,12 +233,6 @@ def path_length(trip: Trip) -> float:
     if len(xy) == 1:
         return 0.0
     return float(np.hypot(*np.diff(xy, axis=0).T).sum())
-
-
-def od_displacement(trip: Trip) -> float:
-    """Straight-line origin-to-destination distance in meters."""
-    o, d = extract_od(trip)
-    return math.hypot(d.x - o.x, d.y - o.y)
 
 
 def spatial_distance(a: Waypoint, b: Waypoint) -> float:

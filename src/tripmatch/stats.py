@@ -97,7 +97,11 @@ def fit_lognormal(samples: Sequence[float] | np.ndarray) -> FitResult:
     return FitResult("lognormal", (mu, sigma), loglik, n)
 
 
-def fit_gamma(samples: Sequence[float] | np.ndarray, max_iter: int = 100) -> FitResult:
+#: Newton steps fit_gamma takes at most.
+_GAMMA_MAX_ITER = 100
+
+
+def fit_gamma(samples: Sequence[float] | np.ndarray) -> FitResult:
     """Maximum-likelihood gamma fit.
 
     Solves ln(k) - psi(k) = ln(mean) - mean(ln x) for the shape k by Newton
@@ -111,7 +115,7 @@ def fit_gamma(samples: Sequence[float] | np.ndarray, max_iter: int = 100) -> Fit
     if s <= 0:
         raise DegenerateFitError("samples have no log-dispersion; gamma fit undefined")
     k = (3.0 - s + math.sqrt((s - 3.0) ** 2 + 24.0 * s)) / (12.0 * s)
-    for _ in range(max_iter):
+    for _ in range(_GAMMA_MAX_ITER):
         step = (math.log(k) - digamma(k) - s) / (1.0 / k - trigamma(k))
         new_k = k - step
         if new_k <= 0:
@@ -153,21 +157,6 @@ def empirical_cdf(samples: Sequence[float] | np.ndarray) -> list[tuple[float, fl
     return [(float(v), float(p)) for v, p in zip(values, probs)]
 
 
-@dataclass(frozen=True, slots=True)
-class GridStats:
-    """A rows x cols spatial aggregate over the scale-context bounding box.
-
-    kind "unique_count": values has shape (rows, cols) of distinct-trip
-    counts. kind "duration_quartiles": values has shape (rows, cols, 5)
-    holding (min, q1, median, q3, max) with NaN rows marking empty cells.
-    """
-
-    rows: int
-    cols: int
-    kind: str
-    values: np.ndarray
-
-
 def _cells_of(x: np.ndarray, y: np.ndarray, ctx: ScaleContext, rows: int, cols: int
               ) -> np.ndarray:
     """Flat cell index row * cols + col of each point."""
@@ -179,8 +168,8 @@ def _cells_of(x: np.ndarray, y: np.ndarray, ctx: ScaleContext, rows: int, cols: 
 
 def grid_unique_counts(
     trips: Iterable[Trip], ctx: ScaleContext, rows: int, cols: int
-) -> GridStats:
-    """Distinct trips touching each grid cell; revisits by a trip count once."""
+) -> np.ndarray:
+    """(rows, cols) counts of the distinct trips touching each cell; revisits count once."""
     if rows < 1 or cols < 1:
         raise ValueError("grid must have at least one row and column")
     points = [trip.xyt() for trip in trips]
@@ -188,13 +177,13 @@ def grid_unique_counts(
     owner = np.repeat(np.arange(len(points)), [len(p) for p in points])
     visits = np.unique(owner * (rows * cols) + _cells_of(xyt[:, 0], xyt[:, 1], ctx, rows, cols))
     counts = np.bincount(visits % (rows * cols), minlength=rows * cols)
-    return GridStats(rows, cols, "unique_count", counts.reshape(rows, cols))
+    return counts.reshape(rows, cols)
 
 
 def grid_duration_stats(
     trips: Iterable[Trip], ctx: ScaleContext, rows: int, cols: int
-) -> GridStats:
-    """Duration five-number summary per origin cell (NaN-filled when empty)."""
+) -> np.ndarray:
+    """(rows, cols, 5) duration (min, q1, median, q3, max) per origin cell; NaN when empty."""
     if rows < 1 or cols < 1:
         raise ValueError("grid must have at least one row and column")
     od = od_points(trips)
@@ -203,4 +192,4 @@ def grid_duration_stats(
     values = np.full((rows * cols, 5), np.nan)
     for cell in np.unique(cells):
         values[cell] = np.percentile(durations[cells == cell], [0, 25, 50, 75, 100])
-    return GridStats(rows, cols, "duration_quartiles", values.reshape(rows, cols, 5))
+    return values.reshape(rows, cols, 5)

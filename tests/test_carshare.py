@@ -23,7 +23,7 @@ from tripmatch.carshare import (
     max_card_max_weight_matching,
     schedule_trips,
 )
-from tripmatch.metrics import WgmWeights, psim, wgm_sim
+from tripmatch.metrics import WgmWeights, psim
 from tripmatch.model import ScaleContext, Trip, od_rep, spatial_distance
 
 from conftest import straight_trip
@@ -231,15 +231,6 @@ class TestBuildTripDag:
         expected = psim(end, start, W)
         assert math.isclose(dag.edges[(0, 1)], expected, rel_tol=1e-12)
 
-    def test_whole_trip_weight_variant(self):
-        a = straight_trip("a", (1000, 1000), (5000, 5000), 0, 900)
-        b = straight_trip("b", (5400, 5000), (9000, 9000), 1200, 2100)
-        dag = build_trip_dag([a, b], self.CTX, weights=W, whole_trip_weight=True)
-        from tripmatch.metrics import wgm_sim
-        from tripmatch.model import od_rep
-        expected = wgm_sim(od_rep(a, self.CTX), od_rep(b, self.CTX), W)
-        assert math.isclose(dag.edges[(0, 1)], expected, rel_tol=1e-12)
-
     def test_output_is_acyclic(self):
         rng = np.random.default_rng(0)
         trips = []
@@ -261,8 +252,8 @@ class TestBuildTripDag:
         assert set(build_trip_dag([a, b], self.CTX, time_threshold=523.2).edges) == {(0, 1)}
 
     @settings(max_examples=300, deadline=None)
-    @given(handoff_cases(), st.booleans())
-    def test_sweep_equals_scalar_predicate(self, case, whole_trip_weight):
+    @given(handoff_cases())
+    def test_sweep_equals_scalar_predicate(self, case):
         trips, dist, span = case
         expected = []
         for i, a in enumerate(trips):
@@ -271,12 +262,11 @@ class TestBuildTripDag:
                 if i != j and 0 < gap <= span and \
                         spatial_distance(a.destination, b.origin) <= dist:
                     expected.append((i, j))
-        dag = build_trip_dag(trips, self.CTX, dist, span, W, whole_trip_weight)
+        dag = build_trip_dag(trips, self.CTX, dist, span, W)
         assert list(dag.edges) == expected
         for (i, j), weight in dag.edges.items():
             a, b = od_rep(trips[i], self.CTX), od_rep(trips[j], self.CTX)
-            oracle = wgm_sim(a, b, W) if whole_trip_weight else psim(a[1], b[0], W)
-            assert math.isclose(weight, oracle, rel_tol=1e-12)
+            assert math.isclose(weight, psim(a[1], b[0], W), rel_tol=1e-12)
 
 
 def dense_oracle(dag: TripDag) -> tuple[int, float]:

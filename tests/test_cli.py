@@ -433,6 +433,48 @@ class TestConfigAndManifest:
                             str(out / "run_manifest.json"), "--out", str(tmp_path / "x"))
         assert code == 1 and summary["category"] == "invalid-argument"
 
+    @pytest.mark.parametrize("key", ["command", "config", "from-manifest"])
+    def test_config_file_cannot_name_the_run(self, key, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"{key} = synth\n")
+        code, summary = run(capsys, "synth", "--config", str(cfg), "--out", str(tmp_path / "o"))
+        assert code == 1 and summary["category"] == "invalid-argument"
+        assert key.replace("-", "_") in summary["message"]
+
+    @pytest.mark.parametrize("edit, named", [
+        (lambda m: {"command": "carshare"}, "manifest"),
+        (lambda m: [1, 2], "manifest"),
+        (lambda m: "{not json", "manifest"),
+        (lambda m: {**m, "inputs": None}, "manifest"),
+        (lambda m: {**m, "config": {**m["config"], "dist_threshold": "abc"}}, "dist_threshold"),
+        (lambda m: {**m, "config": {**m["config"], "seed": 1.5}}, "seed"),
+        (lambda m: {**m, "config": {**m["config"], "bogus": 1}}, "bogus"),
+        (lambda m: {**m, "config": {**m["config"], "command": "match"}}, "match"),
+    ], ids=["no-config", "not-an-object", "not-json", "null-inputs", "bad-float",
+            "fractional-int", "unknown-key", "other-command"])
+    def test_malformed_manifest_is_invalid_argument(self, edit, named, trips_file, tmp_path,
+                                                    capsys):
+        out = tmp_path / "cs"
+        assert run(capsys, "carshare", "--trips", str(trips_file), "--out", str(out))[0] == 0
+        path = out / "run_manifest.json"
+        edited = edit(json.loads(path.read_text()))
+        path.write_text(edited if isinstance(edited, str) else json.dumps(edited))
+        code, summary = run(capsys, "carshare", "--from-manifest", str(path),
+                            "--out", str(tmp_path / "replay"))
+        assert code == 1 and summary["category"] == "invalid-argument"
+        assert named in summary["message"] and str(path) in summary["message"]
+
+    def test_recorded_null_replays_as_none(self, trips_file, tmp_path, capsys):
+        args = ("cluster", "--trips", str(trips_file), "--k", "3")
+        assert run(capsys, *args, "--out", str(tmp_path / "c1"))[0] == 0
+        manifest = tmp_path / "c1" / "run_manifest.json"
+        assert json.loads(manifest.read_text())["config"]["kernel_gamma"] is None
+        code, _ = run(capsys, "cluster", "--from-manifest", str(manifest),
+                      "--out", str(tmp_path / "c2"))
+        assert code == 0
+        for name in ("labels.csv", "coords_mds.csv"):
+            assert read(tmp_path / "c2" / name) == read(tmp_path / "c1" / name)
+
     def test_outdir_env_var(self, tmp_path, capsys, monkeypatch):
         target = tmp_path / "envout"
         monkeypatch.setenv("TRIPMATCH_OUTDIR", str(target))

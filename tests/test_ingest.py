@@ -23,7 +23,9 @@ from tripmatch.ingest import (
     read_trips_jsonl,
     write_trips_jsonl,
 )
-from tripmatch.model import ScaleContext, Waypoint, od_displacement, path_length
+from tripmatch.model import ScaleContext, Waypoint, path_length
+
+from test_model import od_displacement
 
 #: Tokens that parse as numbers, fail to, or parse to non-finite values.
 TOKENS = st.one_of(

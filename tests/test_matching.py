@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import numpy as np
@@ -10,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tripmatch.matching import (
+    METRIC_NAMES,
     MatchReport,
     MatchScenario,
     UndefinedReportError,
@@ -19,7 +21,16 @@ from tripmatch.matching import (
     match_counts_curve,
     savings_accounting,
 )
-from tripmatch.metrics import WgmWeights, car_score, cp_score
+from tripmatch.metrics import (
+    TIME_HEAVY_WEIGHTS,
+    MetricParams,
+    WgmWeights,
+    car_score,
+    cp_score,
+    dtw,
+    frechet_discrete,
+    lcss,
+)
 from tripmatch.model import ScaleContext, Trip, od_rep, path_length, spatial_distance
 
 from conftest import rider_ride_population, straight_trip
@@ -83,6 +94,34 @@ def filter_cases(draw) -> tuple[list[Trip], list[Trip], MatchScenario]:
             f"ride-{j:02d}", (base.origin.x + oxo, base.origin.y + oyo),
             (base.destination.x + dxo, base.destination.y + dyo), t0, t1))
     return requests, rides, scenario
+
+
+def exhaustive_choice(requests: list[Trip], rides: list[Trip], scenario: MatchScenario
+                      ) -> list[tuple[str | None, float]]:
+    """Each request's (ride id, score) by a full scan of its candidates.
+
+    Similarities take the argmax and distances the argmin, each scored by
+    the scalar metric on the scaled OD endpoints; equal scores go to the
+    lowest ride id. A request without candidates gets (None, 0.0).
+    """
+    ctx = ScaleContext.from_trips(list(requests) + list(rides))
+    pair = car_score if scenario.mode == "car" else cp_score
+    params = MetricParams(scenario.dist_threshold / max(ctx.x_span, ctx.y_span),
+                          scenario.time_threshold / ctx.t_span)
+    sign, score = {
+        "wgm": (1, lambda a, b: pair(a, b, scenario.weights)),
+        "wgm_time": (1, lambda a, b: pair(a, b, TIME_HEAVY_WEIGHTS)),
+        "lcss": (1, lambda a, b: float(lcss(a, b, params))),
+        "dtw": (-1, lambda a, b: dtw(a, b, "distance")),
+        "dtw_time": (-1, lambda a, b: dtw(a, b, "distance_times_time")),
+        "frechet": (-1, frechet_discrete),
+    }[scenario.metric]
+    out = []
+    for request, cands in zip(requests, _candidate_indices(requests, rides, scenario)):
+        ranked = sorted((-sign * score(od_rep(request, ctx), od_rep(rides[j], ctx)), rides[j].id)
+                        for j in cands)
+        out.append((ranked[0][1], -sign * ranked[0][0]) if ranked else (None, 0.0))
+    return out
 
 
 def published_car_report() -> MatchReport:
@@ -259,6 +298,20 @@ class TestGreedyMatch:
         report = greedy_match([req], [twin_b, twin_a], MatchScenario())
         assert report.rows[0].ride_id == "a"
 
+    @settings(max_examples=300, deadline=None)
+    @given(filter_cases(), st.sampled_from(METRIC_NAMES), st.permutations(range(12)),
+           st.sampled_from([(0.6, 0.4), (0.1, 0.9), (1.0, 0.0)]))
+    def test_equals_exhaustive_choice(self, case, metric, ids, weights):
+        requests, rides, scenario = case
+        # ids out of index order, so the tie-break must read the id itself; the
+        # anchor is no request's candidate and gives the scale box its extent
+        rides = [Trip.from_xyt(f"ride-{ids[j]:02d}", t.xyt()) for j, t in enumerate(rides)]
+        rides.append(straight_trip("anchor", (0, 0), (20_000, 20_000), 0, 20_000))
+        scenario = dataclasses.replace(scenario, metric=metric, weights=WgmWeights(*weights))
+        report = greedy_match(requests, rides, scenario)
+        assert [(r.ride_id, r.score) for r in report.rows] == \
+            exhaustive_choice(requests, rides, scenario)
+
     def test_carpool_uses_cp_score(self):
         req = straight_trip("r", (1000, 1000), (5000, 5000), 400, 600)
         ride = straight_trip("s", (1200, 1000), (5200, 5000), 300, 700)
@@ -341,15 +394,6 @@ class TestCompareMetrics:
         matched_dtw = [r.ride_id is not None for r in reports["dtw"].rows]
         matched_lcss = [r.ride_id is not None for r in reports["lcss"].rows]
         assert matched_dtw == matched_lcss
-
-    def test_greedy_agrees_with_compare_driver(self):
-        requests, rides = rider_ride_population(seed=43, n_requests=8, n_rides=25,
-                                                waypoints=60)
-        for metric in ("dtw", "lcss", "frechet"):
-            scen = MatchScenario(metric=metric)
-            direct = greedy_match(requests, rides, scen, rep_len=50)
-            driver = compare_metrics(requests, rides, [metric], scen)[metric]
-            assert [r.ride_id for r in direct.rows] == [r.ride_id for r in driver.rows]
 
     def test_scenario_validation(self):
         with pytest.raises(ValueError, match="mode"):

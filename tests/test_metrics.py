@@ -21,9 +21,7 @@ from tripmatch.metrics import (
     PointRole,
     TimeMode,
     WgmWeights,
-    car_feasible,
     car_score,
-    cp_feasible,
     cp_score,
     dtw,
     frechet_discrete,
@@ -35,6 +33,21 @@ from tripmatch.metrics import (
 )
 
 W = WgmWeights(0.6, 0.4)
+
+#: Points of up to three scaled units per axis, and weight pairs that may
+#: zero one term but not both.
+POINTS = st.tuples(*[st.floats(0.0, 3.0)] * 3)
+WEIGHTS = st.tuples(*[st.one_of(st.just(0.0), st.floats(1e-3, 5.0))] * 2).filter(any)
+
+
+def car_feasible(rider: np.ndarray, ride: np.ndarray) -> bool:
+    """True when the ride starts at/after the rider and ends at/before it."""
+    return bool(ride[0][2] >= rider[0][2] and ride[-1][2] <= rider[-1][2])
+
+
+def cp_feasible(a: np.ndarray, b: np.ndarray) -> bool:
+    """Transpose of car_feasible: b's window must contain a's."""
+    return car_feasible(b, a)
 
 
 def random_seq(rng, n):
@@ -111,14 +124,13 @@ class TestPsim:
         assert math.isclose(got, 0.5 ** 0.6, rel_tol=1e-12)
         assert math.isclose(got, 0.6597539553864471, rel_tol=1e-12)
 
-    def test_weight_scaling_invariance(self):
-        rng = np.random.default_rng(0)
-        for _ in range(200):
-            p, q = rng.random(3), rng.random(3)
-            w1, w2, c = rng.uniform(0.01, 5, 3)
-            a = psim(p, q, WgmWeights(w1, w2))
-            b = psim(p, q, WgmWeights(c * w1, c * w2))
-            assert math.isclose(a, b, rel_tol=1e-12)
+    @settings(max_examples=300, deadline=None)
+    @given(POINTS, POINTS, WEIGHTS, st.floats(1e-3, 1e3), st.sampled_from(TimeMode),
+           st.sampled_from(PointRole))
+    def test_weight_scaling_invariance(self, p, q, w, c, mode, role):
+        a = psim(p, q, WgmWeights(*w), mode, role)
+        b = psim(p, q, WgmWeights(c * w[0], c * w[1]), mode, role)
+        assert math.isclose(a, b, rel_tol=1e-12)
 
     def test_symmetric_in_absolute_mode(self):
         rng = np.random.default_rng(1)
@@ -132,12 +144,10 @@ class TestPsim:
         scores_t = [psim((0, 0, 0), (0.1, 0, t), W) for t in np.linspace(0, 2, 20)]
         assert scores_t == sorted(scores_t, reverse=True)
 
-    def test_in_unit_interval(self):
-        rng = np.random.default_rng(2)
-        for _ in range(200):
-            p, q = rng.random(3) * 3, rng.random(3) * 3
-            s = psim(p, q, W)
-            assert 0.0 < s <= 1.0
+    @settings(max_examples=300, deadline=None)
+    @given(POINTS, POINTS, WEIGHTS, st.sampled_from(TimeMode), st.sampled_from(PointRole))
+    def test_in_unit_interval(self, p, q, w, mode, role):
+        assert 0.0 < psim(p, q, WgmWeights(*w), mode, role) <= 1.0
 
     def test_signed_car_roles(self):
         early, late = (0, 0, 0.2), (0, 0, 0.5)
@@ -433,5 +443,3 @@ class TestWeights:
     def test_params_validation(self):
         with pytest.raises(ValueError):
             MetricParams(0.0, 1.0)
-        with pytest.raises(ValueError):
-            MetricParams(1.0, 1.0, "nope")

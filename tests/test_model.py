@@ -12,8 +12,6 @@ from tripmatch.model import (
     ScaleContext,
     Trip,
     Waypoint,
-    extract_od,
-    od_displacement,
     od_rep,
     od_reps,
     path_length,
@@ -33,6 +31,17 @@ def scale_point(w: Waypoint, ctx: ScaleContext) -> tuple[float, float, float]:
 
 def point_trip(*points: tuple[float, float, float]) -> Trip:
     return make_trip("p", list(points))
+
+
+def extract_od(trip: Trip) -> tuple[Waypoint, Waypoint]:
+    """Origin/destination endpoints: the first and last waypoints of the trip."""
+    return trip.origin, trip.destination
+
+
+def od_displacement(trip: Trip) -> float:
+    """Straight-line origin-to-destination distance in meters."""
+    o, d = extract_od(trip)
+    return spatial_distance(o, d)
 
 
 class TestWaypoint:
@@ -125,14 +134,13 @@ class TestScaling:
     def test_corners_and_midpoint(self, ctx):
         rep = od_rep(point_trip((0, 0, 0), (5000, 5000, 1800), (10_000, 10_000, 3600)), ctx)
         assert rep.tolist() == [[0.0, 0.0, 0.0], [1.0, 1.0, 1.0]]
-        mid, _ = scale_trip(point_trip((5000, 5000, 1800)), ctx)
+        mid = scale_trip(point_trip((5000, 5000, 1800)), ctx)
         assert mid.tolist() == [[0.5, 0.5, 0.5]]
 
     def test_round_trip(self, ctx):
         rng = np.random.default_rng(1)
         raw = np.column_stack([np.sort(rng.uniform(0, b, 200)) for b in (10_000, 10_000, 3600)])
-        scaled, clamped = scale_trip(make_trip("t", [tuple(r) for r in raw]), ctx)
-        assert clamped == 0
+        scaled = scale_trip(make_trip("t", [tuple(r) for r in raw]), ctx)
         back = scaled * [ctx.x_span, ctx.y_span, ctx.t_span] + [ctx.x_min, ctx.y_min, ctx.t_min]
         np.testing.assert_allclose(back, raw, rtol=1e-9, atol=1e-9)
 
@@ -142,9 +150,11 @@ class TestScaling:
 
     def test_scale_trip_counts_clamped(self, ctx):
         trip = make_trip("t", [(100, 100, 0.0), (20_000, 100, 10.0), (100, 100, 99_999.0)])
-        arr, clamped = scale_trip(trip, ctx)
-        assert arr.shape == (3, 3)
-        assert clamped == 2
+        arr = scale_trip(trip, ctx)
+        assert arr.tolist() == [list(scale_point(w, ctx)) for w in trip.waypoints]
+        unclamped = (trip.xyt() - [ctx.x_min, ctx.y_min, ctx.t_min]) / [
+            ctx.x_span, ctx.y_span, ctx.t_span]
+        assert int((arr != unclamped).any(axis=1).sum()) == 2
         assert arr.min() >= 0.0 and arr.max() <= 1.0
 
     def test_strictly_monotone_inside_bounds(self, ctx):
@@ -169,8 +179,7 @@ class TestScaling:
         expected = [[scale_point(t.origin, ctx), scale_point(t.destination, ctx)] for t in trips]
         assert reps.tolist() == [[list(p) for p in pair] for pair in expected]
         for trip, rep in zip(trips, reps):
-            scaled, _ = scale_trip(trip, ctx)
-            assert np.array_equal(rep, scaled[[0, -1]])
+            assert np.array_equal(rep, scale_trip(trip, ctx)[[0, -1]])
 
     def test_degenerate_context_rejected(self):
         with pytest.raises(ValueError, match="span"):

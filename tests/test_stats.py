@@ -179,42 +179,42 @@ class TestGrids:
     def test_single_trip_single_cell(self):
         trips = [make_trip("a", [(10, 10, 0.0), (12, 12, 5.0)])]
         grid = grid_unique_counts(trips, self.BOX, 4, 4)
-        assert grid.values[0, 0] == 1
-        assert grid.values.sum() == 1
+        assert grid[0, 0] == 1
+        assert grid.sum() == 1
 
     def test_revisit_counts_once(self):
         # visits cell A, then B, then A again
         trips = [make_trip("a", [(10, 10, 0.0), (90, 10, 5.0), (10, 10, 9.0)])]
         grid = grid_unique_counts(trips, self.BOX, 2, 2)
-        assert grid.values[0, 0] == 1
-        assert grid.values[0, 1] == 1
+        assert grid[0, 0] == 1
+        assert grid[0, 1] == 1
 
     def test_three_trips_through_one_cell(self):
         trips = [make_trip(n, [(20, 20, 0.0), (30, 30, 5.0)]) for n in "abc"]
         grid = grid_unique_counts(trips, self.BOX, 2, 2)
-        assert grid.values[0, 0] == 3
+        assert grid[0, 0] == 3
 
     def test_covers_all_trips(self, synth_trips):
         box = ScaleContext.from_trips(synth_trips)
         grid = grid_unique_counts(synth_trips, box, 5, 5)
-        assert grid.values.sum() >= len(synth_trips)
+        assert grid.sum() >= len(synth_trips)
 
     def test_duration_quartiles_single_trip(self):
         trips = [make_trip("a", [(10, 10, 0.0), (80, 80, 100.0)])]
         grid = grid_duration_stats(trips, self.BOX, 2, 2)
-        assert list(grid.values[0, 0]) == [100.0] * 5
+        assert list(grid[0, 0]) == [100.0] * 5
 
     def test_empty_cells_flagged(self):
         trips = [make_trip("a", [(10, 10, 0.0), (12, 12, 100.0)])]
         grid = grid_duration_stats(trips, self.BOX, 2, 2)
-        assert np.isnan(grid.values[1, 1]).all()
+        assert np.isnan(grid[1, 1]).all()
 
     def test_median_of_three(self):
         trips = [make_trip(str(i), [(10, 10, 0.0), (12, 12, d)])
                  for i, d in enumerate([10.0, 20.0, 30.0])]
         grid = grid_duration_stats(trips, self.BOX, 2, 2)
-        assert grid.values[0, 0][2] == 20.0
-        assert list(grid.values[0, 0]) == [10.0, 15.0, 20.0, 25.0, 30.0]
+        assert grid[0, 0][2] == 20.0
+        assert list(grid[0, 0]) == [10.0, 15.0, 20.0, 25.0, 30.0]
 
 
 # -- the grids against their per-waypoint predecessors ----------------------
@@ -256,8 +256,8 @@ class TestGridsMatchScalarOracle:
         box = TestGrids.BOX
         trips = [make_trip(f"t{i}", sorted(pts, key=lambda p: p[2]))
                  for i, pts in enumerate(trips)]
-        unique = grid_unique_counts(trips, box, rows, cols).values
+        unique = grid_unique_counts(trips, box, rows, cols)
         assert np.array_equal(unique, scalar_unique_counts(trips, box, rows, cols))
-        quart = grid_duration_stats(trips, box, rows, cols).values
+        quart = grid_duration_stats(trips, box, rows, cols)
         expected = scalar_duration_stats(trips, box, rows, cols)
         assert quart.tobytes() == expected.tobytes()
