@@ -17,7 +17,7 @@ import json
 import os
 import sys
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -36,7 +36,7 @@ class ReplayMismatchError(ValueError):
 # ---------------------------------------------------------------------------
 # small io helpers
 
-def _write_csv(path: Path, header: Sequence[str], rows: Sequence[Sequence[object]]) -> None:
+def _write_csv(path: Path, header: Sequence[str], rows: Iterable[Sequence[object]]) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
@@ -241,25 +241,22 @@ def cmd_stats(cfg: dict, outdir: Path) -> dict:
     }
 
 
-#: The time mode each affinity scorer runs the WGM kernel under.
-_SCORER_MODES = {
-    "wgm": metrics.TimeMode.ABSOLUTE,
-    "car": metrics.TimeMode.SIGNED_CAR,
-    "cp": metrics.TimeMode.SIGNED_CP,
-}
-
-
 def _od_reps(trips: list[model.Trip]) -> np.ndarray:
     """Stacked scaled OD representations, shape (n, 2, 3)."""
     return model.od_reps(trips, model.ScaleContext.from_trips(trips))
 
 
 def _affinity(cfg: dict, reps: np.ndarray) -> np.ndarray:
-    """Score matrix A[i, j] = scorer(reps[i], reps[j]) in one kernel call."""
+    """Score matrix A[i, j] = scorer(reps[i], reps[j]) in one kernel call.
+
+    The cp scorer is car with the trips swapped, so its matrix is the car
+    matrix transposed.
+    """
     if len(reps) < 2:
         raise ValueError("affinity needs at least two trips")
-    return metrics.wgm_batch(reps[:, None], reps[None, :], _weights(cfg),
-                             _SCORER_MODES[cfg["scorer"]])
+    mode = metrics.TimeMode.ABSOLUTE if cfg["scorer"] == "wgm" else metrics.TimeMode.SIGNED_CAR
+    values = metrics.wgm_batch(reps[:, None], reps[None, :], _weights(cfg), mode)
+    return np.ascontiguousarray(values.T) if cfg["scorer"] == "cp" else values
 
 
 def cmd_affinity(cfg: dict, outdir: Path) -> dict:
@@ -267,32 +264,34 @@ def cmd_affinity(cfg: dict, outdir: Path) -> dict:
         raise ValueError("--trips is required")
     trips = _load_trips(cfg["trips"])
     values = _affinity(cfg, _od_reps(trips))
-    _, _, ratio = affinity.sym_decompose(values)
+    ratio = affinity.sym_decompose(values)[2]
     ids = [t.id for t in trips]
-    n = len(ids)
     _write_csv(outdir / "affinity.csv", ["i", "j", "score"],
-               [[ids[i], ids[j], f"{values[i, j]:.6f}"]
-                for i in range(n) for j in range(n)])
-    return {"n": n, "scorer": cfg["scorer"], "symmetric_ratio": round(ratio, 6)}
+               ([a, b, f"{score:.6f}"]
+                for a, row in zip(ids, values) for b, score in zip(ids, row.tolist())))
+    return {"n": len(ids), "scorer": cfg["scorer"], "symmetric_ratio": round(ratio, 6)}
 
 
 def cmd_cluster(cfg: dict, outdir: Path) -> dict:
     if not cfg.get("trips"):
         raise ValueError("--trips is required")
     trips = _load_trips(cfg["trips"])
+    if len(trips) < 3:
+        raise ValueError(f"cluster needs at least 3 trips for its 2-D embeddings, got {len(trips)}")
     reps = _od_reps(trips)
-    sym, _, ratio = affinity.sym_decompose(_affinity(cfg, reps))
+    sym, ratio = affinity.sym_decompose(_affinity(cfg, reps))[::2]
     if cfg.get("kernel_gamma") is not None:
         sym = metrics.laplacian_kernel(sym, cfg["kernel_gamma"])
     labels = affinity.spectral_cluster(sym, cfg["k"], cfg["seed"])
+    coords_pca, explained = affinity.pca_2d(reps.reshape(len(reps), -1))
+    # the affinity is not needed past here, so its buffer becomes the distances
+    coords_mds = affinity.mds_2d(np.subtract(1.0, sym, out=sym))
+
     ids = [t.id for t in trips]
     _write_csv(outdir / "labels.csv", ["trip_id", "cluster"],
                [[i, int(c)] for i, c in zip(ids, labels)])
-
-    coords_pca, explained = affinity.pca_2d(reps.reshape(len(reps), -1))
     _write_csv(outdir / "coords_pca.csv", ["trip_id", "x", "y"],
                [[i, f"{x:.6f}", f"{y:.6f}"] for i, (x, y) in zip(ids, coords_pca)])
-    coords_mds = affinity.mds_2d(1.0 - sym)
     _write_csv(outdir / "coords_mds.csv", ["trip_id", "x", "y"],
                [[i, f"{x:.6f}", f"{y:.6f}"] for i, (x, y) in zip(ids, coords_mds)])
 
@@ -355,25 +354,25 @@ def cmd_compare(cfg: dict, outdir: Path) -> dict:
     names = [m.strip() for m in cfg["metrics"].split(",") if m.strip()]
     if not names:
         raise ValueError("--metrics must name at least one metric")
-    reports = matching.compare_metrics(requests, rides, names, scenario, cfg["rep_len"])
-    tables = {name: rep.to_table_dict() for name, rep in reports.items()}
+    sweep = _parse_floats(cfg["wt_sweep"]) if cfg.get("wt_sweep") else []
+    scenarios = [dataclasses.replace(scenario, metric=name) for name in names]
+    scenarios += [dataclasses.replace(scenario, metric="wgm",
+                                      weights=metrics.WgmWeights(1.0 - wt, wt))
+                  for wt in sweep]
+    reports = matching.compare_metrics(requests, rides, scenarios, cfg["rep_len"])
+    tables = {name: rep.to_table_dict() for name, rep in zip(names, reports)}
     _write_json(outdir / "report.json", tables)
     field_names = list(next(iter(tables.values())).keys())
     _write_csv(outdir / "comparison.csv", ["field"] + names,
                [[field] + [tables[name][field] for name in names] for field in field_names])
 
-    if cfg.get("wt_sweep"):
-        sweep_rows = []
-        for wt in _parse_floats(cfg["wt_sweep"]):
-            swept = dataclasses.replace(scenario, weights=metrics.WgmWeights(1.0 - wt, wt))
-            rep = matching.compare_metrics(requests, rides, ["wgm"], swept, cfg["rep_len"])["wgm"]
-            sweep_rows.append([f"{wt:.3f}", f"{rep.oo_dist_km:.3f}", f"{rep.dd_dist_km:.3f}",
-                               _sec(rep.oo_time_s), _sec(rep.dd_time_s)])
+    if sweep:
         _write_csv(outdir / "wt_sweep.csv",
                    ["w_time", "oo_dist_km", "dd_dist_km", "oo_time_s", "dd_time_s"],
-                   sweep_rows)
-    return {"metrics": names, "n_requests": len(requests),
-            "n_matched": next(iter(reports.values())).n_matched}
+                   [[f"{wt:.3f}", f"{rep.oo_dist_km:.3f}", f"{rep.dd_dist_km:.3f}",
+                     _sec(rep.oo_time_s), _sec(rep.dd_time_s)]
+                    for wt, rep in zip(sweep, reports[len(names):])])
+    return {"metrics": names, "n_requests": len(requests), "n_matched": reports[0].n_matched}
 
 
 def cmd_carshare(cfg: dict, outdir: Path) -> dict:

@@ -154,10 +154,14 @@ def _candidate_indices(
 
 
 def _metric_fn(
-    name: str, scenario: MatchScenario, ctx: ScaleContext
+    scenario: MatchScenario, ctx: ScaleContext
 ) -> tuple[str, Callable[[np.ndarray, np.ndarray], float]]:
-    """Resolve a metric name to ("similarity" | "distance", pair scorer)."""
-    pair_score = metrics.car_score if scenario.mode == "car" else metrics.cp_score
+    """Resolve the scenario's metric to ("similarity" | "distance", pair scorer).
+
+    Carpool scores a request against a ride as car_score(ride, request).
+    """
+    name, car = scenario.metric, metrics.car_score
+    pair_score = car if scenario.mode == "car" else lambda a, b, w: car(b, a, w)
     if name == "wgm":
         return "similarity", lambda a, b: pair_score(a, b, scenario.weights)
     if name == "wgm_time":
@@ -263,7 +267,7 @@ def greedy_match(
     endpoints.
     """
     ctx = ScaleContext.from_trips(list(requests) + list(rides))
-    kind, score = _metric_fn(scenario.metric, scenario, ctx)
+    kind, score = _metric_fn(scenario, ctx)
     candidates = _candidate_indices(requests, rides, scenario)
     rows = _build_rows(requests, rides, candidates, od_reps(requests, ctx), od_reps(rides, ctx),
                        kind, score)
@@ -331,17 +335,19 @@ def match_counts_curve(
 def compare_metrics(
     requests: Sequence[Trip],
     rides: Sequence[Trip],
-    metric_names: Sequence[str],
-    scenario: MatchScenario,
+    scenarios: Sequence[MatchScenario],
     rep_len: int = 50,
-) -> dict[str, MatchReport]:
-    """Run the same matching scenario under several metrics.
+) -> list[MatchReport]:
+    """One matching report per scenario, in order, all on the same candidates.
 
-    Candidate filtering is metric-independent and computed once, so every
-    report shares the request-side aggregates; only the argmax/argmin
-    criterion changes. All trips must yield a full rep_len-waypoint
-    representation so the aligned-sequence metrics stay comparable.
+    The scenarios may differ in metric and weights but must share mode and
+    thresholds, so candidates and representations are computed once and
+    every report shares the request-side aggregates. All trips must yield a
+    full rep_len-waypoint representation so the aligned-sequence metrics
+    stay comparable.
     """
+    if len({(s.mode, s.dist_threshold, s.time_threshold) for s in scenarios}) != 1:
+        raise ValueError("compare needs one or more scenarios that share mode and thresholds")
     ctx = ScaleContext.from_trips(list(requests) + list(rides))
     reps_req = [sampled_rep(t, ctx, rep_len) for t in requests]
     reps_ride = [sampled_rep(t, ctx, rep_len) for t in rides]
@@ -350,11 +356,11 @@ def compare_metrics(
             raise ValueError(
                 f"trip {trip.id!r} has only {len(rep)} waypoints; need {rep_len}"
             )
-    candidates = _candidate_indices(requests, rides, scenario)
+    candidates = _candidate_indices(requests, rides, scenarios[0])
     req_len = [path_length(t) for t in requests]
-    reports = {}
-    for name in metric_names:
-        kind, score = _metric_fn(name, scenario, ctx)
+    reports = []
+    for scenario in scenarios:
+        kind, score = _metric_fn(scenario, ctx)
         rows = _build_rows(requests, rides, candidates, reps_req, reps_ride, kind, score)
-        reports[name] = _build_report(req_len, rides, rows, scenario.mode, name)
+        reports.append(_build_report(req_len, rides, rows, scenario.mode, scenario.metric))
     return reports

@@ -22,13 +22,12 @@ class TimeMode(Enum):
 
     ABSOLUTE uses |t1 - t2| everywhere. SIGNED_CAR takes t2 - t1 at
     origins and t1 - t2 at destinations, so a second trip nested inside
-    the first trip's time window scores high. SIGNED_CP is its transpose
-    (the signed roles swapped). Interior points always use |t1 - t2|.
+    the first trip's time window scores high; swapping the two trips swaps
+    the signed roles. Interior points always use |t1 - t2|.
     """
 
     ABSOLUTE = "absolute"
     SIGNED_CAR = "signed_car"
-    SIGNED_CP = "signed_cp"
 
 
 class PointRole(Enum):
@@ -90,9 +89,7 @@ def _time_term(t1: float, t2: float, mode: TimeMode, role: PointRole) -> float:
     """Signed or absolute time difference; may be negative under signed modes."""
     if mode is TimeMode.ABSOLUTE or role is PointRole.INTERIOR:
         return abs(t1 - t2)
-    if mode is TimeMode.SIGNED_CAR:
-        return t2 - t1 if role is PointRole.ORIGIN else t1 - t2
-    return t1 - t2 if role is PointRole.ORIGIN else t2 - t1
+    return t2 - t1 if role is PointRole.ORIGIN else t1 - t2
 
 
 def psim(
@@ -154,9 +151,6 @@ def wgm_sim(
 #: so a 10k x 10k score matrix never builds an (n, n, k) array.
 TILE_POINTS = 1 << 18
 
-#: Signs of t1 - t2 at the (origin, destination) under the signed modes.
-_ROLE_SIGNS = {TimeMode.SIGNED_CAR: (-1.0, 1.0), TimeMode.SIGNED_CP: (1.0, -1.0)}
-
 
 def wgm_batch(
     a: np.ndarray,
@@ -199,11 +193,10 @@ def _wgm_tile(a: np.ndarray, b: np.ndarray, w: WgmWeights, mode: TimeMode) -> np
     d = np.hypot(a[..., 0] - b[..., 0], a[..., 1] - b[..., 1])
     dt = a[..., 2] - b[..., 2]
     tau = np.abs(dt)
-    if mode is not TimeMode.ABSOLUTE:
-        origin, destination = _ROLE_SIGNS[mode]
-        tau[..., 0] = origin * dt[..., 0]
+    if mode is TimeMode.SIGNED_CAR:
+        tau[..., 0] = -dt[..., 0]
         if tau.shape[-1] > 1:
-            tau[..., -1] = destination * dt[..., -1]
+            tau[..., -1] = dt[..., -1]
         np.maximum(tau, 0.0, out=tau)
     sim = np.exp(
         (w.w_space * np.log(1.0 / (1.0 + d)) + w.w_time * np.log(1.0 / (1.0 + tau)))
@@ -220,19 +213,10 @@ def car_score(rider: np.ndarray, ride: np.ndarray, w: WgmWeights = DEFAULT_WEIGH
     """Catch-a-ride score: how well `ride` fits inside `rider`'s window.
 
     Signed time terms reward rides that start after the rider starts and
-    end before the rider ends.
+    end before the rider ends. The carpool score of a request a and a
+    driver b is car_score(b, a): high when a's window nests inside b's.
     """
     return wgm_sim(rider, ride, w, TimeMode.SIGNED_CAR)
-
-
-def cp_score(a: np.ndarray, b: np.ndarray, w: WgmWeights = DEFAULT_WEIGHTS) -> float:
-    """Carpool score, the transpose of the catch-a-ride score.
-
-    cp_score(a, b) == car_score(b, a): high when a's window nests inside
-    b's, i.e. the driver b can pick up and drop off a and still arrive
-    at its own destination on time.
-    """
-    return car_score(b, a, w)
 
 
 def lcss(t1: np.ndarray, t2: np.ndarray, params: MetricParams) -> int:

@@ -163,13 +163,14 @@ class ScaleContext:
 
     @classmethod
     def from_trips(cls, trips: Iterable[Trip]) -> "ScaleContext":
-        """Tight bounds over every waypoint of the given trips."""
+        """Tight bounds over every waypoint; an axis with one value gets a unit span."""
         points = [trip.xyt() for trip in trips]
         if not points:
             raise ValueError("cannot derive scale context from an empty trip set")
         stacked = np.concatenate(points)
+        lo, hi = stacked.min(axis=0), stacked.max(axis=0)
         (x_min, y_min, t_min), (x_max, y_max, t_max) = (
-            stacked.min(axis=0).tolist(), stacked.max(axis=0).tolist())
+            lo.tolist(), np.where(hi > lo, hi, lo + 1.0).tolist())
         return cls(x_min, x_max, y_min, y_max, t_min, t_max)
 
 

@@ -6,10 +6,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from tripmatch import metrics
 from tripmatch.affinity import (
     DegenerateInputError,
+    _fix_sign,
     build_affinity,
     kmeans,
     mds_2d,
@@ -147,7 +151,37 @@ class TestSymDecompose:
             sym_decompose(np.zeros((2, 3)))
 
 
+def laplacian_labels(s: np.ndarray, k: int, seed: int) -> np.ndarray:
+    """Spectral clustering by the textbook formula: bottom k of L = I - D^-1/2 S D^-1/2."""
+    inv_sqrt = 1.0 / np.sqrt(s.sum(axis=1))
+    lap = np.eye(len(s)) - inv_sqrt[:, None] * s * inv_sqrt[None, :]
+    eigvals, eigvecs = np.linalg.eigh((lap + lap.T) / 2.0)
+    embedding = eigvecs[:, np.argsort(eigvals)[:k]]
+    return kmeans(embedding / np.linalg.norm(embedding, axis=1, keepdims=True), k, seed)
+
+
+@st.composite
+def planted_affinities(draw):
+    """Gaussian affinities of 2-4 jittered groups 20 units apart, plus a uniform floor."""
+    sizes = draw(st.lists(st.integers(3, 8), min_size=2, max_size=4))
+    jitter = draw(arrays(float, (sum(sizes), 2), elements=st.floats(-1.0, 1.0)))
+    centers = np.repeat(20.0 * np.arange(len(sizes)), sizes)
+    pts = jitter + np.column_stack([centers, np.zeros_like(centers)])
+    s = np.exp(-((pts[:, None, :] - pts[None, :, :]) ** 2).sum(-1) / 8.0)
+    s += draw(st.sampled_from([0.0, 1e-3, 0.05]))
+    return s, np.repeat(np.arange(len(sizes)), sizes)
+
+
 class TestSpectralCluster:
+    @settings(max_examples=60, deadline=None)
+    @given(planted_affinities(), st.integers(0, 2**16))
+    def test_matches_laplacian_formula(self, case, seed):
+        s, truth = case
+        k = int(truth.max()) + 1
+        labels = spectral_cluster(s, k, seed)
+        assert adjusted_rand_index(labels, laplacian_labels(s, k, seed)) == 1.0
+        assert adjusted_rand_index(labels, truth) == 1.0
+
     def test_block_diagonal_two_blocks(self):
         s = np.eye(6) * 0.0
         s[:3, :3] = 1.0
@@ -254,7 +288,32 @@ class TestPca2d:
             pca_2d(np.zeros((2, 3)))
 
 
+def torgerson_b(d: np.ndarray) -> np.ndarray:
+    """B = -1/2 J (D*D) J with the centring matrix J = I - 11^T/n."""
+    n = len(d)
+    j = np.eye(n) - np.full((n, n), 1.0 / n)
+    return -0.5 * j @ (d * d) @ j
+
+
 class TestMds2d:
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(2, 12).flatmap(
+        lambda n: arrays(float, (n, 2), elements=st.floats(0.0, 10.0))))
+    def test_matches_centring_matrix_formula(self, pts):
+        d = np.linalg.norm(pts[:, None, :] - pts[None, :, :], axis=2)
+        coords = mds_2d(d)
+        b = torgerson_b(d)
+        tol = 1e-9 * max(1.0, np.abs(b).max())
+        # planar points: B has rank 2, so the embedding's Gram matrix is B itself
+        np.testing.assert_allclose(coords @ coords.T, b, rtol=0, atol=tol)
+        eigvals, eigvecs = np.linalg.eigh((b + b.T) / 2.0)
+        top, second = eigvals[-1], eigvals[-2]
+        if second > 1e-3 * top and top - second > 1e-3 * top:
+            for axis, idx in enumerate((-1, -2)):
+                want = _fix_sign(eigvecs[:, idx]) * np.sqrt(eigvals[idx])
+                got = coords[:, axis]
+                assert min(np.abs(got - want).max(), np.abs(got + want).max()) <= tol
+
     def test_equilateral_triangle(self):
         d = np.array([[0, 1, 1], [1, 0, 1], [1, 1, 0]], dtype=float)
         coords = mds_2d(d)

@@ -7,7 +7,9 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
@@ -124,6 +126,17 @@ class TestStats:
         assert code == 1 and summary["category"] == "degenerate-fit"
 
 
+def cp_score(a, b, w):
+    """The carpool score of request a and driver b."""
+    return metrics.car_score(b, a, w)
+
+
+#: One request and one ride on the line x = 1000, the ride inside the
+#: request's window: every point shares its x value.
+ONE_X = ('{"id":"r","points":[[100.0,1000.0,1000.0],[1000.0,1000.0,5000.0]]}\n',
+         '{"id":"s","points":[[200.0,1000.0,1300.0],[900.0,1000.0,5200.0]]}\n')
+
+
 class TestAffinityAndCluster:
     def test_affinity_symmetry_ratio(self, trips_file, tmp_path, capsys):
         out = tmp_path / "aff"
@@ -134,7 +147,7 @@ class TestAffinityAndCluster:
         assert (out / "affinity.csv").exists()
 
     @pytest.mark.parametrize("scorer, pair", [
-        ("wgm", metrics.wgm_sim), ("car", metrics.car_score), ("cp", metrics.cp_score)])
+        ("wgm", metrics.wgm_sim), ("car", metrics.car_score), ("cp", cp_score)])
     def test_affinity_matches_scalar_scorer(self, scorer, pair, trips_file, tmp_path, capsys):
         out = tmp_path / "aff"
         code, _ = run(capsys, "affinity", "--trips", str(trips_file), "--scorer", scorer,
@@ -148,6 +161,36 @@ class TestAffinityAndCluster:
         with open(out / "affinity.csv", newline="") as fh:
             got = [float(row["score"]) for row in csv.DictReader(fh)]
         assert got == pytest.approx(oracle.values.reshape(-1).tolist(), rel=0, abs=1e-6)
+
+    def test_cp_file_is_the_transposed_car_file(self, trips_file, tmp_path, capsys):
+        files = {}
+        for scorer in ("car", "cp"):
+            code, _ = run(capsys, "affinity", "--trips", str(trips_file), "--scorer", scorer,
+                          "--out", str(tmp_path / scorer))
+            assert code == 0
+            with open(tmp_path / scorer / "affinity.csv", newline="") as fh:
+                files[scorer] = list(csv.reader(fh))
+        car = {(i, j): score for i, j, score in files["car"][1:]}
+        assert files["cp"][0] == files["car"][0]
+        assert files["cp"][1:] == [[i, j, car[j, i]] for i, j, _ in files["car"][1:]]
+
+    def test_affinity_builds_no_list_of_rows(self, tmp_path, capsys):
+        n = 300
+        code, _ = run(capsys, "synth", "--n", str(n), "--out", str(tmp_path / "synth"))
+        assert code == 0
+        # small kernel tiles, so the n x n score matrices dominate what is traced
+        with mock.patch.object(metrics, "TILE_POINTS", 1 << 12):
+            tracemalloc.start()
+            try:
+                code, _ = run(capsys, "affinity", "--trips", str(tmp_path / "synth/trips.jsonl"),
+                              "--out", str(tmp_path / "aff"))
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert code == 0
+        # the matrix, its symmetric and anti-symmetric parts and a temporary,
+        # with room to spare; the n^2 CSV rows as lists took about 20 matrices
+        assert peak < 8 * (8 * n * n)
 
     def test_cluster_outputs(self, trips_file, tmp_path, capsys):
         out = tmp_path / "clus"
@@ -170,6 +213,16 @@ class TestAffinityAndCluster:
         assert 0.0 < summary["symmetric_ratio"] <= 1.0
         labels = (out / "labels.csv").read_text().splitlines()[1:]
         assert {int(line.split(",")[1]) for line in labels} <= {0, 1}
+
+    def test_cluster_on_two_trips_writes_nothing(self, tmp_path, capsys):
+        trips = tmp_path / "two.jsonl"
+        trips.write_text("".join(ONE_X))
+        out = tmp_path / "clus"
+        code, summary = run(capsys, "cluster", "--trips", str(trips), "--k", "2",
+                            "--out", str(out))
+        assert code == 1 and summary["category"] == "invalid-argument"
+        assert "at least 3 trips" in summary["message"] and "got 2" in summary["message"]
+        assert list(out.iterdir()) == []
 
     @pytest.mark.parametrize("gamma", ["-2", "0"])
     def test_nonpositive_kernel_gamma_rejected(self, gamma, trips_file, tmp_path, capsys):
@@ -216,6 +269,22 @@ class TestMatch:
         assert summary["n_matched"] == 0
         report = json.loads((out2 / "report.json").read_text())
         assert report["# req with at least a match"] == 0
+
+    @pytest.mark.parametrize("mode", ["car", "carpool"])
+    def test_population_on_one_line_matches(self, mode, tmp_path, capsys):
+        request, ride = tmp_path / "req.jsonl", tmp_path / "ride.jsonl"
+        if mode == "car":
+            request.write_text(ONE_X[0])
+            ride.write_text(ONE_X[1])
+        else:
+            request.write_text(ONE_X[1])
+            ride.write_text(ONE_X[0])
+        out = tmp_path / "m"
+        code, summary = run(capsys, "match", "--requests", str(request), "--rides", str(ride),
+                            "--mode", mode, "--out", str(out))
+        assert code == 0 and summary["n_matched"] == 1
+        assert (out / "matches.csv").read_text().splitlines()[1].startswith(
+            "s,r," if mode == "carpool" else "r,s,")
 
     def test_sweep_curve(self, trips_file, tmp_path, capsys):
         out = tmp_path / "curve"
@@ -313,6 +382,14 @@ class TestCarshare:
         assert schedule["cardinality"] == 2
         chains = (out / "chains.csv").read_text().splitlines()
         assert chains[1:] == ["0,0,a", "0,1,b", "0,2,c"]
+
+    def test_one_trip_on_one_line(self, tmp_path, capsys):
+        trips = tmp_path / "one.jsonl"
+        trips.write_text(ONE_X[0])
+        code, summary = run(capsys, "carshare", "--trips", str(trips),
+                            "--out", str(tmp_path / "cs"))
+        assert code == 0
+        assert summary["n_cars"] == 1 and summary["n_edges"] == 0
 
     def test_identity_on_synth(self, trips_file, tmp_path, capsys):
         out = tmp_path / "cs2"

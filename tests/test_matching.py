@@ -26,7 +26,6 @@ from tripmatch.metrics import (
     MetricParams,
     WgmWeights,
     car_score,
-    cp_score,
     dtw,
     frechet_discrete,
     lcss,
@@ -105,7 +104,7 @@ def exhaustive_choice(requests: list[Trip], rides: list[Trip], scenario: MatchSc
     lowest ride id. A request without candidates gets (None, 0.0).
     """
     ctx = ScaleContext.from_trips(list(requests) + list(rides))
-    pair = car_score if scenario.mode == "car" else cp_score
+    pair = car_score if scenario.mode == "car" else lambda a, b, w: car_score(b, a, w)
     params = MetricParams(scenario.dist_threshold / max(ctx.x_span, ctx.y_span),
                           scenario.time_threshold / ctx.t_span)
     sign, score = {
@@ -319,7 +318,7 @@ class TestGreedyMatch:
         (row,) = report.rows
         assert row.ride_id == "s"
         ctx = ScaleContext.from_trips([req, ride])
-        expected = cp_score(od_rep(req, ctx), od_rep(ride, ctx))
+        expected = car_score(od_rep(ride, ctx), od_rep(req, ctx))
         assert math.isclose(row.score, expected, rel_tol=1e-12)
 
 
@@ -365,35 +364,60 @@ class TestSavingsAccounting:
             pytest.approx(45.42, abs=0.01)
 
 
+def by_metric(names, base=MatchScenario()):
+    """One scenario per metric name on the base scenario's gates."""
+    return [dataclasses.replace(base, metric=name) for name in names]
+
+
 class TestCompareMetrics:
     NAMES = ["wgm", "lcss", "frechet", "dtw", "dtw_time", "wgm_time"]
 
     def test_request_side_constant_across_metrics(self):
         requests, rides = rider_ride_population(seed=41, n_requests=8, n_rides=25, waypoints=60)
-        reports = compare_metrics(requests, rides, self.NAMES, MatchScenario(), rep_len=50)
-        req_kms = {round(r.req_travels_km, 6) for r in reports.values()}
-        n_matched = {r.n_matched for r in reports.values()}
-        matched_req_kms = {round(r.req_travels_matched_km, 6) for r in reports.values()}
+        reports = compare_metrics(requests, rides, by_metric(self.NAMES), rep_len=50)
+        req_kms = {round(r.req_travels_km, 6) for r in reports}
+        n_matched = {r.n_matched for r in reports}
+        matched_req_kms = {round(r.req_travels_matched_km, 6) for r in reports}
         assert len(req_kms) == 1 and len(n_matched) == 1 and len(matched_req_kms) == 1
 
     def test_single_candidate_all_metrics_agree(self):
         req = straight_trip("r", (1000, 1000), (5000, 5000), 100, 700, n=60)
         ride = straight_trip("s", (1100, 1000), (5100, 5000), 150, 650, n=60)
-        reports = compare_metrics([req], [ride], self.NAMES, MatchScenario(), rep_len=50)
-        assert all(r.rows[0].ride_id == "s" for r in reports.values())
+        reports = compare_metrics([req], [ride], by_metric(self.NAMES), rep_len=50)
+        assert all(r.rows[0].ride_id == "s" for r in reports)
 
     def test_short_trips_rejected(self):
         req = straight_trip("r", (1000, 1000), (5000, 5000), 100, 700, n=5)
         ride = straight_trip("s", (1100, 1000), (5100, 5000), 150, 650, n=60)
         with pytest.raises(ValueError, match="waypoints"):
-            compare_metrics([req], [ride], ["wgm"], MatchScenario(), rep_len=50)
+            compare_metrics([req], [ride], [MatchScenario()], rep_len=50)
 
     def test_candidate_sets_shared(self):
         requests, rides = rider_ride_population(seed=42, n_requests=8, n_rides=25, waypoints=60)
-        reports = compare_metrics(requests, rides, ["dtw", "lcss"], MatchScenario())
-        matched_dtw = [r.ride_id is not None for r in reports["dtw"].rows]
-        matched_lcss = [r.ride_id is not None for r in reports["lcss"].rows]
+        dtw_report, lcss_report = compare_metrics(requests, rides, by_metric(["dtw", "lcss"]))
+        matched_dtw = [r.ride_id is not None for r in dtw_report.rows]
+        matched_lcss = [r.ride_id is not None for r in lcss_report.rows]
         assert matched_dtw == matched_lcss
+
+    @pytest.mark.parametrize("mode", ["car", "carpool"])
+    def test_one_call_equals_a_call_per_scenario(self, mode):
+        requests, rides = rider_ride_population(seed=43, n_requests=8, n_rides=25, waypoints=60)
+        base = MatchScenario(mode=mode, dist_threshold=3000.0, time_threshold=1800.0)
+        scenarios = by_metric(["dtw", "wgm", "wgm_time"], base) + [
+            dataclasses.replace(base, weights=WgmWeights(1.0 - wt, wt)) for wt in (0.1, 0.9)]
+        together = compare_metrics(requests, rides, scenarios)
+        assert [r.metric for r in together] == ["dtw", "wgm", "wgm_time", "wgm", "wgm"]
+        assert together == [compare_metrics(requests, rides, [s])[0] for s in scenarios]
+
+    def test_scenarios_must_share_gates(self):
+        req = straight_trip("r", (1000, 1000), (5000, 5000), 100, 700, n=60)
+        ride = straight_trip("s", (1100, 1000), (5100, 5000), 150, 650, n=60)
+        for other in (MatchScenario(mode="carpool"), MatchScenario(dist_threshold=900.0),
+                      MatchScenario(time_threshold=60.0)):
+            with pytest.raises(ValueError, match="share mode and thresholds"):
+                compare_metrics([req], [ride], [MatchScenario(), other])
+        with pytest.raises(ValueError, match="one or more scenarios"):
+            compare_metrics([req], [ride], [])
 
     def test_scenario_validation(self):
         with pytest.raises(ValueError, match="mode"):

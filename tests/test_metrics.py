@@ -22,7 +22,6 @@ from tripmatch.metrics import (
     TimeMode,
     WgmWeights,
     car_score,
-    cp_score,
     dtw,
     frechet_discrete,
     laplacian_kernel,
@@ -162,10 +161,11 @@ class TestPsim:
             psim(late, early, W, TimeMode.SIGNED_CAR, PointRole.INTERIOR)
 
     def test_signed_cp_swaps_roles(self):
+        # the carpool orientation scores (q, p): swapping the points swaps the roles
         p, q = (0.1, 0.2, 0.3), (0.4, 0.5, 0.6)
         for role, mirrored in ((PointRole.ORIGIN, PointRole.DESTINATION),
                                (PointRole.DESTINATION, PointRole.ORIGIN)):
-            assert psim(p, q, W, TimeMode.SIGNED_CP, role) == \
+            assert psim(q, p, W, TimeMode.SIGNED_CAR, role) == \
                 psim(p, q, W, TimeMode.SIGNED_CAR, mirrored)
 
     def test_negative_signed_time_clamps(self):
@@ -255,9 +255,11 @@ class TestWgmBatch:
         with mock.patch.object(metrics, "TILE_POINTS", tile):
             sym = wgm_batch(a[:, None], a[None, :], w)
             car = wgm_batch(b[:, None], a[None, :], w, TimeMode.SIGNED_CAR)
-            cp = wgm_batch(a[:, None], b[None, :], w, TimeMode.SIGNED_CP)
+            i, j = np.divmod(np.arange(len(b) * len(a)), len(a))
+            pairs = wgm_batch(b[i], a[j], w, TimeMode.SIGNED_CAR)
         assert np.array_equal(sym, sym.T)
-        assert np.array_equal(cp, car.T)
+        # the matrix and the stacked-pair forms take the same steps per element
+        assert np.array_equal(pairs.reshape(car.shape), car)
 
     def test_ragged_last_tile(self):
         rng = np.random.default_rng(5)
@@ -302,18 +304,24 @@ class TestCarCpScores:
         assert car_feasible(rider, ride)
 
     def test_cp_is_transpose(self):
+        # the carpool score car_score(b, a) is car on (a, b) with the signed roles swapped
         rng = np.random.default_rng(4)
         for _ in range(50):
             a, b = random_seq(rng, 2), random_seq(rng, 2)
-            assert cp_score(a, b, W) == car_score(b, a, W)
+            swapped = (psim(a[0], b[0], W, TimeMode.SIGNED_CAR, PointRole.DESTINATION)
+                       + psim(a[1], b[1], W, TimeMode.SIGNED_CAR, PointRole.ORIGIN))
+            assert car_score(b, a, W) == swapped / 2
             assert cp_feasible(a, b) == car_feasible(b, a)
 
     def test_cp_matrix_is_transpose_of_car_matrix(self):
         rng = np.random.default_rng(5)
         seqs = [random_seq(rng, 2) for _ in range(6)]
         car = np.array([[car_score(a, b, W) for b in seqs] for a in seqs])
-        cp = np.array([[cp_score(a, b, W) for b in seqs] for a in seqs])
+        cp = np.array([[car_score(b, a, W) for b in seqs] for a in seqs])
         assert np.array_equal(cp, car.T)
+        stacked = np.stack(seqs)
+        kernel = wgm_batch(stacked[None, :], stacked[:, None], W, TimeMode.SIGNED_CAR)
+        np.testing.assert_allclose(kernel, cp, rtol=0, atol=1e-12)
 
 
 class TestLcss:

@@ -193,6 +193,14 @@ class TestScaling:
         assert (box.y_min, box.y_max) == (2, 8)
         assert (box.t_min, box.t_max) == (3, 9)
 
+    def test_from_trips_gives_a_shared_value_a_unit_span(self):
+        trips = [make_trip("a", [(1000, 1000, 100.0), (1000, 5000, 100.0)])]
+        box = ScaleContext.from_trips(trips)
+        assert (box.x_min, box.x_max) == (1000, 1001)
+        assert (box.y_min, box.y_max) == (1000, 5000)
+        assert (box.t_min, box.t_max) == (100, 101)
+        assert scale_trip(trips[0], box).tolist() == [[0, 0, 0], [0, 1, 0]]
+
 
 class TestPathLength:
     def test_three_four_five(self):
