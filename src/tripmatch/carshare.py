@@ -54,8 +54,8 @@ class ChainStat:
 def build_trip_dag(
     trips: Sequence[Trip],
     ctx: ScaleContext | None = None,
-    dist_threshold: float = 1800.0,
-    time_threshold: float = 900.0,
+    dist_threshold: float = metrics.DEFAULT_DIST_THRESHOLD,
+    time_threshold: float = metrics.DEFAULT_TIME_THRESHOLD,
     weights: WgmWeights = metrics.DEFAULT_WEIGHTS,
 ) -> TripDag:
     """Build the hand-off DAG over a trip set.
@@ -69,7 +69,8 @@ def build_trip_dag(
     Trips are swept in start-time order: a bisection finds each trip's
     window of successors, and the exact predicate runs on those alone.
     """
-    if dist_threshold <= 0 or time_threshold <= 0:
+    # an infinite threshold means no limit; NaN fails both comparisons
+    if not (dist_threshold > 0 and time_threshold > 0):
         raise ValueError("thresholds must be positive")
     if ctx is None:
         ctx = ScaleContext.from_trips(trips)
@@ -191,8 +192,8 @@ def chain_stats(schedule: ChainSchedule, trips: Sequence[Trip]) -> list[ChainSta
 def schedule_trips(
     trips: Sequence[Trip],
     ctx: ScaleContext | None = None,
-    dist_threshold: float = 1800.0,
-    time_threshold: float = 900.0,
+    dist_threshold: float = metrics.DEFAULT_DIST_THRESHOLD,
+    time_threshold: float = metrics.DEFAULT_TIME_THRESHOLD,
     weights: WgmWeights = metrics.DEFAULT_WEIGHTS,
 ) -> tuple[TripDag, ChainSchedule]:
     """End-to-end pipeline: DAG, optimal matching, chains."""

@@ -354,6 +354,8 @@ def cmd_compare(cfg: dict, outdir: Path) -> dict:
     names = [m.strip() for m in cfg["metrics"].split(",") if m.strip()]
     if not names:
         raise ValueError("--metrics must name at least one metric")
+    if len(set(names)) < len(names):
+        raise ValueError(f"--metrics names a metric more than once: {cfg['metrics']}")
     sweep = _parse_floats(cfg["wt_sweep"]) if cfg.get("wt_sweep") else []
     scenarios = [dataclasses.replace(scenario, metric=name) for name in names]
     scenarios += [dataclasses.replace(scenario, metric="wgm",
@@ -436,13 +438,16 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
 
 
 def _add_weight_flags(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--w-space", dest="w_space", type=float, default=0.6)
-    sub.add_argument("--w-time", dest="w_time", type=float, default=0.4)
+    w = metrics.DEFAULT_WEIGHTS
+    sub.add_argument("--w-space", dest="w_space", type=float, default=w.w_space)
+    sub.add_argument("--w-time", dest="w_time", type=float, default=w.w_time)
 
 
 def _add_threshold_flags(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--dist-threshold", dest="dist_threshold", type=float, default=1800.0)
-    sub.add_argument("--time-threshold", dest="time_threshold", type=float, default=900.0)
+    sub.add_argument("--dist-threshold", dest="dist_threshold", type=float,
+                     default=metrics.DEFAULT_DIST_THRESHOLD)
+    sub.add_argument("--time-threshold", dest="time_threshold", type=float,
+                     default=metrics.DEFAULT_TIME_THRESHOLD)
 
 
 def _add_scenario_flags(sub: argparse.ArgumentParser) -> None:
@@ -541,19 +546,8 @@ def _read_config_file(path: str) -> dict:
             if "=" not in line:
                 raise ValueError(f"bad config line {raw.strip()!r}; expected key = value")
             key, value = (part.strip() for part in line.split("=", 1))
-            values[key.replace("-", "_")] = value
+            values[key] = value
     return values
-
-
-def _given_flags(sub: argparse.ArgumentParser, argv: list[str], defaults: dict) -> dict:
-    """The flags argv sets, including those set to their default value.
-
-    Every destination starts at a sentinel that argparse keeps for the
-    flags argv leaves out.
-    """
-    unset = object()
-    given = sub.parse_args(argv, argparse.Namespace(**dict.fromkeys(defaults, unset)))
-    return {k: v for k, v in vars(given).items() if v is not unset}
 
 
 #: Keys that name the run itself rather than configure it; neither a config
@@ -579,38 +573,58 @@ def _read_manifest(path: str, command: str) -> tuple[dict, dict]:
     return config, inputs
 
 
-def resolve_config(args: argparse.Namespace, defaults: dict, explicit: dict,
-                   types: dict[str, Callable[[str], object]]) -> dict:
-    """Merge defaults, config file, manifest, and explicit flags (in that order).
+def _parse_values(sub: argparse.ArgumentParser, ns: argparse.Namespace, source: str,
+                  values: dict) -> None:
+    """Parse each `key = value` into ns as the flag the key names.
 
-    A config-file or manifest value must name a flag, and it is converted
-    by the type that flag declares in `types` (a string without one); a
-    recorded null stays None.
+    A key is spelled as its flag (less the dashes) or as its destination.
+    The value is parsed by sub as `--flag=value`, so it takes the flag's
+    type and choices; a null is kept only where the flag's default is None.
     """
-    cfg = dict(defaults)
-    sources: list[tuple[str, dict]] = []
+    for key, value in values.items():
+        action = next((a for a in sub._actions if a.default is not argparse.SUPPRESS
+                       and (key == a.dest or f"--{key}" in a.option_strings)), None)
+        name = action.dest if action else key
+        if action is None or name in _RESERVED_KEYS:
+            raise ValueError(f"{source}: unknown config key {name!r}")
+        if value is None:
+            if action.default is not None:
+                raise ValueError(f"{source}: config key {name!r} may not be null")
+            setattr(ns, name, None)
+            continue
+        try:
+            sub.parse_args([f"{action.option_strings[0]}={value}"], ns)
+        except argparse.ArgumentError as exc:
+            raise ValueError(f"{source}: config key {name!r}: {exc}") from None
+
+
+def resolve_config(args: argparse.Namespace, sub: argparse.ArgumentParser,
+                   argv: list[str]) -> dict:
+    """Merge defaults, config file, manifest, and argv flags (in that order).
+
+    args is the parsed command line and argv its part after the subcommand.
+    Config-file and manifest values are parsed by the subcommand's parser,
+    sub, into the namespace that argv is then parsed into, so argv wins even
+    where it repeats a flag's default.
+    """
+    # main has parsed argv already, so a bad value here is a file's and raises
+    sub.exit_on_error = False
+    ns = argparse.Namespace()
     recorded: dict = {}
     if args.config:
-        sources.append((f"config file {args.config}", _read_config_file(args.config)))
+        _parse_values(sub, ns, f"config file {args.config}", _read_config_file(args.config))
     if args.from_manifest:
         config, recorded = _read_manifest(args.from_manifest, args.command)
-        sources.append((f"manifest {args.from_manifest}", config))
-    for source, values in sources:
-        for key, value in values.items():
-            if key not in defaults or key in _RESERVED_KEYS:
-                raise ValueError(f"{source}: unknown config key {key!r}")
-            try:
-                cfg[key] = None if value is None else types.get(key, str)(str(value))
-            except ValueError as exc:
-                raise ValueError(f"{source}: config key {key!r}: {exc}") from None
-    cfg.update(explicit)
+        _parse_values(sub, ns, f"manifest {args.from_manifest}", config)
+    cfg = vars(sub.parse_args(argv, ns))
 
     # manifests must replay from anywhere, so inputs are pinned absolute
     for key in _INPUT_KEYS:
         if cfg.get(key):
             cfg[key] = os.path.abspath(cfg[key])
-    # a replay trusts only the recorded inputs it reads, not those named anew
-    replayed = {cfg[key] for key in _INPUT_KEYS if cfg.get(key) and key not in explicit}
+    # a replay trusts only the recorded inputs it reads, not those argv names
+    # anew (every input flag defaults to None)
+    replayed = {cfg[key] for key in _INPUT_KEYS if cfg.get(key) and getattr(args, key) is None}
     for path, digest in recorded.items():
         if path in replayed and _sha256(path) != digest:
             raise ReplayMismatchError(f"input {path} changed since the manifest was written")
@@ -635,12 +649,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     parser, commands = build_parser()
     args = parser.parse_args(argv)
-    defaults = vars(parser.parse_args([args.command]))
-    sub = commands[args.command]
-    explicit = _given_flags(sub, argv[argv.index(args.command) + 1:], defaults)
-    types = {action.dest: action.type for action in sub._actions if action.type}
     try:
-        cfg = resolve_config(args, defaults, explicit, types)
+        cfg = resolve_config(args, commands[args.command], argv[argv.index(args.command) + 1:])
         outdir = Path(cfg["out"])
         outdir.mkdir(parents=True, exist_ok=True)
         summary = HANDLERS[args.command](cfg, outdir)

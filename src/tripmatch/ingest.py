@@ -151,6 +151,9 @@ class SynthConfig:
     def __post_init__(self) -> None:
         if self.n_trips < 1:
             raise ValueError("n_trips must be >= 1")
+        params = (self.gamma_shape, self.gamma_scale, self.lognorm_mu, self.lognorm_sigma)
+        if not all(map(math.isfinite, params)):
+            raise ValueError("distribution parameters must be finite")
         if min(self.gamma_shape, self.gamma_scale, self.lognorm_sigma) <= 0:
             raise ValueError("distribution parameters must be strictly positive")
         if self.waypoints_per_trip < 2:

@@ -32,15 +32,16 @@ class MatchScenario:
     """Matching mode, filter thresholds (raw meters/seconds), and score knobs."""
 
     mode: str = "car"
-    dist_threshold: float = 1800.0
-    time_threshold: float = 900.0
+    dist_threshold: float = metrics.DEFAULT_DIST_THRESHOLD
+    time_threshold: float = metrics.DEFAULT_TIME_THRESHOLD
     weights: WgmWeights = metrics.DEFAULT_WEIGHTS
     metric: str = "wgm"
 
     def __post_init__(self) -> None:
         if self.mode not in ("car", "carpool"):
             raise ValueError(f"unknown mode {self.mode!r}")
-        if self.dist_threshold <= 0 or self.time_threshold <= 0:
+        # an infinite threshold means no limit; NaN fails both comparisons
+        if not (self.dist_threshold > 0 and self.time_threshold > 0):
             raise ValueError("thresholds must be positive")
         if self.metric not in METRIC_NAMES:
             raise ValueError(f"unknown metric {self.metric!r}")
@@ -61,10 +62,6 @@ class MatchRow:
     @property
     def matched(self) -> bool:
         return self.ride_id is not None
-
-
-_UNMATCHED = dict(ride_id=None, oo_dist_m=0.0, dd_dist_m=0.0, oo_time_s=0.0,
-                  dd_time_s=0.0, score=0.0)
 
 
 @dataclass(frozen=True)
@@ -155,106 +152,89 @@ def _candidate_indices(
 
 def _metric_fn(
     scenario: MatchScenario, ctx: ScaleContext
-) -> tuple[str, Callable[[np.ndarray, np.ndarray], float]]:
-    """Resolve the scenario's metric to ("similarity" | "distance", pair scorer).
+) -> tuple[int, Callable[[np.ndarray, np.ndarray], float]]:
+    """Resolve the scenario's metric to (sign, pair scorer).
 
-    Carpool scores a request against a ride as car_score(ride, request).
+    The best ride minimises sign * score: -1 for a similarity, 1 for a
+    distance. Carpool scores a request against a ride as car_score(ride,
+    request).
     """
     name, car = scenario.metric, metrics.car_score
     pair_score = car if scenario.mode == "car" else lambda a, b, w: car(b, a, w)
     if name == "wgm":
-        return "similarity", lambda a, b: pair_score(a, b, scenario.weights)
+        return -1, lambda a, b: pair_score(a, b, scenario.weights)
     if name == "wgm_time":
-        return "similarity", lambda a, b: pair_score(a, b, metrics.TIME_HEAVY_WEIGHTS)
+        return -1, lambda a, b: pair_score(a, b, metrics.TIME_HEAVY_WEIGHTS)
     if name == "lcss":
         params = MetricParams.for_context(ctx, scenario.dist_threshold, scenario.time_threshold)
-        return "similarity", lambda a, b: float(metrics.lcss(a, b, params))
+        return -1, lambda a, b: float(metrics.lcss(a, b, params))
     if name == "dtw":
-        return "distance", lambda a, b: metrics.dtw(a, b, "distance")
+        return 1, lambda a, b: metrics.dtw(a, b, "distance")
     if name == "dtw_time":
-        return "distance", lambda a, b: metrics.dtw(a, b, "distance_times_time")
+        return 1, lambda a, b: metrics.dtw(a, b, "distance_times_time")
     if name == "frechet":
-        return "distance", metrics.frechet_discrete
+        return 1, metrics.frechet_discrete
     raise ValueError(f"unknown metric {name!r}")
 
 
-def _choose(
-    candidates: list[int],
-    scores: list[float],
-    kind: str,
-    rides: Sequence[Trip],
-) -> tuple[int, float]:
-    """Best candidate for one request; score ties break on the lowest ride id."""
-    best_j, best_score = candidates[0], scores[0]
-    for j, score in zip(candidates[1:], scores[1:]):
-        if kind == "similarity":
-            better = score > best_score
-        else:
-            better = score < best_score
-        if better or (score == best_score and rides[j].id < rides[best_j].id):
-            best_j, best_score = j, score
-    return best_j, best_score
-
-
-def _build_rows(
+def _match(
     requests: Sequence[Trip],
     rides: Sequence[Trip],
-    candidates: list[list[int]],
+    scenarios: Sequence[MatchScenario],
+    ctx: ScaleContext,
     reps_req: Sequence[np.ndarray],
     reps_ride: Sequence[np.ndarray],
-    kind: str,
-    score: Callable[[np.ndarray, np.ndarray], float],
-) -> tuple[MatchRow, ...]:
-    rows = []
-    for i, request in enumerate(requests):
-        cands = candidates[i]
-        if not cands:
-            rows.append(MatchRow(request_id=request.id, **_UNMATCHED))
-            continue
-        scores = [score(reps_req[i], reps_ride[j]) for j in cands]
-        j, best = _choose(cands, scores, kind, rides)
-        (o, d), (ride_o, ride_d) = od_points([request, rides[j]]).tolist()
-        rows.append(MatchRow(
-            request_id=request.id,
-            ride_id=rides[j].id,
-            oo_dist_m=math.hypot(o[0] - ride_o[0], o[1] - ride_o[1]),
-            dd_dist_m=math.hypot(d[0] - ride_d[0], d[1] - ride_d[1]),
-            oo_time_s=abs(o[2] - ride_o[2]),
-            dd_time_s=abs(d[2] - ride_d[2]),
-            score=best,
-        ))
-    return tuple(rows)
+) -> list[MatchReport]:
+    """One report per scenario, each request matched to its best candidate.
 
-
-def _build_report(
-    req_len: Sequence[float],
-    rides: Sequence[Trip],
-    rows: tuple[MatchRow, ...],
-    mode: str,
-    metric: str,
-) -> MatchReport:
-    """Aggregate the rows; req_len holds each request's path length, in row order.
-
-    Path lengths are computed only for the rides some request picked.
+    The scenarios share the first one's candidates. Each candidate is
+    scored once; the best minimises (sign * score, ride id), so equal
+    scores go to the lowest ride id. Path lengths are computed only for the
+    rides some request picked.
     """
-    by_id = {t.id: t for t in rides}
-    matched = [r for r in rows if r.matched]
-    ride_len = {i: path_length(by_id[i]) for i in dict.fromkeys(r.ride_id for r in matched)}
-    return MatchReport(
-        mode=mode,
-        metric=metric,
-        rows=rows,
-        n_requests=len(rows),
-        n_matched=len(matched),
-        match_travels_km=sum(ride_len[r.ride_id] for r in matched) / 1000.0,
-        match_travels_distinct_km=sum(ride_len.values()) / 1000.0,
-        req_travels_km=sum(req_len) / 1000.0,
-        req_travels_matched_km=sum(n for r, n in zip(rows, req_len) if r.matched) / 1000.0,
-        oo_dist_km=sum(r.oo_dist_m for r in matched) / 1000.0,
-        dd_dist_km=sum(r.dd_dist_m for r in matched) / 1000.0,
-        oo_time_s=sum(r.oo_time_s for r in matched),
-        dd_time_s=sum(r.dd_time_s for r in matched),
-    )
+    candidates = _candidate_indices(requests, rides, scenarios[0])
+    req_od, ride_od = od_points(requests).tolist(), od_points(rides).tolist()
+    ride_ids = [t.id for t in rides]
+    req_len = [path_length(t) for t in requests]
+    reports = []
+    for scenario in scenarios:
+        sign, score = _metric_fn(scenario, ctx)
+        rows, chosen = [], []
+        for request, cands, rep, (o, d) in zip(requests, candidates, reps_req, req_od):
+            if not cands:
+                rows.append(MatchRow(request.id, None, 0.0, 0.0, 0.0, 0.0, 0.0))
+                continue
+            key, ride_id, j = min((sign * score(rep, reps_ride[j]), ride_ids[j], j)
+                                  for j in cands)
+            ride_o, ride_d = ride_od[j]
+            rows.append(MatchRow(
+                request_id=request.id,
+                ride_id=ride_id,
+                oo_dist_m=math.hypot(o[0] - ride_o[0], o[1] - ride_o[1]),
+                dd_dist_m=math.hypot(d[0] - ride_d[0], d[1] - ride_d[1]),
+                oo_time_s=abs(o[2] - ride_o[2]),
+                dd_time_s=abs(d[2] - ride_d[2]),
+                score=sign * key,
+            ))
+            chosen.append(j)
+        matched = [r for r in rows if r.matched]
+        ride_len = {j: path_length(rides[j]) for j in dict.fromkeys(chosen)}
+        reports.append(MatchReport(
+            mode=scenario.mode,
+            metric=scenario.metric,
+            rows=tuple(rows),
+            n_requests=len(rows),
+            n_matched=len(matched),
+            match_travels_km=sum(ride_len[j] for j in chosen) / 1000.0,
+            match_travels_distinct_km=sum(ride_len.values()) / 1000.0,
+            req_travels_km=sum(req_len) / 1000.0,
+            req_travels_matched_km=sum(n for r, n in zip(rows, req_len) if r.matched) / 1000.0,
+            oo_dist_km=sum(r.oo_dist_m for r in matched) / 1000.0,
+            dd_dist_km=sum(r.dd_dist_m for r in matched) / 1000.0,
+            oo_time_s=sum(r.oo_time_s for r in matched),
+            dd_time_s=sum(r.dd_time_s for r in matched),
+        ))
+    return reports
 
 
 def greedy_match(
@@ -267,12 +247,8 @@ def greedy_match(
     endpoints.
     """
     ctx = ScaleContext.from_trips(list(requests) + list(rides))
-    kind, score = _metric_fn(scenario, ctx)
-    candidates = _candidate_indices(requests, rides, scenario)
-    rows = _build_rows(requests, rides, candidates, od_reps(requests, ctx), od_reps(rides, ctx),
-                       kind, score)
-    req_len = [path_length(t) for t in requests]
-    return _build_report(req_len, rides, rows, scenario.mode, scenario.metric)
+    return _match(requests, rides, [scenario], ctx, od_reps(requests, ctx),
+                  od_reps(rides, ctx))[0]
 
 
 def savings_accounting(report: MatchReport) -> dict[str, float]:
@@ -356,11 +332,4 @@ def compare_metrics(
             raise ValueError(
                 f"trip {trip.id!r} has only {len(rep)} waypoints; need {rep_len}"
             )
-    candidates = _candidate_indices(requests, rides, scenarios[0])
-    req_len = [path_length(t) for t in requests]
-    reports = []
-    for scenario in scenarios:
-        kind, score = _metric_fn(scenario, ctx)
-        rows = _build_rows(requests, rides, candidates, reps_req, reps_ride, kind, score)
-        reports.append(_build_report(req_len, rides, rows, scenario.mode, scenario.metric))
-    return reports
+    return _match(requests, rides, scenarios, ctx, reps_req, reps_ride)

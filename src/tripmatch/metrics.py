@@ -48,14 +48,19 @@ class WgmWeights:
     w_time: float
 
     def __post_init__(self) -> None:
-        if self.w_space < 0 or self.w_time < 0:
-            raise ValueError("weights must be nonnegative")
+        if not (0 <= self.w_space < math.inf and 0 <= self.w_time < math.inf):
+            raise ValueError("weights must be finite and nonnegative")
         if self.w_space + self.w_time <= 0:
             raise ValueError("weights must not both be zero")
 
 
 DEFAULT_WEIGHTS = WgmWeights(0.6, 0.4)
 TIME_HEAVY_WEIGHTS = WgmWeights(0.1, 0.9)
+
+#: Default matching and hand-off gates: meters between endpoints, seconds
+#: between their times.
+DEFAULT_DIST_THRESHOLD = 1800.0
+DEFAULT_TIME_THRESHOLD = 900.0
 
 
 @dataclass(frozen=True, slots=True)
@@ -292,6 +297,6 @@ def frechet_discrete(t1: np.ndarray, t2: np.ndarray) -> float:
 
 def laplacian_kernel(score: float | np.ndarray, gamma: float = 3.0) -> float | np.ndarray:
     """exp(-gamma * (1 - score)), elementwise: sharpens similarity contrast near 1."""
-    if gamma <= 0:
-        raise ValueError(f"kernel gamma must be positive, got {gamma}")
+    if not 0 < gamma < math.inf:
+        raise ValueError(f"kernel gamma must be positive and finite, got {gamma}")
     return np.exp(-gamma * (1.0 - score))

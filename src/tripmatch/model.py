@@ -141,8 +141,8 @@ class ScaleContext:
     t_max: float
 
     def __post_init__(self) -> None:
-        if not (self.x_max > self.x_min and self.y_max > self.y_min and self.t_max > self.t_min):
-            raise ValueError("scale context spans must be strictly positive")
+        if not all(0 < span < math.inf for span in (self.x_span, self.y_span, self.t_span)):
+            raise ValueError("scale context spans must be strictly positive and finite")
 
     @property
     def x_span(self) -> float:

@@ -317,6 +317,15 @@ class TestCompare:
         lines = (out / "comparison.csv").read_text().splitlines()
         assert lines[0] == "field,wgm,lcss,dtw"
 
+    def test_repeated_metric_rejected(self, trips_file, tmp_path, capsys):
+        out = tmp_path / "cmp"
+        code, summary = run(capsys, "compare", "--trips", str(trips_file),
+                            "--n-riders", "10", "--n-rides", "50",
+                            "--metrics", "wgm,dtw,wgm", "--out", str(out))
+        assert code == 1 and summary["category"] == "invalid-argument"
+        assert "more than once: wgm,dtw,wgm" in summary["message"]
+        assert not (out / "comparison.csv").exists()
+
     def test_wt_sweep(self, trips_file, tmp_path, capsys):
         out = tmp_path / "wt"
         code, _ = run(capsys, "compare", "--trips", str(trips_file),
@@ -399,6 +408,38 @@ class TestCarshare:
         assert summary["n_cars"] == summary["n_trips"] - summary["cardinality"]
 
 
+class TestNonFiniteParameters:
+    @pytest.mark.parametrize("args", [
+        ("match", "--w-time", "nan"),
+        ("match", "--dist-threshold", "nan"),
+        ("compare", "--metrics", "wgm", "--wt-sweep", "nan"),
+        ("affinity", "--w-space", "inf"),
+        ("carshare", "--dist-threshold", "nan"),
+        ("carshare", "--time-threshold", "nan"),
+        ("cluster", "--k", "2", "--kernel-gamma", "nan"),
+        ("cluster", "--k", "2", "--kernel-gamma", "inf"),
+        ("synth", "--gamma-shape", "nan"),
+        ("synth", "--lognorm-mu", "inf"),
+        ("synth", "--bbox", "0,inf,0,20000,0,86400"),
+    ], ids=lambda a: " ".join(a))
+    def test_rejected_as_invalid_argument(self, args, trips_file, tmp_path, capsys):
+        command, *flags = args
+        inputs = {"synth": [], "match": ["--n-riders", "15", "--n-rides", "45"],
+                  "compare": ["--n-riders", "10", "--n-rides", "50"]}.get(command, [])
+        if command != "synth":
+            inputs = ["--trips", str(trips_file), *inputs]
+        code, summary = run(capsys, command, *inputs, *flags, "--out", str(tmp_path / "o"))
+        assert code == 1 and summary["category"] == "invalid-argument"
+
+    @pytest.mark.parametrize("command", ["match", "carshare"])
+    def test_infinite_thresholds_mean_no_limit(self, command, trips_file, tmp_path, capsys):
+        split = ["--n-riders", "15", "--n-rides", "45"] if command == "match" else []
+        code, _ = run(capsys, command, "--trips", str(trips_file), *split,
+                      "--dist-threshold", "inf", "--time-threshold", "inf",
+                      "--out", str(tmp_path / "o"))
+        assert code == 0
+
+
 class TestConfigAndManifest:
     def test_config_file_defaults_and_flag_override(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
@@ -439,6 +480,62 @@ class TestConfigAndManifest:
         assert code == 0
         for name in ("labels.csv", "coords_pca.csv", "coords_mds.csv", "cluster_summary.csv"):
             assert read(tmp_path / "cfg" / name) == read(tmp_path / "flag" / name)
+
+    @pytest.mark.parametrize("source", ["config", "manifest"])
+    def test_value_outside_its_flags_choices(self, source, trips_file, tmp_path, capsys):
+        args = ("affinity", "--trips", str(trips_file))
+        if source == "config":
+            path = tmp_path / "run.cfg"
+            path.write_text("scorer = bogus\n")
+        else:
+            assert run(capsys, *args, "--out", str(tmp_path / "a"))[0] == 0
+            path = tmp_path / "a" / "run_manifest.json"
+            manifest = json.loads(path.read_text())
+            manifest["config"]["scorer"] = "bogus"
+            path.write_text(json.dumps(manifest))
+        flag = "--config" if source == "config" else "--from-manifest"
+        code, summary = run(capsys, *args, flag, str(path), "--out", str(tmp_path / "b"))
+        assert code == 1 and summary["category"] == "invalid-argument"
+        assert "scorer" in summary["message"] and "bogus" in summary["message"]
+        assert not (tmp_path / "b" / "affinity.csv").exists()
+
+    @pytest.mark.parametrize("key", ["sweep-L", "sweep_l"])
+    def test_key_spelled_as_its_flag_or_its_destination(self, key, trips_file, tmp_path,
+                                                       capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"{key} = 1,3\nsweep-dist = 600,1800\n")
+        args = ("match", "--trips", str(trips_file), "--n-riders", "15", "--n-rides", "45")
+        code, _ = run(capsys, *args, "--config", str(cfg), "--out", str(tmp_path / "cfg"))
+        assert code == 0
+        code, _ = run(capsys, *args, "--sweep-L", "1,3", "--sweep-dist", "600,1800",
+                      "--out", str(tmp_path / "flag"))
+        assert code == 0
+        assert read(tmp_path / "cfg" / "curve.csv") == read(tmp_path / "flag" / "curve.csv")
+
+    def test_recorded_null_needs_a_default_of_none(self, trips_file, tmp_path, capsys):
+        assert run(capsys, "cluster", "--trips", str(trips_file), "--k", "3",
+                   "--out", str(tmp_path / "c"))[0] == 0
+        path = tmp_path / "c" / "run_manifest.json"
+        manifest = json.loads(path.read_text())
+        manifest["config"]["k"] = None
+        path.write_text(json.dumps(manifest))
+        code, summary = run(capsys, "cluster", "--from-manifest", str(path),
+                            "--out", str(tmp_path / "replay"))
+        assert code == 1 and summary["category"] == "invalid-argument"
+        assert "'k'" in summary["message"] and "null" in summary["message"]
+
+    def test_recorded_null_overrides_a_config_value(self, trips_file, tmp_path, capsys):
+        args = ("cluster", "--trips", str(trips_file), "--k", "3")
+        assert run(capsys, *args, "--out", str(tmp_path / "c1"))[0] == 0
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("kernel-gamma = 2\n")
+        code, _ = run(capsys, "cluster", "--config", str(cfg), "--from-manifest",
+                      str(tmp_path / "c1" / "run_manifest.json"), "--out", str(tmp_path / "c2"))
+        assert code == 0
+        manifest = json.loads((tmp_path / "c2" / "run_manifest.json").read_text())
+        assert manifest["config"]["kernel_gamma"] is None
+        for name in ("labels.csv", "coords_mds.csv"):
+            assert read(tmp_path / "c2" / name) == read(tmp_path / "c1" / name)
 
     def test_unparsable_config_value(self, trips_file, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
@@ -570,6 +667,13 @@ class TestUsageErrors:
         with pytest.raises(SystemExit) as exc:
             main(["synth", "--does-not-exist"])
         assert exc.value.code == 2
+
+    def test_bad_flag_value_exits_2_with_the_subcommands_usage(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["affinity", "--scorer", "bogus"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: tripmatch affinity") and "invalid choice" in err
 
 
 def _run_python(code: str) -> None:

@@ -409,6 +409,18 @@ class TestCompareMetrics:
         assert [r.metric for r in together] == ["dtw", "wgm", "wgm_time", "wgm", "wgm"]
         assert together == [compare_metrics(requests, rides, [s])[0] for s in scenarios]
 
+    @pytest.mark.parametrize("mode", ["car", "carpool"])
+    @settings(max_examples=60, deadline=None)
+    @given(filter_cases(), st.integers(2, 6))
+    def test_two_point_samples_match_as_greedy_match(self, mode, case, n_points):
+        # 2-point samples are the OD reps, so every metric picks as greedy_match
+        requests, rides, scenario = case
+        requests, rides = ([Trip.from_xyt(t.id, np.linspace(t.xyt()[0], t.xyt()[-1], n_points))
+                            for t in trips] for trips in (requests, rides))
+        scenarios = by_metric(METRIC_NAMES, dataclasses.replace(scenario, mode=mode))
+        assert compare_metrics(requests, rides, scenarios, rep_len=2) == \
+            [greedy_match(requests, rides, s) for s in scenarios]
+
     def test_scenarios_must_share_gates(self):
         req = straight_trip("r", (1000, 1000), (5000, 5000), 100, 700, n=60)
         ride = straight_trip("s", (1100, 1000), (5100, 5000), 150, 650, n=60)
