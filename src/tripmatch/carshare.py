@@ -17,7 +17,7 @@ import numpy as np
 
 from . import metrics
 from .metrics import WgmWeights
-from .model import ScaleContext, Trip, od_points, od_reps, path_length
+from .model import ScaleContext, Trip, od_points, path_length, scale_points
 
 
 @dataclass(frozen=True, slots=True)
@@ -53,7 +53,6 @@ class ChainStat:
 
 def build_trip_dag(
     trips: Sequence[Trip],
-    ctx: ScaleContext | None = None,
     dist_threshold: float = metrics.DEFAULT_DIST_THRESHOLD,
     time_threshold: float = metrics.DEFAULT_TIME_THRESHOLD,
     weights: WgmWeights = metrics.DEFAULT_WEIGHTS,
@@ -64,7 +63,8 @@ def build_trip_dag(
     most time_threshold seconds, and b's origin lies within dist_threshold
     meters of a's destination. The edge weight is the point similarity of
     the hand-off pair, a's destination against b's origin, with absolute
-    time differences. Edges are keyed in ascending (a, b) order.
+    time differences, scaled into the trips' own bounding box. Edges are
+    keyed in ascending (a, b) order.
 
     Trips are swept in start-time order: a bisection finds each trip's
     window of successors, and the exact predicate runs on those alone.
@@ -72,8 +72,6 @@ def build_trip_dag(
     # an infinite threshold means no limit; NaN fails both comparisons
     if not (dist_threshold > 0 and time_threshold > 0):
         raise ValueError("thresholds must be positive")
-    if ctx is None:
-        ctx = ScaleContext.from_trips(trips)
     od = od_points(trips)
     origin, start, dest, end = od[:, 0, :2], od[:, 0, 2], od[:, 1, :2], od[:, 1, 2]
     order = np.argsort(start, kind="stable")
@@ -91,7 +89,7 @@ def build_trip_dag(
     src, dst = src[keep], dst[keep]
     by_pair = np.lexsort((dst, src))
     src, dst = src[by_pair], dst[by_pair]
-    reps = od_reps(trips, ctx)
+    reps = scale_points(od, ScaleContext.from_trips(trips))
     # a's destination against b's origin, as one-point sequences
     weight = metrics.wgm_batch(reps[src, 1:], reps[dst, :1], weights)
     edges = dict(zip(zip(src.tolist(), dst.tolist()), weight.tolist()))
@@ -191,12 +189,11 @@ def chain_stats(schedule: ChainSchedule, trips: Sequence[Trip]) -> list[ChainSta
 
 def schedule_trips(
     trips: Sequence[Trip],
-    ctx: ScaleContext | None = None,
     dist_threshold: float = metrics.DEFAULT_DIST_THRESHOLD,
     time_threshold: float = metrics.DEFAULT_TIME_THRESHOLD,
     weights: WgmWeights = metrics.DEFAULT_WEIGHTS,
 ) -> tuple[TripDag, ChainSchedule]:
     """End-to-end pipeline: DAG, optimal matching, chains."""
-    dag = build_trip_dag(trips, ctx, dist_threshold, time_threshold, weights)
+    dag = build_trip_dag(trips, dist_threshold, time_threshold, weights)
     matching = max_card_max_weight_matching(dag)
     return dag, extract_chains(dag, matching)

@@ -120,6 +120,9 @@ def _split_riders_rides(cfg: dict) -> tuple[list[model.Trip], list[model.Trip]]:
     """Requests/rides from explicit files, or a seeded split of one trip set."""
     if cfg.get("requests") and cfg.get("rides"):
         return _load_trips(cfg["requests"]), _load_trips(cfg["rides"])
+    if cfg.get("requests") or cfg.get("rides"):
+        missing = "--rides" if cfg.get("requests") else "--requests"
+        raise ValueError(f"--requests and --rides go together: {missing} is missing")
     if not cfg.get("trips"):
         raise ValueError("need --requests/--rides or --trips with --n-riders/--n-rides")
     trips = _load_trips(cfg["trips"])
@@ -241,11 +244,6 @@ def cmd_stats(cfg: dict, outdir: Path) -> dict:
     }
 
 
-def _od_reps(trips: list[model.Trip]) -> np.ndarray:
-    """Stacked scaled OD representations, shape (n, 2, 3)."""
-    return model.od_reps(trips, model.ScaleContext.from_trips(trips))
-
-
 def _affinity(cfg: dict, reps: np.ndarray) -> np.ndarray:
     """Score matrix A[i, j] = scorer(reps[i], reps[j]) in one kernel call.
 
@@ -263,7 +261,8 @@ def cmd_affinity(cfg: dict, outdir: Path) -> dict:
     if not cfg.get("trips"):
         raise ValueError("--trips is required")
     trips = _load_trips(cfg["trips"])
-    values = _affinity(cfg, _od_reps(trips))
+    reps = model.scale_points(model.od_points(trips), model.ScaleContext.from_trips(trips))
+    values = _affinity(cfg, reps)
     ratio = affinity.sym_decompose(values)[2]
     ids = [t.id for t in trips]
     _write_csv(outdir / "affinity.csv", ["i", "j", "score"],
@@ -278,7 +277,8 @@ def cmd_cluster(cfg: dict, outdir: Path) -> dict:
     trips = _load_trips(cfg["trips"])
     if len(trips) < 3:
         raise ValueError(f"cluster needs at least 3 trips for its 2-D embeddings, got {len(trips)}")
-    reps = _od_reps(trips)
+    od = model.od_points(trips)
+    reps = model.scale_points(od, model.ScaleContext.from_trips(trips))
     sym, ratio = affinity.sym_decompose(_affinity(cfg, reps))[::2]
     if cfg.get("kernel_gamma") is not None:
         sym = metrics.laplacian_kernel(sym, cfg["kernel_gamma"])
@@ -299,7 +299,6 @@ def cmd_cluster(cfg: dict, outdir: Path) -> dict:
     header = ["cluster", "n"]
     for name in variables:
         header += [f"{name}_mean", f"{name}_median", f"{name}_std"]
-    od = model.od_points(trips)
     # one row per variable, in the order of `variables`
     by_variable = np.stack([od[:, 0, 0], od[:, 0, 1], od[:, 1, 0], od[:, 1, 1],
                             od[:, 0, 2], od[:, 1, 2]])

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import metrics
 from .metrics import MetricParams, WgmWeights
-from .model import ScaleContext, Trip, od_points, od_reps, path_length, sampled_rep
+from .model import ScaleContext, Trip, od_points, path_length, sample_points, scale_points
 
 #: Metric names accepted by greedy_match and compare_metrics.
 METRIC_NAMES = ("wgm", "wgm_time", "lcss", "dtw", "dtw_time", "frechet")
@@ -124,20 +124,22 @@ class MatchReport:
 
 
 def _candidate_indices(
-    requests: Sequence[Trip], rides: Sequence[Trip], scenario: MatchScenario
+    requests: np.ndarray, rides: np.ndarray, scenario: MatchScenario
 ) -> list[list[int]]:
     """Per-request feasible ride indices, ascending.
 
-    A ride is a candidate when its origin and its destination each lie
-    within time_threshold seconds and dist_threshold meters of the
-    request's, and its window is ordered against the request's as the mode
-    requires. The cheap time and order gates run over every ride; the
-    distances are computed only for the rides that pass them.
+    requests and rides are raw endpoint stacks of shape (n, 2, 3), as
+    od_points gives them. A ride is a candidate when its origin and its
+    destination each lie within time_threshold seconds and dist_threshold
+    meters of the request's, and its window is ordered against the
+    request's as the mode requires. The cheap time and order gates run over
+    every ride; the distances are computed only for the rides that pass
+    them.
     """
-    ox, oy, ot, dx, dy, dt = od_points(rides).reshape(-1, 6).T
+    ox, oy, ot, dx, dy, dt = rides.reshape(-1, 6).T
     dist, span = scenario.dist_threshold, scenario.time_threshold
     out = []
-    for rox, roy, rot, rdx, rdy, rdt in od_points(requests).reshape(-1, 6).tolist():
+    for rox, roy, rot, rdx, rdy, rdt in requests.reshape(-1, 6).tolist():
         if scenario.mode == "car":
             gate = (ot >= rot) & (dt <= rdt)
         else:
@@ -152,7 +154,7 @@ def _candidate_indices(
 
 def _metric_fn(
     scenario: MatchScenario, ctx: ScaleContext
-) -> tuple[int, Callable[[np.ndarray, np.ndarray], float]]:
+) -> tuple[int, Callable[[list, list], float]]:
     """Resolve the scenario's metric to (sign, pair scorer).
 
     The best ride minimises sign * score: -1 for a similarity, 1 for a
@@ -177,23 +179,34 @@ def _metric_fn(
     raise ValueError(f"unknown metric {name!r}")
 
 
+def _endpoints_and_reps(
+    trips: Sequence[Trip], k: int, ctx: ScaleContext
+) -> tuple[np.ndarray, np.ndarray]:
+    """Raw (n, 2, 3) endpoints and scaled (n, k, 3) reps from one sample stack, then dropped."""
+    raw = sample_points(trips, k)
+    return raw[:, [0, -1]], scale_points(raw, ctx)
+
+
 def _match(
     requests: Sequence[Trip],
     rides: Sequence[Trip],
     scenarios: Sequence[MatchScenario],
-    ctx: ScaleContext,
-    reps_req: Sequence[np.ndarray],
-    reps_ride: Sequence[np.ndarray],
+    rep_len: int,
 ) -> list[MatchReport]:
     """One report per scenario, each request matched to its best candidate.
 
-    The scenarios share the first one's candidates. Each candidate is
-    scored once; the best minimises (sign * score, ride id), so equal
-    scores go to the lowest ride id. Path lengths are computed only for the
-    rides some request picked.
+    Trips are scored on rep_len sampled waypoints, scaled into the box of
+    both populations; their endpoints decide the candidates, which the
+    scenarios share with the first one. Each candidate is scored once; the
+    best minimises (sign * score, ride id), so equal scores go to the lowest
+    ride id. Path lengths are computed only for the rides some request
+    picked.
     """
-    candidates = _candidate_indices(requests, rides, scenarios[0])
-    req_od, ride_od = od_points(requests).tolist(), od_points(rides).tolist()
+    ctx = ScaleContext.from_trips(list(requests) + list(rides))
+    req_od, reps_req = _endpoints_and_reps(requests, rep_len, ctx)
+    ride_od, reps_ride = _endpoints_and_reps(rides, rep_len, ctx)
+    candidates = _candidate_indices(req_od, ride_od, scenarios[0])
+    req_od, ride_od = req_od.tolist(), ride_od.tolist()
     ride_ids = [t.id for t in rides]
     req_len = [path_length(t) for t in requests]
     reports = []
@@ -204,7 +217,9 @@ def _match(
             if not cands:
                 rows.append(MatchRow(request.id, None, 0.0, 0.0, 0.0, 0.0, 0.0))
                 continue
-            key, ride_id, j = min((sign * score(rep, reps_ride[j]), ride_ids[j], j)
+            # the scalar metrics run faster on float lists than on numpy rows
+            rep = rep.tolist()
+            key, ride_id, j = min((sign * score(rep, reps_ride[j].tolist()), ride_ids[j], j)
                                   for j in cands)
             ride_o, ride_d = ride_od[j]
             rows.append(MatchRow(
@@ -246,9 +261,7 @@ def greedy_match(
     and a greedy scan is optimal. Trips are scored on their scaled OD
     endpoints.
     """
-    ctx = ScaleContext.from_trips(list(requests) + list(rides))
-    return _match(requests, rides, [scenario], ctx, od_reps(requests, ctx),
-                  od_reps(rides, ctx))[0]
+    return _match(requests, rides, [scenario], 2)[0]
 
 
 def savings_accounting(report: MatchReport) -> dict[str, float]:
@@ -291,13 +304,14 @@ def match_counts_curve(
     """
     if vary not in ("dist", "time"):
         raise ValueError(f"vary must be 'dist' or 'time', got {vary!r}")
+    req_od, ride_od = od_points(requests), od_points(rides)
     out = []
     for value in sweep:
         if vary == "dist":
             swept = dataclasses.replace(scenario, dist_threshold=value)
         else:
             swept = dataclasses.replace(scenario, time_threshold=value)
-        sizes = [len(c) for c in _candidate_indices(requests, rides, swept)]
+        sizes = [len(c) for c in _candidate_indices(req_od, ride_od, swept)]
         for least in match_counts:
             out.append({
                 "vary": vary,
@@ -324,12 +338,9 @@ def compare_metrics(
     """
     if len({(s.mode, s.dist_threshold, s.time_threshold) for s in scenarios}) != 1:
         raise ValueError("compare needs one or more scenarios that share mode and thresholds")
-    ctx = ScaleContext.from_trips(list(requests) + list(rides))
-    reps_req = [sampled_rep(t, ctx, rep_len) for t in requests]
-    reps_ride = [sampled_rep(t, ctx, rep_len) for t in rides]
-    for rep, trip in zip(reps_req + reps_ride, list(requests) + list(rides)):
-        if len(rep) != rep_len:
+    for trip in list(requests) + list(rides):
+        if len(trip.xyt()) < rep_len:
             raise ValueError(
-                f"trip {trip.id!r} has only {len(rep)} waypoints; need {rep_len}"
+                f"trip {trip.id!r} has only {len(trip.xyt())} waypoints; need {rep_len}"
             )
-    return _match(requests, rides, scenarios, ctx, reps_req, reps_ride)
+    return _match(requests, rides, scenarios, rep_len)

@@ -1,8 +1,9 @@
 """Spatio-temporal similarity scores and trajectory distance metrics.
 
-Every function here operates on scaled point sequences: arrays of shape
-(n, 3) with columns (x, y, t) in [0, 1], as produced by model.scale_trip.
-Individual points are any 3-sequences (x, y, t).
+Every function here operates on scaled point sequences of shape (n, 3),
+columns (x, y, t) in [0, 1]: one trip's rows of model.sample_points, mapped
+by model.scale_points. The scalar functions take a sequence as an array or
+as a list of rows; individual points are any 3-sequences (x, y, t).
 """
 
 from __future__ import annotations

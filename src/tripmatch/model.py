@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 from numpy.typing import ArrayLike
@@ -174,58 +174,42 @@ class ScaleContext:
         return cls(x_min, x_max, y_min, y_max, t_min, t_max)
 
 
-def od_points(trips: Iterable[Trip]) -> np.ndarray:
-    """Raw origin and destination points, stacked: shape (n, 2, 3), columns x, y, t."""
-    return np.array([(p[0], p[-1]) for p in (t.xyt() for t in trips)],
-                    dtype=float).reshape(-1, 2, 3)
+def sample_points(trips: Iterable[Trip], k: int) -> np.ndarray:
+    """Every trip's waypoints at indices round(i (m-1) / (k-1)), i = 0..k-1.
 
-
-def sample_waypoints(trip: Trip, k: int) -> Trip:
-    """Reduce a trip to k waypoints by uniform index selection.
-
-    Picks the waypoints at indices round(i * (n-1) / (k-1)) for i in 0..k-1,
-    which always keeps the endpoints. Trips with n <= k are returned
-    unchanged (no upsampling).
+    Returns the raw x, y, t rows stacked as shape (n, k, 3), gathered by one
+    concatenate-and-index over the population. Row 0 and row k - 1 are
+    always the trip's first and last waypoints. A trip with fewer than k
+    waypoints repeats some of them.
     """
     if k < 2:
         raise ValueError(f"sample size must be >= 2, got {k}")
-    n = len(trip.xyt())
-    if n <= k:
-        return trip
-    step = (n - 1) / (k - 1)
-    indices = np.floor(np.arange(k) * step + 0.5).astype(np.intp)
-    return Trip.from_xyt(trip.id, trip.xyt()[indices])
+    xyts = [trip.xyt() for trip in trips]
+    if not xyts:
+        return np.empty((0, k, 3))
+    m = np.array([len(xyt) for xyt in xyts])
+    index = np.arange(k) * ((m - 1) / (k - 1))[:, None]
+    index += 0.5
+    index = np.floor(index, out=index).astype(np.intp)
+    index += (np.cumsum(m) - m)[:, None]
+    return np.concatenate(xyts)[index]
 
 
-def _scale(raw: np.ndarray, ctx: ScaleContext) -> np.ndarray:
-    """Map (..., 3) raw x, y, t columns linearly onto the context box, unclamped."""
-    lo = np.array([ctx.x_min, ctx.y_min, ctx.t_min])
-    span = np.array([ctx.x_span, ctx.y_span, ctx.t_span])
-    return (raw - lo) / span
+def od_points(trips: Iterable[Trip]) -> np.ndarray:
+    """Raw origin and destination points, stacked: shape (n, 2, 3), columns x, y, t."""
+    return sample_points(trips, 2)
 
 
-def scale_trip(trip: Trip, ctx: ScaleContext) -> np.ndarray:
-    """Every waypoint of a trip scaled: an (n, 3) array of x, y, t clamped into [0, 1]."""
-    return np.clip(_scale(trip.xyt(), ctx), 0.0, 1.0)
-
-
-def od_reps(trips: Sequence[Trip], ctx: ScaleContext) -> np.ndarray:
-    """Scaled origin-destination representations, stacked: shape (n, 2, 3).
-
-    Row i holds trip i's first and last waypoints scaled as scale_trip
-    scales them, clamped into [0, 1].
-    """
-    return np.clip(_scale(od_points(trips), ctx), 0.0, 1.0)
+def scale_points(points: np.ndarray, ctx: ScaleContext) -> np.ndarray:
+    """Raw (..., 3) x, y, t rows mapped linearly onto the context box, clamped into [0, 1]."""
+    scaled = points - np.array([ctx.x_min, ctx.y_min, ctx.t_min])
+    scaled /= [ctx.x_span, ctx.y_span, ctx.t_span]
+    return np.clip(scaled, 0.0, 1.0, out=scaled)
 
 
 def od_rep(trip: Trip, ctx: ScaleContext) -> np.ndarray:
     """Scaled origin-destination representation of one trip: a (2, 3) array."""
-    return od_reps([trip], ctx)[0]
-
-
-def sampled_rep(trip: Trip, ctx: ScaleContext, k: int) -> np.ndarray:
-    """Scaled k-waypoint representation (fewer if the trip is shorter)."""
-    return scale_trip(sample_waypoints(trip, k), ctx)
+    return scale_points(od_points([trip]), ctx)[0]
 
 
 def path_length(trip: Trip) -> float:

@@ -195,39 +195,38 @@ def matching_weight(dag: TripDag, matching: dict[int, int]) -> float:
 
 
 class TestBuildTripDag:
-    CTX = ScaleContext(0, 20_000, 0, 20_000, 0, 7200)
-
     def test_sequential_nearby_trips_connect(self):
         a = straight_trip("a", (1000, 1000), (5000, 5000), 0, 900)
         b = straight_trip("b", (5400, 5000), (9000, 9000), 1200, 2100)
-        dag = build_trip_dag([a, b], self.CTX)
+        dag = build_trip_dag([a, b])
         assert set(dag.edges) == {(0, 1)}
 
     def test_overlapping_trips_never_connect(self):
         a = straight_trip("a", (1000, 1000), (5000, 5000), 0, 1000)
         b = straight_trip("b", (5000, 5000), (9000, 9000), 900, 2000)
-        dag = build_trip_dag([a, b], self.CTX)
+        dag = build_trip_dag([a, b])
         assert dag.edges == {}
 
     def test_equal_timestamps_excluded(self):
         a = straight_trip("a", (1000, 1000), (5000, 5000), 0, 900)
         b = straight_trip("b", (5000, 5000), (9000, 9000), 900, 2000)
-        dag = build_trip_dag([a, b], self.CTX)
+        dag = build_trip_dag([a, b])
         assert dag.edges == {}
 
     def test_threshold_gates(self):
         a = straight_trip("a", (1000, 1000), (5000, 5000), 0, 900)
         far = straight_trip("f", (6900, 5000), (9000, 9000), 1000, 2000)
         late = straight_trip("l", (5000, 5000), (9000, 9000), 1900, 2900)
-        dag = build_trip_dag([a, far, late], self.CTX)
+        dag = build_trip_dag([a, far, late])
         assert dag.edges == {}
 
     def test_edge_weight_is_handoff_psim(self):
         a = straight_trip("a", (1000, 1000), (5000, 5000), 0, 900)
         b = straight_trip("b", (5400, 5000), (9000, 9000), 1200, 2100)
-        dag = build_trip_dag([a, b], self.CTX, weights=W)
-        end = (5000 / 20_000, 5000 / 20_000, 900 / 7200)
-        start = (5400 / 20_000, 5000 / 20_000, 1200 / 7200)
+        dag = build_trip_dag([a, b], weights=W)
+        # scaled in the trips' own box: x and y 1000-9000 m, t 0-2100 s
+        end = (4000 / 8000, 4000 / 8000, 900 / 2100)
+        start = (4400 / 8000, 4000 / 8000, 1200 / 2100)
         expected = psim(end, start, W)
         assert math.isclose(dag.edges[(0, 1)], expected, rel_tol=1e-12)
 
@@ -238,7 +237,7 @@ class TestBuildTripDag:
             x0, y0 = rng.uniform(0, 18_000, 2)
             t0 = rng.uniform(0, 5000)
             trips.append(straight_trip(f"t{i:02d}", (x0, y0), (x0 + 1500, y0), t0, t0 + 600))
-        dag = build_trip_dag(trips, self.CTX)
+        dag = build_trip_dag(trips)
         assert_acyclic(dag)
         for (i, j) in dag.edges:
             assert trips[j].start_time > trips[i].end_time
@@ -249,7 +248,7 @@ class TestBuildTripDag:
         b = straight_trip("b", (5000, 5000), (9000, 9000), 986.999756924277, 1500)
         assert b.start_time > a.end_time + 523.2
         assert b.start_time - a.end_time == 523.2
-        assert set(build_trip_dag([a, b], self.CTX, time_threshold=523.2).edges) == {(0, 1)}
+        assert set(build_trip_dag([a, b], time_threshold=523.2).edges) == {(0, 1)}
 
     @settings(max_examples=300, deadline=None)
     @given(handoff_cases())
@@ -262,10 +261,11 @@ class TestBuildTripDag:
                 if i != j and 0 < gap <= span and \
                         spatial_distance(a.destination, b.origin) <= dist:
                     expected.append((i, j))
-        dag = build_trip_dag(trips, self.CTX, dist, span, W)
+        dag = build_trip_dag(trips, dist, span, W)
         assert list(dag.edges) == expected
+        box = ScaleContext.from_trips(trips)
         for (i, j), weight in dag.edges.items():
-            a, b = od_rep(trips[i], self.CTX), od_rep(trips[j], self.CTX)
+            a, b = od_rep(trips[i], box), od_rep(trips[j], box)
             assert math.isclose(weight, psim(a[1], b[0], W), rel_tol=1e-12)
 
 
@@ -390,8 +390,6 @@ class TestExtractChains:
 
 
 class TestChainStats:
-    CTX = ScaleContext(0, 20_000, 0, 20_000, 0, 7200)
-
     def test_singleton_has_no_pickups(self):
         trip = straight_trip("a", (0, 0), (3000, 4000), 0, 600)
         dag = TripDag(("a",), {})
@@ -404,7 +402,7 @@ class TestChainStats:
     def test_two_trip_chain_pickup_totals(self):
         a = straight_trip("a", (1000, 1000), (5000, 5000), 0, 900)
         b = straight_trip("b", (5500, 5000), (9000, 9000), 960, 2000)
-        dag, schedule = schedule_trips([a, b], self.CTX)
+        dag, schedule = schedule_trips([a, b])
         assert schedule.chains == (("a", "b"),)
         stats = chain_stats(schedule, [a, b])
         assert math.isclose(stats[0].pickup_km, 0.5)
@@ -417,7 +415,7 @@ class TestChainStats:
             x0, y0 = rng.uniform(0, 18_000, 2)
             t0 = rng.uniform(0, 5000)
             trips.append(straight_trip(f"t{i:02d}", (x0, y0), (x0 + 1200, y0), t0, t0 + 500))
-        dag, schedule = schedule_trips(trips, self.CTX, dist_threshold=1800,
+        dag, schedule = schedule_trips(trips, dist_threshold=1800,
                                        time_threshold=900)
         by_id = {t.id: t for t in trips}
         for chain in schedule.chains:

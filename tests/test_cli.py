@@ -302,6 +302,19 @@ class TestMatch:
                             "--out", str(tmp_path / "bad"))
         assert code == 1 and summary["category"] == "invalid-argument"
 
+    @pytest.mark.parametrize("command", ["match", "compare"])
+    @pytest.mark.parametrize("given, missing", [("--requests", "--rides"),
+                                                ("--rides", "--requests")])
+    def test_half_given_pair_is_invalid(self, command, given, missing, trips_file, tmp_path,
+                                        capsys):
+        # a lone file must not fall back to splitting --trips
+        out = tmp_path / "half"
+        code, summary = run(capsys, command, given, str(trips_file), "--trips", str(trips_file),
+                            "--n-riders", "5", "--n-rides", "5", "--out", str(out))
+        assert code == 1 and summary["category"] == "invalid-argument"
+        assert summary["message"].endswith(f"{missing} is missing")
+        assert not (out / "run_manifest.json").exists()
+
 
 class TestCompare:
     def test_comparison_table(self, trips_file, tmp_path, capsys):
@@ -324,6 +337,16 @@ class TestCompare:
                             "--metrics", "wgm,dtw,wgm", "--out", str(out))
         assert code == 1 and summary["category"] == "invalid-argument"
         assert "more than once: wgm,dtw,wgm" in summary["message"]
+        assert not (out / "comparison.csv").exists()
+
+    def test_trip_shorter_than_rep_len_is_invalid(self, trips_file, tmp_path, capsys):
+        out = tmp_path / "short"
+        code, summary = run(capsys, "compare", "--trips", str(trips_file),
+                            "--n-riders", "10", "--n-rides", "50", "--rep-len", "61",
+                            "--out", str(out))
+        assert code == 1 and summary["category"] == "invalid-argument"
+        assert summary["message"].endswith("has only 60 waypoints; need 61")
+        assert summary["message"].startswith("trip '")
         assert not (out / "comparison.csv").exists()
 
     def test_wt_sweep(self, trips_file, tmp_path, capsys):

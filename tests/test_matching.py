@@ -30,7 +30,7 @@ from tripmatch.metrics import (
     frechet_discrete,
     lcss,
 )
-from tripmatch.model import ScaleContext, Trip, od_rep, path_length, spatial_distance
+from tripmatch.model import ScaleContext, Trip, od_points, od_rep, path_length, spatial_distance
 
 from conftest import rider_ride_population, straight_trip
 
@@ -52,7 +52,7 @@ def passes_filter(request: Trip, ride: Trip, scenario: MatchScenario) -> bool:
 
 def feasible_candidates(request: Trip, rides: list[Trip], scenario: MatchScenario) -> list[Trip]:
     """The rides _candidate_indices admits for one request."""
-    (indices,) = _candidate_indices([request], rides, scenario)
+    (indices,) = _candidate_indices(od_points([request]), od_points(rides), scenario)
     return [rides[j] for j in indices]
 
 
@@ -116,7 +116,8 @@ def exhaustive_choice(requests: list[Trip], rides: list[Trip], scenario: MatchSc
         "frechet": (-1, frechet_discrete),
     }[scenario.metric]
     out = []
-    for request, cands in zip(requests, _candidate_indices(requests, rides, scenario)):
+    candidates = _candidate_indices(od_points(requests), od_points(rides), scenario)
+    for request, cands in zip(requests, candidates):
         ranked = sorted((-sign * score(od_rep(request, ctx), od_rep(rides[j], ctx)), rides[j].id)
                         for j in cands)
         out.append((ranked[0][1], -sign * ranked[0][0]) if ranked else (None, 0.0))
@@ -183,7 +184,7 @@ class TestCandidateIndices:
         requests, rides, scenario = case
         expected = [[j for j, ride in enumerate(rides) if passes_filter(request, ride, scenario)]
                     for request in requests]
-        assert _candidate_indices(requests, rides, scenario) == expected
+        assert _candidate_indices(od_points(requests), od_points(rides), scenario) == expected
 
 
 class TestMatchCountsCurve:

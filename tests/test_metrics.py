@@ -1,11 +1,12 @@
 """Tests for the similarity score and the trajectory comparison metrics.
 
-The dynamic programs are checked against memo-free recursive definitions
-on short random sequences.
+The dynamic programs are checked against their recursive definitions on
+short random sequences.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from unittest import mock
 
@@ -56,50 +57,55 @@ def random_seq(rng, n):
 
 
 # --- recursive-definition oracles -----------------------------------------
+# Each call memoizes its own recursion over (i, j); the expressions are the
+# definitions', so the values are those of the plain recursion.
 
-def lcss_rec(t1, t2, params, i=None, j=None):
-    if i is None:
-        i, j = len(t1) - 1, len(t2) - 1
-    if i < 0 or j < 0:
-        return 0
-    d = math.hypot(t1[i][0] - t2[j][0], t1[i][1] - t2[j][1])
-    if d <= params.eps_space and abs(t1[i][2] - t2[j][2]) <= params.eps_time:
-        return 1 + lcss_rec(t1, t2, params, i - 1, j - 1)
-    return max(lcss_rec(t1, t2, params, i - 1, j), lcss_rec(t1, t2, params, i, j - 1))
-
-
-def dtw_rec(t1, t2, with_time, i=None, j=None):
-    if i is None:
-        i, j = len(t1) - 1, len(t2) - 1
-    cost = math.hypot(t1[i][0] - t2[j][0], t1[i][1] - t2[j][1])
-    if with_time:
-        cost *= abs(t1[i][2] - t2[j][2])
-    if i == 0 and j == 0:
-        return cost
-    best = math.inf
-    if i > 0:
-        best = min(best, dtw_rec(t1, t2, with_time, i - 1, j))
-    if j > 0:
-        best = min(best, dtw_rec(t1, t2, with_time, i, j - 1))
-    if i > 0 and j > 0:
-        best = min(best, dtw_rec(t1, t2, with_time, i - 1, j - 1))
-    return cost + best
+def lcss_rec(t1, t2, params):
+    @functools.cache
+    def rec(i, j):
+        if i < 0 or j < 0:
+            return 0
+        d = math.hypot(t1[i][0] - t2[j][0], t1[i][1] - t2[j][1])
+        if d <= params.eps_space and abs(t1[i][2] - t2[j][2]) <= params.eps_time:
+            return 1 + rec(i - 1, j - 1)
+        return max(rec(i - 1, j), rec(i, j - 1))
+    return rec(len(t1) - 1, len(t2) - 1)
 
 
-def frechet_rec(t1, t2, i=None, j=None):
-    if i is None:
-        i, j = len(t1) - 1, len(t2) - 1
-    d = math.hypot(t1[i][0] - t2[j][0], t1[i][1] - t2[j][1])
-    if i == 0 and j == 0:
-        return d
-    best = math.inf
-    if i > 0:
-        best = min(best, frechet_rec(t1, t2, i - 1, j))
-    if j > 0:
-        best = min(best, frechet_rec(t1, t2, i, j - 1))
-    if i > 0 and j > 0:
-        best = min(best, frechet_rec(t1, t2, i - 1, j - 1))
-    return max(d, best)
+def dtw_rec(t1, t2, with_time):
+    @functools.cache
+    def rec(i, j):
+        cost = math.hypot(t1[i][0] - t2[j][0], t1[i][1] - t2[j][1])
+        if with_time:
+            cost *= abs(t1[i][2] - t2[j][2])
+        if i == 0 and j == 0:
+            return cost
+        best = math.inf
+        if i > 0:
+            best = min(best, rec(i - 1, j))
+        if j > 0:
+            best = min(best, rec(i, j - 1))
+        if i > 0 and j > 0:
+            best = min(best, rec(i - 1, j - 1))
+        return cost + best
+    return rec(len(t1) - 1, len(t2) - 1)
+
+
+def frechet_rec(t1, t2):
+    @functools.cache
+    def rec(i, j):
+        d = math.hypot(t1[i][0] - t2[j][0], t1[i][1] - t2[j][1])
+        if i == 0 and j == 0:
+            return d
+        best = math.inf
+        if i > 0:
+            best = min(best, rec(i - 1, j))
+        if j > 0:
+            best = min(best, rec(i, j - 1))
+        if i > 0 and j > 0:
+            best = min(best, rec(i - 1, j - 1))
+        return max(d, best)
+    return rec(len(t1) - 1, len(t2) - 1)
 
 
 # ---------------------------------------------------------------------------

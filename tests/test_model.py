@@ -12,11 +12,11 @@ from tripmatch.model import (
     ScaleContext,
     Trip,
     Waypoint,
+    od_points,
     od_rep,
-    od_reps,
     path_length,
-    sample_waypoints,
-    scale_trip,
+    sample_points,
+    scale_points,
     spatial_distance,
 )
 
@@ -36,6 +36,23 @@ def point_trip(*points: tuple[float, float, float]) -> Trip:
 def extract_od(trip: Trip) -> tuple[Waypoint, Waypoint]:
     """Origin/destination endpoints: the first and last waypoints of the trip."""
     return trip.origin, trip.destination
+
+
+def sample_waypoints(trip: Trip, k: int) -> Trip:
+    """Reduce one trip to k waypoints by uniform index selection.
+
+    Picks the waypoints at indices round(i * (n-1) / (k-1)) for i in 0..k-1,
+    which always keeps the endpoints. Trips with n <= k are returned
+    unchanged (no upsampling).
+    """
+    if k < 2:
+        raise ValueError(f"sample size must be >= 2, got {k}")
+    n = len(trip.xyt())
+    if n <= k:
+        return trip
+    step = (n - 1) / (k - 1)
+    indices = np.floor(np.arange(k) * step + 0.5).astype(np.intp)
+    return Trip.from_xyt(trip.id, trip.xyt()[indices])
 
 
 def od_displacement(trip: Trip) -> float:
@@ -95,52 +112,74 @@ class TestExtractOd:
 class TestSampleWaypoints:
     def test_identity_when_sizes_match(self):
         trip = make_trip("t", [(i, 0, float(i)) for i in range(50)])
-        assert sample_waypoints(trip, 50).waypoints == trip.waypoints
+        assert np.array_equal(sample_points([trip], 50)[0], trip.xyt())
 
     def test_endpoints_only(self):
         trip = make_trip("t", [(0, 0, 0.0), (1, 0, 1.0), (2, 0, 2.0)])
-        sampled = sample_waypoints(trip, 2)
-        assert [w.x for w in sampled.waypoints] == [0, 2]
+        assert sample_points([trip], 2)[0, :, 0].tolist() == [0, 2]
 
     def test_uniform_indices_99_to_50(self):
         trip = make_trip("t", [(i, 0, float(i)) for i in range(99)])
-        sampled = sample_waypoints(trip, 50)
         # index formula evaluated directly: round(i * 98 / 49) = 2i
-        assert [int(w.x) for w in sampled.waypoints] == list(range(0, 99, 2))
+        assert sample_points([trip], 50)[0, :, 0].tolist() == list(range(0, 99, 2))
 
     def test_no_upsampling(self):
+        # a trip shorter than k repeats its own waypoints; no point is made up
         trip = make_trip("t", [(0, 0, 0.0), (1, 0, 1.0)])
-        assert sample_waypoints(trip, 10) is trip
+        assert sample_points([trip], 10)[0, :, 0].tolist() == [0] * 5 + [1] * 5
 
     def test_rejects_small_k(self):
         trip = make_trip("t", [(0, 0, 0.0), (1, 0, 1.0)])
-        with pytest.raises(ValueError):
-            sample_waypoints(trip, 1)
+        with pytest.raises(ValueError, match="sample size"):
+            sample_points([trip], 1)
+
+    def test_empty_population(self):
+        assert sample_points([], 7).shape == (0, 7, 3)
+        assert od_points([]).shape == (0, 2, 3)
 
     def test_preserves_order_and_endpoints(self):
         rng = np.random.default_rng(5)
-        for _ in range(50):
-            n = int(rng.integers(2, 120))
+        for _ in range(20):
             k = int(rng.integers(2, 60))
-            trip = make_trip("t", [(i, 0, float(i)) for i in range(n)])
-            sampled = sample_waypoints(trip, k)
-            xs = [w.x for w in sampled.waypoints]
-            assert xs == sorted(xs)
-            assert xs[0] == 0 and xs[-1] == n - 1
-            assert len(sampled.waypoints) == min(n, k)
+            sizes = rng.integers(1, 120, int(rng.integers(1, 6))).tolist()
+            trips = [make_trip(f"t{i}", [(j, 0, float(j)) for j in range(n)])
+                     for i, n in enumerate(sizes)]
+            sampled = sample_points(trips, k)
+            assert sampled.shape == (len(trips), k, 3)
+            for n, xs in zip(sizes, sampled[:, :, 0].tolist()):
+                assert xs == sorted(xs)
+                assert xs[0] == 0 and xs[-1] == n - 1
+                assert len(set(xs)) == min(n, k)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.integers(1, 40), max_size=6), st.integers(2, 30), st.integers(0, 2**32 - 1))
+    def test_equals_per_trip_oracle(self, sizes, k, seed):
+        rng = np.random.default_rng(seed)
+        trips = [Trip.from_xyt(f"t{i}", np.column_stack(
+                     [rng.uniform(-1e4, 1e4, (n, 2)), np.sort(rng.uniform(0, 1e5, n))]))
+                 for i, n in enumerate(sizes)]
+        sampled = sample_points(trips, k)
+        assert sampled.shape == (len(trips), k, 3)
+        for trip, rows in zip(trips, sampled):
+            if len(trip.xyt()) >= k:
+                assert np.array_equal(rows, sample_waypoints(trip, k).xyt())
+        ends = od_points(trips)
+        assert ends.shape == (len(trips), 2, 3)
+        for trip, (o, d) in zip(trips, ends):
+            assert np.array_equal(o, trip.xyt()[0]) and np.array_equal(d, trip.xyt()[-1])
 
 
 class TestScaling:
     def test_corners_and_midpoint(self, ctx):
         rep = od_rep(point_trip((0, 0, 0), (5000, 5000, 1800), (10_000, 10_000, 3600)), ctx)
         assert rep.tolist() == [[0.0, 0.0, 0.0], [1.0, 1.0, 1.0]]
-        mid = scale_trip(point_trip((5000, 5000, 1800)), ctx)
+        mid = scale_points(point_trip((5000, 5000, 1800)).xyt(), ctx)
         assert mid.tolist() == [[0.5, 0.5, 0.5]]
 
     def test_round_trip(self, ctx):
         rng = np.random.default_rng(1)
         raw = np.column_stack([np.sort(rng.uniform(0, b, 200)) for b in (10_000, 10_000, 3600)])
-        scaled = scale_trip(make_trip("t", [tuple(r) for r in raw]), ctx)
+        scaled = scale_points(make_trip("t", [tuple(r) for r in raw]).xyt(), ctx)
         back = scaled * [ctx.x_span, ctx.y_span, ctx.t_span] + [ctx.x_min, ctx.y_min, ctx.t_min]
         np.testing.assert_allclose(back, raw, rtol=1e-9, atol=1e-9)
 
@@ -150,7 +189,7 @@ class TestScaling:
 
     def test_scale_trip_counts_clamped(self, ctx):
         trip = make_trip("t", [(100, 100, 0.0), (20_000, 100, 10.0), (100, 100, 99_999.0)])
-        arr = scale_trip(trip, ctx)
+        arr = scale_points(trip.xyt(), ctx)
         assert arr.tolist() == [list(scale_point(w, ctx)) for w in trip.waypoints]
         unclamped = (trip.xyt() - [ctx.x_min, ctx.y_min, ctx.t_min]) / [
             ctx.x_span, ctx.y_span, ctx.t_span]
@@ -160,7 +199,7 @@ class TestScaling:
     def test_strictly_monotone_inside_bounds(self, ctx):
         rng = np.random.default_rng(2)
         xs = np.unique(rng.uniform(0, 10_000, 50))
-        scaled = od_reps([point_trip((x, 0, 0)) for x in xs], ctx)[:, 0, 0]
+        scaled = scale_points(od_points([point_trip((x, 0, 0)) for x in xs]), ctx)[:, 0, 0]
         assert all(b > a for a, b in zip(scaled, scaled[1:]))
 
     @settings(max_examples=200, deadline=None)
@@ -174,12 +213,13 @@ class TestScaling:
         ctx = ScaleContext(x0, x0 + xs, y0, y0 + ys, t0, t0 + ts)
         trips = [make_trip(f"t{i}", sorted(pts, key=lambda p: p[2]))
                  for i, pts in enumerate(trips)]
-        reps = od_reps(trips, ctx)
+        reps = scale_points(od_points(trips), ctx)
         assert reps.shape == (len(trips), 2, 3)
         expected = [[scale_point(t.origin, ctx), scale_point(t.destination, ctx)] for t in trips]
         assert reps.tolist() == [[list(p) for p in pair] for pair in expected]
         for trip, rep in zip(trips, reps):
-            assert np.array_equal(rep, scale_trip(trip, ctx)[[0, -1]])
+            assert np.array_equal(rep, scale_points(trip.xyt(), ctx)[[0, -1]])
+            assert np.array_equal(rep, od_rep(trip, ctx))
 
     def test_degenerate_context_rejected(self):
         with pytest.raises(ValueError, match="span"):
@@ -199,7 +239,7 @@ class TestScaling:
         assert (box.x_min, box.x_max) == (1000, 1001)
         assert (box.y_min, box.y_max) == (1000, 5000)
         assert (box.t_min, box.t_max) == (100, 101)
-        assert scale_trip(trips[0], box).tolist() == [[0, 0, 0], [0, 1, 0]]
+        assert scale_points(trips[0].xyt(), box).tolist() == [[0, 0, 0], [0, 1, 0]]
 
 
 class TestPathLength:
