@@ -82,26 +82,26 @@ def _kmeans_pp_init(points: np.ndarray, k: int, rng: np.random.Generator) -> np.
 
 
 def _lloyd(points: np.ndarray, centers: np.ndarray) -> tuple[np.ndarray, float]:
-    """Lloyd iterations until assignments stabilize; returns labels and inertia."""
-    k = centers.shape[0]
+    """Lloyd iterations until assignments stabilize; returns labels and inertia.
+
+    At most KMEANS_MAX_ITER center updates run; the labels and inertia come
+    from the assignment pass after the last one.
+    """
     labels = np.full(points.shape[0], -1)
-    for _ in range(KMEANS_MAX_ITER):
+    for step in range(KMEANS_MAX_ITER + 1):
         d2 = ((points[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
         new_labels = d2.argmin(axis=1)
-        if np.array_equal(new_labels, labels):
+        if step == KMEANS_MAX_ITER or np.array_equal(new_labels, labels):
             break
         labels = new_labels
-        for c in range(k):
+        for c in range(centers.shape[0]):
             members = points[labels == c]
             if len(members) > 0:
                 centers[c] = members.mean(axis=0)
             else:
                 # revive an empty cluster at the worst-served point
                 centers[c] = points[d2.min(axis=1).argmax()]
-    d2 = ((points[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
-    labels = d2.argmin(axis=1)
-    inertia = float(d2[np.arange(points.shape[0]), labels].sum())
-    return labels, inertia
+    return new_labels, float(d2[np.arange(points.shape[0]), new_labels].sum())
 
 
 def kmeans(points: np.ndarray, k: int, seed: int) -> np.ndarray:
@@ -124,34 +124,14 @@ def kmeans(points: np.ndarray, k: int, seed: int) -> np.ndarray:
     return best_labels
 
 
-def spectral_cluster(s: np.ndarray, k: int, seed: int) -> np.ndarray:
-    """Normalized spectral clustering of a symmetric affinity matrix.
-
-    Embeds each trip as its row in the top k eigenvectors of
-    M = D^{-1/2} S D^{-1/2} (the bottom k of the normalized Laplacian
-    L = I - M), row-normalized, and runs seeded k-means on the embedding.
-    Deterministic for a fixed seed.
-    """
-    s = np.asarray(s, dtype=float)
-    n = s.shape[0]
-    if s.ndim != 2 or s.shape[1] != n:
-        raise ValueError("affinity must be square")
-    if np.abs(s - s.T).max() > 1e-9:
-        raise ValueError("affinity must be symmetric within 1e-9")
-    if not 2 <= k <= n:
-        raise ValueError(f"k must be in [2, {n}], got {k}")
-    degrees = s.sum(axis=1)
-    if np.any(degrees <= 0):
-        raise DegenerateInputError("affinity has a zero-degree row")
-    inv_sqrt = 1.0 / np.sqrt(degrees)
-    m = s * inv_sqrt[:, None]
-    m *= inv_sqrt
-    # eigh reads one triangle and sorts ascending: the top k, largest first
-    embedding = np.linalg.eigh(m)[1][:, :-k - 1:-1]
-    norms = np.linalg.norm(embedding, axis=1, keepdims=True)
-    norms[norms == 0.0] = 1.0
-    embedding = embedding / norms
-    return kmeans(embedding, k, seed)
+def _check_square_symmetric(a: np.ndarray, name: str) -> np.ndarray:
+    """a as a float array; raises ValueError unless it is square and symmetric within 1e-9."""
+    a = np.asarray(a, dtype=float)
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise ValueError(f"{name} must be square, got shape {a.shape}")
+    if np.abs(a - a.T).max() > 1e-9:
+        raise ValueError(f"{name} must be symmetric within 1e-9")
+    return a
 
 
 def _fix_sign(v: np.ndarray) -> np.ndarray:
@@ -160,12 +140,48 @@ def _fix_sign(v: np.ndarray) -> np.ndarray:
     return -v if v[pivot] < 0 else v
 
 
+def _top_eigenpairs(a: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """The k largest eigenvalues of symmetric a, largest first, and their eigenvectors.
+
+    eigh reads one triangle of a. Each eigenvector column is oriented by
+    _fix_sign.
+    """
+    eigvals, eigvecs = np.linalg.eigh(a)  # ascending
+    top = slice(None, -k - 1, -1)
+    return eigvals[top], np.column_stack([_fix_sign(v) for v in eigvecs[:, top].T])
+
+
+def spectral_cluster(s: np.ndarray, k: int, seed: int) -> np.ndarray:
+    """Normalized spectral clustering of a symmetric affinity matrix.
+
+    Embeds each trip as its row in the top k eigenvectors of
+    M = D^{-1/2} S D^{-1/2} (the bottom k of the normalized Laplacian
+    L = I - M), row-normalized, and runs seeded k-means on the embedding.
+    Deterministic for a fixed seed.
+    """
+    s = _check_square_symmetric(s, "affinity")
+    n = s.shape[0]
+    if not 2 <= k <= n:
+        raise ValueError(f"k must be in [2, {n}], got {k}")
+    degrees = s.sum(axis=1)
+    if np.any(degrees <= 0):
+        raise DegenerateInputError("affinity has a zero-degree row")
+    inv_sqrt = 1.0 / np.sqrt(degrees)
+    m = s * inv_sqrt[:, None]
+    m *= inv_sqrt
+    embedding = _top_eigenpairs(m, k)[1]
+    norms = np.linalg.norm(embedding, axis=1, keepdims=True)
+    norms[norms == 0.0] = 1.0
+    embedding = embedding / norms
+    return kmeans(embedding, k, seed)
+
+
 def pca_2d(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Project points onto their first two principal components.
 
-    Takes the top-2 eigenpairs of the covariance matrix, each eigenvector
-    oriented by _fix_sign. Returns (coords, explained) where coords is
-    (n, 2) and explained holds the two explained-variance ratios.
+    Takes the top-2 eigenpairs of the covariance matrix. Returns (coords,
+    explained) where coords is (n, 2) and explained holds the two
+    explained-variance ratios.
     """
     x = np.asarray(points, dtype=float)
     if x.ndim != 2 or x.shape[0] < 3 or x.shape[1] < 2:
@@ -175,10 +191,8 @@ def pca_2d(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     total_var = float(np.trace(cov))
     if total_var <= 0:
         raise DegenerateInputError("points have zero variance")
-    eigvals, eigvecs = np.linalg.eigh(cov)  # ascending
-    top = [-1, -2]
-    coords = centered @ np.column_stack([_fix_sign(eigvecs[:, i]) for i in top])
-    return coords, np.maximum(eigvals[top], 0.0) / total_var
+    eigvals, eigvecs = _top_eigenpairs(cov, 2)
+    return centered @ eigvecs, np.maximum(eigvals, 0.0) / total_var
 
 
 def mds_2d(d: np.ndarray) -> np.ndarray:
@@ -188,21 +202,14 @@ def mds_2d(d: np.ndarray) -> np.ndarray:
     (negative eigenvalues clamp to zero), and scales the eigenvectors by
     sqrt(eigenvalue). Exact for distance matrices embeddable in the plane.
     """
-    d = np.asarray(d, dtype=float)
-    n = d.shape[0]
-    if d.ndim != 2 or d.shape[1] != n:
-        raise ValueError("distance matrix must be square")
-    if np.abs(d - d.T).max() > 1e-9:
-        raise ValueError("distance matrix must be symmetric")
+    d = _check_square_symmetric(d, "distance matrix")
+    if len(d) < 2:
+        raise ValueError(f"need at least 2 points for a 2-D embedding, got {len(d)}")
     if np.abs(np.diag(d)).max() > 1e-9:
         raise ValueError("distance matrix must have a zero diagonal")
     # B = -1/2 J (D*D) J with J = I - 11^T/n: subtract row and column means, add the grand mean
     b = d * d
     b -= b.mean(axis=1)[:, None] + b.mean(axis=0) - b.mean()
     b *= -0.5
-    eigvals, eigvecs = np.linalg.eigh(b)  # ascending
-    coords = np.zeros((n, 2))
-    for axis, idx in enumerate((-1, -2)):
-        lam = max(float(eigvals[idx]), 0.0)
-        coords[:, axis] = _fix_sign(eigvecs[:, idx]) * np.sqrt(lam)
-    return coords
+    eigvals, eigvecs = _top_eigenpairs(b, 2)
+    return eigvecs * np.sqrt(np.maximum(eigvals, 0.0))

@@ -80,12 +80,12 @@ def _parse_bbox(text: str) -> model.ScaleContext:
     return model.ScaleContext(*parts)
 
 
-def _parse_floats(text: str) -> list[float]:
-    return [float(p) for p in text.split(",") if p.strip()]
-
-
-def _parse_ints(text: str) -> list[int]:
-    return [int(p) for p in text.split(",") if p.strip()]
+def _parse_list(text: str, flag: str, kind: type = float) -> list:
+    """The numbers of a comma list; a bad one raises a ValueError naming flag."""
+    try:
+        return [kind(p) for p in text.split(",") if p.strip()]
+    except ValueError as exc:
+        raise ValueError(f"{flag}: {exc}") from None
 
 
 def _weights(cfg: dict) -> metrics.WgmWeights:
@@ -201,6 +201,9 @@ def cmd_stats(cfg: dict, outdir: Path) -> dict:
             fit = fitter(samples)
             fit_rows.append([name, fit.family, f"{fit.params[0]:.6f}",
                              f"{fit.params[1]:.6f}", f"{fit.log_likelihood:.6f}", fit.n])
+    rows, cols = cfg["grid_rows"], cfg["grid_cols"]
+    unique = stats.grid_unique_counts(trips, ctx, rows, cols)
+    quart = stats.grid_duration_stats(trips, ctx, rows, cols)
     _write_csv(outdir / "fits.csv",
                ["variable", "family", "param1", "param2", "loglik", "n"], fit_rows)
 
@@ -216,12 +219,9 @@ def cmd_stats(cfg: dict, outdir: Path) -> dict:
         _write_csv(outdir / f"cdf_{name}.csv", ["value", "probability"],
                    [[f"{v:.6f}", f"{p:.6f}"] for v, p in steps])
 
-    rows, cols = cfg["grid_rows"], cfg["grid_cols"]
-    unique = stats.grid_unique_counts(trips, ctx, rows, cols)
     _write_csv(outdir / "grid_unique.csv", ["row", "col", "value"],
                [[r, c, int(unique[r, c])]
                 for r in range(rows) for c in range(cols)])
-    quart = stats.grid_duration_stats(trips, ctx, rows, cols)
     grid_rows = []
     for r in range(rows):
         for c in range(cols):
@@ -322,21 +322,20 @@ def cmd_cluster(cfg: dict, outdir: Path) -> dict:
 def cmd_match(cfg: dict, outdir: Path) -> dict:
     requests, rides = _split_riders_rides(cfg)
     scenario = _scenario(cfg)
+    match_counts = _parse_list(cfg["sweep_l"], "--sweep-L", int) if cfg.get("sweep_l") else [1]
+    sweeps = {vary: _parse_list(cfg[f"sweep_{vary}"], f"--sweep-{vary}")
+              for vary in ("dist", "time") if cfg.get(f"sweep_{vary}")}
     report = matching.greedy_match(requests, rides, scenario)
+    curve_rows = []
+    for vary, sweep in sweeps.items():
+        curve_rows += matching.match_counts_curve(
+            requests, rides, scenario, sweep, match_counts, vary)
+
     _write_matches_csv(outdir / "matches.csv", report)
     table = report.to_table_dict()
     table.update({k: round(v, 3) for k, v in matching.savings_accounting(report).items()
                   if k != "savings"})
     _write_json(outdir / "report.json", table)
-
-    curve_rows = []
-    match_counts = _parse_ints(cfg["sweep_l"]) if cfg.get("sweep_l") else [1]
-    if cfg.get("sweep_dist"):
-        curve_rows += matching.match_counts_curve(
-            requests, rides, scenario, _parse_floats(cfg["sweep_dist"]), match_counts, "dist")
-    if cfg.get("sweep_time"):
-        curve_rows += matching.match_counts_curve(
-            requests, rides, scenario, _parse_floats(cfg["sweep_time"]), match_counts, "time")
     if curve_rows:
         _write_csv(outdir / "curve.csv", ["vary", "threshold", "L", "count"],
                    [[r["vary"], f"{r['threshold']:.1f}", r["L"], r["count"]]
@@ -355,7 +354,7 @@ def cmd_compare(cfg: dict, outdir: Path) -> dict:
         raise ValueError("--metrics must name at least one metric")
     if len(set(names)) < len(names):
         raise ValueError(f"--metrics names a metric more than once: {cfg['metrics']}")
-    sweep = _parse_floats(cfg["wt_sweep"]) if cfg.get("wt_sweep") else []
+    sweep = _parse_list(cfg["wt_sweep"], "--wt-sweep") if cfg.get("wt_sweep") else []
     scenarios = [dataclasses.replace(scenario, metric=name) for name in names]
     scenarios += [dataclasses.replace(scenario, metric="wgm",
                                       weights=metrics.WgmWeights(1.0 - wt, wt))

@@ -126,7 +126,7 @@ def build_trips(records: Iterable[TraceRecord], window: TimeWindow) -> list[Trip
     trips = []
     for trip_id, recs in groups.items():
         recs.sort(key=lambda r: r.t)
-        trips.append(Trip.from_xyt(trip_id, [(r.x, r.y, r.t) for r in recs]))
+        trips.append(Trip(trip_id, [(r.x, r.y, r.t) for r in recs]))
     return trips
 
 
@@ -210,7 +210,7 @@ def generate_synthetic(cfg: SynthConfig) -> list[Trip]:
             ys[1:-1] += rng.normal(0.0, sigma, m - 2)
             xs[1:-1] = np.clip(xs[1:-1], box.x_min, box.x_max)
             ys[1:-1] = np.clip(ys[1:-1], box.y_min, box.y_max)
-        trips.append(Trip.from_xyt(f"synth-{i:05d}", np.column_stack([xs, ys, ts])))
+        trips.append(Trip(f"synth-{i:05d}", np.column_stack([xs, ys, ts])))
     return trips
 
 
@@ -235,8 +235,6 @@ def _points_xyt(points: object) -> np.ndarray:
     values themselves. The other checks are the Trip's own.
     """
     raw = np.array(points)
-    if raw.shape == (0,):
-        return raw.reshape(0, 3)
     if raw.ndim != 2 or raw.shape[1] != 3:
         raise ValueError(f"points must be [t, x, y] triples, got shape {raw.shape}")
     if raw.dtype.kind == "O":  # integers past int64, or values that are not numbers
@@ -271,7 +269,7 @@ def read_trips_jsonl(source: Iterable[str]) -> Iterator[Trip]:
         try:
             obj = json.loads(line)
             xyt = _points_xyt(obj["points"])
-            trip = Trip.from_xyt(str(obj["id"]), xyt)
+            trip = Trip(str(obj["id"]), xyt)
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise TraceFormatError(f"line {lineno}: {exc!r}") from exc
         if trip.id in first_seen:

@@ -12,17 +12,11 @@ from numpy.typing import ArrayLike
 
 @dataclass(frozen=True, slots=True)
 class Waypoint:
-    """One (x, y, t) sample of a trip.
-
-    Coordinates are planar meters, t is seconds. speed (m/s) is optional
-    metadata: it never enters any geometry computation, and a Trip does not
-    keep it.
-    """
+    """One (x, y, t) point of a trip: planar meters and seconds."""
 
     x: float
     y: float
     t: float
-    speed: float | None = None
 
     def __post_init__(self) -> None:
         if not (math.isfinite(self.x) and math.isfinite(self.y)):
@@ -35,31 +29,21 @@ class Trip:
     """An identified sequence of waypoints, ordered by time.
 
     The points are stored once, as a read-only float array of shape (m, 3)
-    with columns x, y, t; `waypoints`, `origin` and `destination` build
-    Waypoint objects from it on demand. A trip is immutable, and two trips
-    are equal when their ids and points are.
+    with columns x, y, t; `origin` and `destination` build Waypoint objects
+    from it on demand. A trip is immutable, and two trips are equal when
+    their ids and points are.
     """
 
     __slots__ = ("id", "_xyt")
 
-    def __init__(self, id: str, waypoints: Iterable[Waypoint]) -> None:
-        self._adopt(id, np.array([(w.x, w.y, w.t) for w in waypoints],
-                                 dtype=float).reshape(-1, 3))
-
-    @classmethod
-    def from_xyt(cls, id: str, xyt: ArrayLike) -> "Trip":
-        """A trip from an (m, 3) array of x, y, t rows, held as a private copy.
+    def __init__(self, id: str, xyt: ArrayLike) -> None:
+        """A trip from (m, 3) x, y, t rows, held as a private read-only copy.
 
         Raises:
             ValueError: unless there is at least one row, every value is
                 finite, and the times are >= 0 and non-decreasing.
         """
-        trip = cls.__new__(cls)
-        trip._adopt(id, np.array(xyt, dtype=float))
-        return trip
-
-    def _adopt(self, id: str, xyt: np.ndarray) -> None:
-        """Validate an array no one else holds, and keep it read-only."""
+        xyt = np.array(xyt, dtype=float)
         _check_points(id, xyt)
         xyt.flags.writeable = False
         object.__setattr__(self, "id", id)
@@ -80,14 +64,10 @@ class Trip:
         return hash((self.id, len(self._xyt)))
 
     def __reduce__(self):
-        return Trip.from_xyt, (self.id, self._xyt)
+        return Trip, (self.id, self._xyt)
 
     def __repr__(self) -> str:
         return f"Trip(id={self.id!r}, xyt={self._xyt.tolist()!r})"
-
-    @property
-    def waypoints(self) -> tuple[Waypoint, ...]:
-        return tuple(Waypoint(x, y, t) for x, y, t in self._xyt.tolist())
 
     @property
     def origin(self) -> Waypoint:
@@ -116,10 +96,10 @@ class Trip:
 
 def _check_points(trip_id: str, xyt: np.ndarray) -> None:
     """Raise ValueError unless xyt holds a valid trip's (m, 3) x, y, t rows."""
+    if xyt.size == 0:
+        raise ValueError(f"trip {trip_id!r} has no waypoints")
     if xyt.ndim != 2 or xyt.shape[1] != 3:
         raise ValueError(f"trip {trip_id!r} points must have shape (m, 3), got {xyt.shape}")
-    if len(xyt) < 1:
-        raise ValueError(f"trip {trip_id!r} has no waypoints")
     if not np.isfinite(xyt).all():
         raise ValueError(f"trip {trip_id!r} has a non-finite coordinate or time")
     t = xyt[:, 2]

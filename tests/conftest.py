@@ -6,12 +6,12 @@ import numpy as np
 import pytest
 
 from tripmatch.ingest import SynthConfig, generate_synthetic
-from tripmatch.model import ScaleContext, Trip, Waypoint
+from tripmatch.model import ScaleContext, Trip
 
 
 def make_trip(trip_id: str, points: list[tuple[float, float, float]]) -> Trip:
     """Trip from (x, y, t) tuples."""
-    return Trip(trip_id, tuple(Waypoint(x, y, t) for x, y, t in points))
+    return Trip(trip_id, points)
 
 
 def straight_trip(

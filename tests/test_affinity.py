@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -10,10 +11,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from tripmatch import metrics
+from tripmatch import affinity, metrics
 from tripmatch.affinity import (
     DegenerateInputError,
     _fix_sign,
+    _lloyd,
     build_affinity,
     kmeans,
     mds_2d,
@@ -234,6 +236,67 @@ class TestSpectralCluster:
         with pytest.raises(ValueError):
             spectral_cluster(s, 4, seed=0)
 
+    def test_zero_dimensional_rejected(self):
+        with pytest.raises(ValueError, match="square"):
+            spectral_cluster(np.array(1.0), 2, seed=0)
+
+
+def oracle_lloyd(points: np.ndarray, centers: np.ndarray, max_iter: int
+                 ) -> tuple[np.ndarray, float]:
+    """Lloyd iterations as written before the final assignment pass joined the loop."""
+    k = centers.shape[0]
+    labels = np.full(points.shape[0], -1)
+    for _ in range(max_iter):
+        d2 = ((points[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
+        new_labels = d2.argmin(axis=1)
+        if np.array_equal(new_labels, labels):
+            break
+        labels = new_labels
+        for c in range(k):
+            members = points[labels == c]
+            if len(members) > 0:
+                centers[c] = members.mean(axis=0)
+            else:
+                centers[c] = points[d2.min(axis=1).argmax()]
+    d2 = ((points[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
+    labels = d2.argmin(axis=1)
+    inertia = float(d2[np.arange(points.shape[0]), labels].sum())
+    return labels, inertia
+
+
+@st.composite
+def lloyd_starts(draw):
+    """Points (integer-valued ones give ties) and starting centers, some far from every point."""
+    n, d, k = draw(st.integers(1, 30)), draw(st.integers(1, 4)), draw(st.integers(1, 6))
+    elements = draw(st.sampled_from([st.integers(-3, 3).map(float), st.floats(-100.0, 100.0)]))
+    points = draw(arrays(float, (n, d), elements=elements))
+    centers = draw(arrays(float, (k, d), elements=st.floats(-1000.0, 1000.0)))
+    return points, centers
+
+
+class TestLloyd:
+    @pytest.mark.parametrize("max_iter", [1, 2, affinity.KMEANS_MAX_ITER])
+    @settings(max_examples=150, deadline=None)
+    @given(start=lloyd_starts())
+    def test_bit_equal_to_oracle(self, max_iter, start):
+        points, centers = start
+        want = oracle_lloyd(points, centers.copy(), max_iter)
+        with mock.patch.object(affinity, "KMEANS_MAX_ITER", max_iter):
+            got = _lloyd(points, centers.copy())
+        assert np.array_equal(got[0], want[0])
+        assert got[1] == want[1]
+
+    @pytest.mark.parametrize("max_iter", [1, 2, affinity.KMEANS_MAX_ITER])
+    def test_empty_cluster_revived_at_worst_served_point(self, max_iter):
+        points = np.array([[0.0, 0.0], [0.0, 1.0], [10.0, 0.0], [10.0, 1.0]])
+        # the third center starts with no members
+        centers = np.array([[0.0, 0.5], [10.0, 0.5], [100.0, 100.0]])
+        want = oracle_lloyd(points, centers.copy(), max_iter)
+        with mock.patch.object(affinity, "KMEANS_MAX_ITER", max_iter):
+            labels, inertia = _lloyd(points, centers.copy())
+        assert labels.tolist() == want[0].tolist() == [2, 0, 1, 1]
+        assert inertia == want[1]
+
 
 class TestKmeans:
     def test_two_obvious_blobs(self):
@@ -344,6 +407,14 @@ class TestMds2d:
     def test_nonzero_diagonal_rejected(self):
         with pytest.raises(ValueError, match="diagonal"):
             mds_2d(np.eye(3))
+
+    def test_zero_dimensional_rejected(self):
+        with pytest.raises(ValueError, match="square"):
+            mds_2d(np.array(0.0))
+
+    def test_single_point_rejected(self):
+        with pytest.raises(ValueError, match="at least 2 points"):
+            mds_2d(np.zeros((1, 1)))
 
 
 class TestSymmetricPartMirrorsAbsoluteScore:

@@ -14,7 +14,7 @@ from unittest import mock
 import pytest
 
 import tripmatch
-from tripmatch import metrics
+from tripmatch import matching, metrics
 from tripmatch.affinity import build_affinity
 from tripmatch.cli import build_parser, main
 from tripmatch.ingest import read_trips_jsonl
@@ -114,6 +114,14 @@ class TestStats:
             assert (out / name).exists()
         fits = (out / "fits.csv").read_text().splitlines()
         assert len(fits) == 5  # header + 2 variables x 2 families
+
+    @pytest.mark.parametrize("flag", ["--grid-rows", "--grid-cols"])
+    def test_empty_grid_writes_nothing(self, flag, trips_file, tmp_path, capsys):
+        out = tmp_path / "stats"
+        code, summary = run(capsys, "stats", "--trips", str(trips_file), flag, "0",
+                            "--out", str(out))
+        assert code == 1 and summary["category"] == "invalid-argument"
+        assert list(out.iterdir()) == []
 
     def test_degenerate_samples_reported_as_such(self, tmp_path, capsys):
         trips = tmp_path / "trips.jsonl"
@@ -295,6 +303,44 @@ class TestMatch:
         assert code == 0
         rows = (out / "curve.csv").read_text().splitlines()
         assert len(rows) == 7  # header + 3 thresholds x 2 levels
+
+    def test_both_sweeps_curve_rows_in_order(self, trips_file, tmp_path, capsys):
+        out = tmp_path / "curve"
+        code, _ = run(capsys, "match", "--requests", str(trips_file), "--rides", str(trips_file),
+                      "--mode", "carpool", "--sweep-time", "300,900,1800",
+                      "--sweep-dist", "600,1800", "--sweep-L", "1,3", "--out", str(out))
+        assert code == 0
+        with open(out / "curve.csv", newline="") as fh:
+            rows = list(csv.reader(fh))
+        trips = list(read_trips_jsonl(trips_file.read_text().splitlines()))
+        scenario = matching.MatchScenario(mode="carpool")
+        want = (matching.match_counts_curve(trips, trips, scenario, [600, 1800], [1, 3], "dist")
+                + matching.match_counts_curve(trips, trips, scenario, [300, 900, 1800], [1, 3],
+                                              "time"))
+        assert rows[0] == ["vary", "threshold", "L", "count"]
+        assert [r[:3] for r in rows[1:]] == [
+            ["dist", "600.0", "1"], ["dist", "600.0", "3"],
+            ["dist", "1800.0", "1"], ["dist", "1800.0", "3"],
+            ["time", "300.0", "1"], ["time", "300.0", "3"],
+            ["time", "900.0", "1"], ["time", "900.0", "3"],
+            ["time", "1800.0", "1"], ["time", "1800.0", "3"]]
+        assert [int(r[3]) for r in rows[1:]] == [w["count"] for w in want]
+
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--sweep-dist", "600,abc", "--sweep-dist: could not convert string to float: 'abc'"),
+        ("--sweep-time", "300,x", "--sweep-time: could not convert string to float: 'x'"),
+        ("--sweep-L", "x", "--sweep-L: invalid literal for int() with base 10: 'x'"),
+        ("--sweep-dist", "600,-5", "thresholds must be positive"),
+    ])
+    def test_bad_sweep_value_writes_nothing(self, flag, value, message, trips_file, tmp_path,
+                                            capsys):
+        out = tmp_path / "m"
+        code, summary = run(capsys, "match", "--trips", str(trips_file),
+                            "--n-riders", "15", "--n-rides", "45", flag, value,
+                            "--out", str(out))
+        assert code == 1 and summary["category"] == "invalid-argument"
+        assert summary["message"] == message
+        assert list(out.iterdir()) == []
 
     def test_bad_split_is_invalid(self, trips_file, tmp_path, capsys):
         code, summary = run(capsys, "match", "--trips", str(trips_file),

@@ -115,8 +115,8 @@ class TestBuildTrips:
         ]
         trips = build_trips(records, TimeWindow(0, 3600))
         by_id = {t.id: t for t in trips}
-        assert [w.t for w in by_id["A"].waypoints] == [10.0, 20.0, 30.0]
-        assert len(by_id["B"].waypoints) == 1
+        assert by_id["A"].xyt()[:, 2].tolist() == [10.0, 20.0, 30.0]
+        assert len(by_id["B"].xyt()) == 1
 
     def test_half_open_window(self):
         records = [TraceRecord(3600.0, "A", 0.0, 0.0, None),
@@ -127,7 +127,7 @@ class TestBuildTrips:
     def test_stable_order_on_time_ties(self):
         records = [TraceRecord(5.0, "A", float(i), 0.0, None) for i in range(4)]
         (trip,) = build_trips(records, TimeWindow(0, 10))
-        assert [w.x for w in trip.waypoints] == [0.0, 1.0, 2.0, 3.0]
+        assert trip.xyt()[:, 0].tolist() == [0.0, 1.0, 2.0, 3.0]
 
     def test_invalid_window(self):
         with pytest.raises(ValueError):
@@ -154,14 +154,14 @@ class TestGenerateSynthetic:
         cfg = SynthConfig(n_trips=1, bbox=self.BOX, lognorm_mu=7.5,
                           waypoints_per_trip=2, seed=0)
         (trip,) = generate_synthetic(cfg)
-        assert len(trip.waypoints) == 2
+        assert len(trip.xyt()) == 2
 
     def test_all_waypoints_inside_bbox(self):
         cfg = SynthConfig(n_trips=50, bbox=self.BOX, lognorm_mu=7.5, seed=5)
         for trip in generate_synthetic(cfg):
-            for w in trip.waypoints:
-                assert 0 <= w.x <= 20_000 and 0 <= w.y <= 20_000
-                assert 0 <= w.t <= 86_400
+            for x, y, t in trip.xyt().tolist():
+                assert 0 <= x <= 20_000 and 0 <= y <= 20_000
+                assert 0 <= t <= 86_400
 
     def test_positive_duration_and_displacement_bound(self):
         cfg = SynthConfig(n_trips=50, bbox=self.BOX, lognorm_mu=7.5, seed=6)
@@ -208,13 +208,12 @@ class TestJsonl:
         back = list(read_trips_jsonl(buf))
         assert [t.id for t in back] == [t.id for t in synth_trips]
         for orig, rt in zip(synth_trips, back):
-            assert [(w.x, w.y, w.t) for w in rt.waypoints] == \
-                [(w.x, w.y, w.t) for w in orig.waypoints]
+            assert rt.xyt().tolist() == orig.xyt().tolist()
 
     def test_hand_written_line(self):
         (trip,) = read_trips_jsonl(['{"id": "a", "points": [[1.0, 2.0, 3.0]]}'])
         assert trip.id == "a"
-        assert trip.waypoints[0].t == 1.0 and trip.waypoints[0].x == 2.0
+        assert trip.xyt()[0].tolist() == [2.0, 3.0, 1.0]
 
 
 # -- the reader against its Waypoint-based predecessor ----------------------

@@ -207,6 +207,26 @@ class TestMatchCountsCurve:
                                   sweep=[1800], match_counts=[1, 2])
         assert rows[0]["count"] == 1 and rows[1]["count"] == 0
 
+    @pytest.mark.parametrize("mode", ["car", "carpool"])
+    @settings(max_examples=100, deadline=None)
+    @given(case=filter_cases(), data=st.data())
+    def test_time_sweep_equals_candidates_per_step(self, mode, case, data):
+        requests, rides, scenario = case
+        scenario = dataclasses.replace(scenario, mode=mode)
+        req_od, ride_od = od_points(requests), od_points(rides)
+        # every endpoint's |dt|, so some steps sit exactly on a gate
+        gaps = np.abs(req_od[:, None, :, 2] - ride_od[None, :, :, 2]).ravel().tolist()
+        steps = data.draw(st.lists(st.one_of(st.sampled_from([g for g in gaps if g > 0] or [1.0]),
+                                             st.floats(0.25, 4000.0)), min_size=1, max_size=6))
+        levels = data.draw(st.lists(st.integers(0, 4), min_size=1, max_size=3))
+        expected = []
+        for step in steps:
+            swept = dataclasses.replace(scenario, time_threshold=step)
+            sizes = [len(c) for c in _candidate_indices(req_od, ride_od, swept)]
+            expected += [{"vary": "time", "threshold": step, "L": least,
+                          "count": sum(1 for n in sizes if n >= least)} for least in levels]
+        assert match_counts_curve(requests, rides, scenario, steps, levels, "time") == expected
+
 
 class TestGreedyMatch:
     def test_single_feasible_pair(self):
@@ -305,7 +325,7 @@ class TestGreedyMatch:
         requests, rides, scenario = case
         # ids out of index order, so the tie-break must read the id itself; the
         # anchor is no request's candidate and gives the scale box its extent
-        rides = [Trip.from_xyt(f"ride-{ids[j]:02d}", t.xyt()) for j, t in enumerate(rides)]
+        rides = [Trip(f"ride-{ids[j]:02d}", t.xyt()) for j, t in enumerate(rides)]
         rides.append(straight_trip("anchor", (0, 0), (20_000, 20_000), 0, 20_000))
         scenario = dataclasses.replace(scenario, metric=metric, weights=WgmWeights(*weights))
         report = greedy_match(requests, rides, scenario)
@@ -416,7 +436,7 @@ class TestCompareMetrics:
     def test_two_point_samples_match_as_greedy_match(self, mode, case, n_points):
         # 2-point samples are the OD reps, so every metric picks as greedy_match
         requests, rides, scenario = case
-        requests, rides = ([Trip.from_xyt(t.id, np.linspace(t.xyt()[0], t.xyt()[-1], n_points))
+        requests, rides = ([Trip(t.id, np.linspace(t.xyt()[0], t.xyt()[-1], n_points))
                             for t in trips] for trips in (requests, rides))
         scenarios = by_metric(METRIC_NAMES, dataclasses.replace(scenario, mode=mode))
         assert compare_metrics(requests, rides, scenarios, rep_len=2) == \

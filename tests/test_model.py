@@ -52,7 +52,7 @@ def sample_waypoints(trip: Trip, k: int) -> Trip:
         return trip
     step = (n - 1) / (k - 1)
     indices = np.floor(np.arange(k) * step + 0.5).astype(np.intp)
-    return Trip.from_xyt(trip.id, trip.xyt()[indices])
+    return Trip(trip.id, trip.xyt()[indices])
 
 
 def od_displacement(trip: Trip) -> float:
@@ -72,15 +72,11 @@ class TestWaypoint:
         with pytest.raises(ValueError):
             Waypoint(0.0, float("inf"), 0.0)
 
-    def test_speed_optional(self):
-        assert Waypoint(1.0, 2.0, 3.0).speed is None
-        assert Waypoint(1.0, 2.0, 3.0, 13.9).speed == 13.9
-
 
 class TestTrip:
     def test_needs_a_waypoint(self):
         with pytest.raises(ValueError, match="no waypoints"):
-            Trip("t", ())
+            Trip("t", [])
 
     def test_rejects_unsorted_times(self):
         with pytest.raises(ValueError, match="sorted"):
@@ -106,7 +102,7 @@ class TestExtractOd:
     def test_single_point_trip(self):
         trip = make_trip("t", [(4, 4, 7.0)])
         o, d = extract_od(trip)
-        assert o == d == trip.waypoints[0]
+        assert o == d == Waypoint(4, 4, 7.0)
 
 
 class TestSampleWaypoints:
@@ -155,7 +151,7 @@ class TestSampleWaypoints:
     @given(st.lists(st.integers(1, 40), max_size=6), st.integers(2, 30), st.integers(0, 2**32 - 1))
     def test_equals_per_trip_oracle(self, sizes, k, seed):
         rng = np.random.default_rng(seed)
-        trips = [Trip.from_xyt(f"t{i}", np.column_stack(
+        trips = [Trip(f"t{i}", np.column_stack(
                      [rng.uniform(-1e4, 1e4, (n, 2)), np.sort(rng.uniform(0, 1e5, n))]))
                  for i, n in enumerate(sizes)]
         sampled = sample_points(trips, k)
@@ -190,7 +186,7 @@ class TestScaling:
     def test_scale_trip_counts_clamped(self, ctx):
         trip = make_trip("t", [(100, 100, 0.0), (20_000, 100, 10.0), (100, 100, 99_999.0)])
         arr = scale_points(trip.xyt(), ctx)
-        assert arr.tolist() == [list(scale_point(w, ctx)) for w in trip.waypoints]
+        assert arr.tolist() == [list(scale_point(Waypoint(*p), ctx)) for p in trip.xyt().tolist()]
         unclamped = (trip.xyt() - [ctx.x_min, ctx.y_min, ctx.t_min]) / [
             ctx.x_span, ctx.y_span, ctx.t_span]
         assert int((arr != unclamped).any(axis=1).sum()) == 2

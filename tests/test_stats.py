@@ -228,7 +228,7 @@ def _scalar_cell(x: float, y: float, ctx: ScaleContext, rows: int, cols: int) ->
 def scalar_unique_counts(trips: list[Trip], ctx: ScaleContext, rows: int, cols: int) -> np.ndarray:
     counts = np.zeros((rows, cols), dtype=int)
     for trip in trips:
-        for r, c in {_scalar_cell(w.x, w.y, ctx, rows, cols) for w in trip.waypoints}:
+        for r, c in {_scalar_cell(x, y, ctx, rows, cols) for x, y, _ in trip.xyt().tolist()}:
             counts[r, c] += 1
     return counts
 
