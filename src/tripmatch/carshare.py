@@ -17,7 +17,7 @@ import numpy as np
 
 from . import metrics
 from .metrics import WgmWeights
-from .model import ScaleContext, Trip, od_points, path_length, scale_points
+from .model import ScaleContext, Trip, od_points, path_length, scale_points, window_pairs
 
 
 @dataclass(frozen=True, slots=True)
@@ -66,23 +66,19 @@ def build_trip_dag(
     time differences, scaled into the trips' own bounding box. Edges are
     keyed in ascending (a, b) order.
 
-    Trips are swept in start-time order: a bisection finds each trip's
-    window of successors, and the exact predicate runs on those alone.
+    The candidate successors of every trip are found at once by
+    model.window_pairs, a bisection of the start times; the exact predicate
+    runs on those pairs alone.
     """
     # an infinite threshold means no limit; NaN fails both comparisons
     if not (dist_threshold > 0 and time_threshold > 0):
         raise ValueError("thresholds must be positive")
     od = od_points(trips)
     origin, start, dest, end = od[:, 0, :2], od[:, 0, 2], od[:, 1, :2], od[:, 1, 2]
-    order = np.argsort(start, kind="stable")
-    # each trip's window (end, end + T] as sorted positions lo .. hi - 1; the
-    # upper bound is widened by a relative slack because start <= end + T
-    # and start - end <= T can round apart, and the exact gap test decides
-    lo = np.searchsorted(start[order], end, side="right")
-    hi = np.searchsorted(start[order], (end + time_threshold) * (1 + 1e-12), side="right")
-    src = np.repeat(np.arange(len(trips)), hi - lo)
-    first_slot = np.cumsum(hi - lo) - (hi - lo)
-    dst = order[np.arange(len(src)) - first_slot[src] + lo[src]]
+    # each trip's successors start in [end, end + T]; the upper bound is
+    # widened by a relative slack because start <= end + T and
+    # start - end <= T can round apart, and the exact gap test decides
+    src, dst = window_pairs(start, end, (end + time_threshold) * (1 + 1e-12))
     gap = start[dst] - end[src]
     keep = (gap > 0) & (gap <= time_threshold)
     keep &= np.hypot(*(dest[src] - origin[dst]).T) <= dist_threshold

@@ -245,16 +245,15 @@ def cmd_stats(cfg: dict, outdir: Path) -> dict:
 
 
 def _affinity(cfg: dict, reps: np.ndarray) -> np.ndarray:
-    """Score matrix A[i, j] = scorer(reps[i], reps[j]) in one kernel call.
+    """Score matrix A[i, j] = wgm or car score of reps[i] against reps[j], in one kernel call.
 
-    The cp scorer is car with the trips swapped, so its matrix is the car
-    matrix transposed.
+    The cp scorer is car with the trips swapped, so its matrix is this
+    car matrix transposed; cluster's symmetric part is the same for both.
     """
     if len(reps) < 2:
         raise ValueError("affinity needs at least two trips")
     mode = metrics.TimeMode.ABSOLUTE if cfg["scorer"] == "wgm" else metrics.TimeMode.SIGNED_CAR
-    values = metrics.wgm_batch(reps[:, None], reps[None, :], _weights(cfg), mode)
-    return np.ascontiguousarray(values.T) if cfg["scorer"] == "cp" else values
+    return metrics.wgm_batch(reps[:, None], reps[None, :], _weights(cfg), mode)
 
 
 def cmd_affinity(cfg: dict, outdir: Path) -> dict:
@@ -264,10 +263,11 @@ def cmd_affinity(cfg: dict, outdir: Path) -> dict:
     reps = model.scale_points(model.od_points(trips), model.ScaleContext.from_trips(trips))
     values = _affinity(cfg, reps)
     ratio = affinity.sym_decompose(values)[2]
+    rows = values.T if cfg["scorer"] == "cp" else values
     ids = [t.id for t in trips]
     _write_csv(outdir / "affinity.csv", ["i", "j", "score"],
                ([a, b, f"{score:.6f}"]
-                for a, row in zip(ids, values) for b, score in zip(ids, row.tolist())))
+                for a, row in zip(ids, rows) for b, score in zip(ids, row.tolist())))
     return {"n": len(ids), "scorer": cfg["scorer"], "symmetric_ratio": round(ratio, 6)}
 
 
@@ -320,11 +320,20 @@ def cmd_cluster(cfg: dict, outdir: Path) -> dict:
 
 
 def cmd_match(cfg: dict, outdir: Path) -> dict:
-    requests, rides = _split_riders_rides(cfg)
-    scenario = _scenario(cfg)
     match_counts = _parse_list(cfg["sweep_l"], "--sweep-L", int) if cfg.get("sweep_l") else [1]
     sweeps = {vary: _parse_list(cfg[f"sweep_{vary}"], f"--sweep-{vary}")
               for vary in ("dist", "time") if cfg.get(f"sweep_{vary}")}
+    for vary, sweep in sweeps.items():
+        # an infinite threshold means no limit; NaN fails the comparison
+        bad = [v for v in sweep if not v > 0]
+        if bad:
+            raise ValueError(f"--sweep-{vary}: thresholds must be positive, got {bad[0]:g}")
+    if cfg.get("sweep_l") and not sweeps:
+        raise ValueError("--sweep-L needs --sweep-dist or --sweep-time")
+    if min(match_counts, default=1) < 1:
+        raise ValueError(f"--sweep-L: counts must be at least 1, got {min(match_counts)}")
+    requests, rides = _split_riders_rides(cfg)
+    scenario = _scenario(cfg)
     report = matching.greedy_match(requests, rides, scenario)
     curve_rows = []
     for vary, sweep in sweeps.items():

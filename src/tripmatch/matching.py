@@ -17,7 +17,9 @@ import numpy as np
 
 from . import metrics
 from .metrics import MetricParams, WgmWeights
-from .model import ScaleContext, Trip, od_points, path_length, sample_points, scale_points
+from .model import (
+    ScaleContext, Trip, od_points, path_length, sample_points, scale_points, window_pairs,
+)
 
 #: Metric names accepted by greedy_match and compare_metrics.
 METRIC_NAMES = ("wgm", "wgm_time", "lcss", "dtw", "dtw_time", "frechet")
@@ -132,24 +134,32 @@ def _candidate_indices(
     od_points gives them. A ride is a candidate when its origin and its
     destination each lie within time_threshold seconds and dist_threshold
     meters of the request's, and its window is ordered against the
-    request's as the mode requires. The cheap time and order gates run over
-    every ride; the distances are computed only for the rides that pass
-    them.
+    request's as the mode requires. The order and origin-time gates confine
+    a ride's origin time to one interval per request, [t, t + T] for car
+    and [t - T, t] for carpool, so model.window_pairs bisects the rides'
+    origin times once for every request; the exact gates then run on the
+    pairs in those windows alone.
     """
     ox, oy, ot, dx, dy, dt = rides.reshape(-1, 6).T
+    rox, roy, rot, rdx, rdy, rdt = requests.reshape(-1, 6).T
     dist, span = scenario.dist_threshold, scenario.time_threshold
-    out = []
-    for rox, roy, rot, rdx, rdy, rdt in requests.reshape(-1, 6).tolist():
-        if scenario.mode == "car":
-            gate = (ot >= rot) & (dt <= rdt)
-        else:
-            gate = (ot <= rot) & (dt >= rdt)
-        gate &= (np.abs(ot - rot) <= span) & (np.abs(dt - rdt) <= span)
-        idx = np.flatnonzero(gate)
-        near = np.hypot(ox[idx] - rox, oy[idx] - roy) <= dist
-        near &= np.hypot(dx[idx] - rdx, dy[idx] - rdy) <= dist
-        out.append(idx[near].tolist())
-    return out
+    # |ot - rot| <= T rounds at the scale of the times, not of rot - T, so
+    # the far bound is widened by a relative slack and the exact gate decides
+    pad = 1e-12 * (rot + span)
+    if scenario.mode == "car":
+        i, j = window_pairs(ot, rot, rot + span + pad)
+        gate = dt[j] <= rdt[i]
+    else:
+        i, j = window_pairs(ot, rot - span - pad, rot)
+        gate = dt[j] >= rdt[i]
+    gate &= (np.abs(ot[j] - rot[i]) <= span) & (np.abs(dt[j] - rdt[i]) <= span)
+    i, j = i[gate], j[gate]
+    near = np.hypot(ox[j] - rox[i], oy[j] - roy[i]) <= dist
+    near &= np.hypot(dx[j] - rdx[i], dy[j] - rdy[i]) <= dist
+    i, j = i[near], j[near]
+    rides_of = j[np.lexsort((j, i))].tolist()
+    ends = np.cumsum(np.bincount(i, minlength=len(requests))).tolist()
+    return [rides_of[a:b] for a, b in zip([0] + ends, ends)]
 
 
 def _metric_fn(

@@ -192,6 +192,27 @@ def od_rep(trip: Trip, ctx: ScaleContext) -> np.ndarray:
     return scale_points(od_points([trip]), ctx)[0]
 
 
+def window_pairs(
+    keys: np.ndarray, lo: np.ndarray, hi: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Every pair (i, j) with lo[i] <= keys[j] <= hi[i], as two intp arrays.
+
+    The pairs are grouped by i in ascending order, and within a group j
+    runs in ascending key order. One stable sort of keys and two bisections
+    find each window; the windows are then expanded into pairs in one pass.
+    Every lo[i] must be <= hi[i].
+    """
+    order = np.argsort(keys, kind="stable")
+    ordered = keys[order]
+    first = np.searchsorted(ordered, lo, side="left")
+    count = np.searchsorted(ordered, hi, side="right") - first
+    i = np.repeat(np.arange(len(lo)), count)
+    # pair p sits at sorted position p - (pairs of the groups before i) + first[i]
+    slot = np.arange(len(i))
+    slot += (first - np.cumsum(count) + count)[i]
+    return i, order[slot]
+
+
 def path_length(trip: Trip) -> float:
     """Total traveled distance in meters: sum of consecutive segment lengths."""
     xy = trip.xyt()[:, :2]

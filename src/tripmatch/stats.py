@@ -28,50 +28,6 @@ class FitResult:
     n: int
 
 
-# Bernoulli numbers B_2..B_16 for the asymptotic psi series.
-_BERNOULLI = (1 / 6, -1 / 30, 1 / 42, -1 / 30, 5 / 66, -691 / 2730, 7 / 6, -3617 / 510)
-
-
-def digamma(x: float) -> float:
-    """Digamma psi(x) for x > 0.
-
-    Shifts x above 6 with psi(x) = psi(x+1) - 1/x, then evaluates the
-    asymptotic series ln x - 1/(2x) - sum B_2n / (2n x^2n). Accurate to
-    about 1e-13 absolute.
-    """
-    if x <= 0:
-        raise ValueError(f"digamma requires x > 0, got {x}")
-    acc = 0.0
-    while x < 6.0:
-        acc -= 1.0 / x
-        x += 1.0
-    inv2 = 1.0 / (x * x)
-    result = math.log(x) - 0.5 / x
-    term = inv2
-    for n, b in enumerate(_BERNOULLI, start=1):
-        result -= b / (2 * n) * term
-        term *= inv2
-    return result + acc
-
-
-def trigamma(x: float) -> float:
-    """Trigamma psi'(x) for x > 0, via psi'(x) = psi'(x+1) + 1/x^2 and series."""
-    if x <= 0:
-        raise ValueError(f"trigamma requires x > 0, got {x}")
-    acc = 0.0
-    while x < 6.0:
-        acc += 1.0 / (x * x)
-        x += 1.0
-    inv = 1.0 / x
-    inv2 = inv * inv
-    result = inv + 0.5 * inv2
-    term = inv * inv2
-    for b in _BERNOULLI:
-        result += b * term
-        term *= inv2
-    return result + acc
-
-
 def _validated_positive(samples: Sequence[float] | np.ndarray) -> np.ndarray:
     arr = np.asarray(samples, dtype=float)
     if arr.ndim != 1 or arr.size < 2:
@@ -108,6 +64,10 @@ def fit_gamma(samples: Sequence[float] | np.ndarray) -> FitResult:
     iteration from the standard closed-form initial guess, then sets
     scale = mean / k. Converges when |step| < 1e-10 * k.
     """
+    # imported here: scipy.special costs about a third of a second to import,
+    # and no other subcommand needs it
+    from scipy.special import digamma, polygamma
+
     arr = _validated_positive(samples)
     mean = float(arr.mean())
     mean_log = float(np.log(arr).mean())
@@ -116,7 +76,7 @@ def fit_gamma(samples: Sequence[float] | np.ndarray) -> FitResult:
         raise DegenerateFitError("samples have no log-dispersion; gamma fit undefined")
     k = (3.0 - s + math.sqrt((s - 3.0) ** 2 + 24.0 * s)) / (12.0 * s)
     for _ in range(_GAMMA_MAX_ITER):
-        step = (math.log(k) - digamma(k) - s) / (1.0 / k - trigamma(k))
+        step = float((math.log(k) - digamma(k) - s) / (1.0 / k - polygamma(1, k)))
         new_k = k - step
         if new_k <= 0:
             new_k = k / 2.0

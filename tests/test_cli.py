@@ -221,6 +221,10 @@ class TestAffinityAndCluster:
         assert 0.0 < summary["symmetric_ratio"] <= 1.0
         labels = (out / "labels.csv").read_text().splitlines()[1:]
         assert {int(line.split(",")[1]) for line in labels} <= {0, 1}
+        # the cp matrix is the car matrix transposed: both have one symmetric part
+        assert run(capsys, "cluster", "--trips", str(trips_file), "--k", "2", "--scorer", "car",
+                   "--kernel-gamma", "3.0", "--out", str(tmp_path / "car"))[0] == 0
+        assert read(tmp_path / "car" / "labels.csv") == read(out / "labels.csv")
 
     def test_cluster_on_two_trips_writes_nothing(self, tmp_path, capsys):
         trips = tmp_path / "two.jsonl"
@@ -330,13 +334,20 @@ class TestMatch:
         ("--sweep-dist", "600,abc", "--sweep-dist: could not convert string to float: 'abc'"),
         ("--sweep-time", "300,x", "--sweep-time: could not convert string to float: 'x'"),
         ("--sweep-L", "x", "--sweep-L: invalid literal for int() with base 10: 'x'"),
-        ("--sweep-dist", "600,-5", "thresholds must be positive"),
+        ("--sweep-dist", "600,-5", "--sweep-dist: thresholds must be positive, got -5"),
+        ("--sweep-time", "0,900", "--sweep-time: thresholds must be positive, got 0"),
+        ("--sweep-time", "300,nan", "--sweep-time: thresholds must be positive, got nan"),
+        ("--sweep-L", "1,0", "--sweep-L: counts must be at least 1, got 0"),
+        ("--sweep-L", "-1", "--sweep-L: counts must be at least 1, got -1"),
+        ("--sweep-L", "1,3", "--sweep-L needs --sweep-dist or --sweep-time"),
     ])
     def test_bad_sweep_value_writes_nothing(self, flag, value, message, trips_file, tmp_path,
                                             capsys):
         out = tmp_path / "m"
+        # a count is checked only once a sweep is given, so those cases give one
+        sweep = ("--sweep-dist", "600") if message.startswith("--sweep-L:") else ()
         code, summary = run(capsys, "match", "--trips", str(trips_file),
-                            "--n-riders", "15", "--n-rides", "45", flag, value,
+                            "--n-riders", "15", "--n-rides", "45", flag, value, *sweep,
                             "--out", str(out))
         assert code == 1 and summary["category"] == "invalid-argument"
         assert summary["message"] == message

@@ -7,7 +7,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tripmatch.matching import (
@@ -177,9 +177,21 @@ class TestFeasibleCandidates:
         assert feasible_candidates(req, [wrapping, nested], scen) == [wrapping]
 
 
+def rounding_case(mode: str, request_t: float, ride_t: float) -> tuple:
+    """One request and one ride whose origin times are exactly T = 523.2 s apart.
+
+    The float request_t ± T rounds past ride_t, so only the exact gate admits the ride.
+    """
+    request = straight_trip("r", (0, 0), (3000, 0), request_t, request_t + 2000)
+    ride = straight_trip("s", (0, 0), (3000, 0), ride_t, request_t + 2000)
+    return [request], [ride], MatchScenario(mode=mode, time_threshold=523.2)
+
+
 class TestCandidateIndices:
     @settings(max_examples=200, deadline=None)
     @given(filter_cases())
+    @example(rounding_case("car", 420.07671791192416, 943.2767179119243))
+    @example(rounding_case("carpool", 878.2781030127951, 355.078103012795))
     def test_equals_scalar_predicate(self, case):
         requests, rides, scenario = case
         expected = [[j for j, ride in enumerate(rides) if passes_filter(request, ride, scenario)]

@@ -18,6 +18,7 @@ from tripmatch.model import (
     sample_points,
     scale_points,
     spatial_distance,
+    window_pairs,
 )
 
 from conftest import make_trip
@@ -256,3 +257,20 @@ class TestPathLength:
 
     def test_spatial_distance(self):
         assert spatial_distance(Waypoint(0, 0, 0), Waypoint(3, 4, 9)) == 5.0
+
+
+class TestWindowPairs:
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.integers(0, 20), max_size=30),
+           st.lists(st.tuples(st.integers(-2, 22), st.integers(0, 8)), max_size=12))
+    def test_equals_scan_of_every_pair(self, keys, windows):
+        # small integer keys, so many ties and windows that end on a key
+        keys = np.array(keys, dtype=float)
+        lo = np.array([a for a, _ in windows], dtype=float)
+        hi = lo + [w for _, w in windows]
+        expected = [(i, j) for i in range(len(lo))
+                    for j in sorted(range(len(keys)), key=lambda j: keys[j])
+                    if lo[i] <= keys[j] <= hi[i]]
+        i, j = window_pairs(keys, lo, hi)
+        assert i.dtype == j.dtype == np.intp
+        assert list(zip(i.tolist(), j.tolist())) == expected

@@ -1,7 +1,7 @@
 """Tests for distribution fitting, correlation, CDFs, and grids.
 
-scipy.special / scipy.stats serve as independent oracles for the
-hand-rolled psi functions and likelihoods.
+scipy.stats serves as the independent oracle for the likelihoods and the
+maximum-likelihood fits.
 """
 
 from __future__ import annotations
@@ -18,41 +18,15 @@ from hypothesis import strategies as st
 from tripmatch.model import ScaleContext, Trip
 from tripmatch.stats import (
     DegenerateFitError,
-    digamma,
     empirical_cdf,
     fit_gamma,
     fit_lognormal,
     grid_duration_stats,
     grid_unique_counts,
     pearson,
-    trigamma,
 )
 
 from conftest import make_trip
-
-
-class TestPsiFunctions:
-    XS = np.concatenate([np.linspace(0.001, 0.999, 41),
-                         np.linspace(1.0, 60.0, 237), [123.4, 999.9]])
-
-    def test_digamma_against_scipy(self):
-        for x in self.XS:
-            assert abs(digamma(float(x)) - scipy.special.digamma(x)) < 1e-12
-
-    def test_trigamma_against_scipy(self):
-        for x in self.XS:
-            expected = scipy.special.polygamma(1, x)
-            assert abs(trigamma(float(x)) - expected) <= 1e-12 * abs(expected)
-
-    def test_domain(self):
-        with pytest.raises(ValueError):
-            digamma(0.0)
-        with pytest.raises(ValueError):
-            trigamma(-1.0)
-
-    def test_recurrence(self):
-        for x in (0.3, 1.7, 4.2):
-            assert math.isclose(digamma(x + 1), digamma(x) + 1 / x, rel_tol=1e-12)
 
 
 class TestFitLognormal:
@@ -116,7 +90,7 @@ class TestFitGamma:
         fit = fit_gamma(samples)
         k = fit.params[0]
         s = math.log(samples.mean()) - np.log(samples).mean()
-        assert abs(math.log(k) - digamma(k) - s) < 1e-9
+        assert abs(math.log(k) - scipy.special.digamma(k) - s) < 1e-9
 
     def test_gamma_beats_lognormal_on_gamma_data(self):
         rng = np.random.default_rng(11)
