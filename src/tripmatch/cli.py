@@ -81,11 +81,14 @@ def _parse_bbox(text: str) -> model.ScaleContext:
 
 
 def _parse_list(text: str, flag: str, kind: type = float) -> list:
-    """The numbers of a comma list; a bad one raises a ValueError naming flag."""
+    """The numbers of a comma list; a bad or empty one raises a ValueError naming flag."""
     try:
-        return [kind(p) for p in text.split(",") if p.strip()]
+        values = [kind(p) for p in text.split(",") if p.strip()]
     except ValueError as exc:
         raise ValueError(f"{flag}: {exc}") from None
+    if not values:
+        raise ValueError(f"{flag}: needs at least one value, got {text!r}")
+    return values
 
 
 def _weights(cfg: dict) -> metrics.WgmWeights:

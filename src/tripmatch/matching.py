@@ -9,9 +9,10 @@ request, so the request's window must nest inside the ride's.
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -162,31 +163,9 @@ def _candidate_indices(
     return [rides_of[a:b] for a, b in zip([0] + ends, ends)]
 
 
-def _metric_fn(
-    scenario: MatchScenario, ctx: ScaleContext
-) -> tuple[int, Callable[[list, list], float]]:
-    """Resolve the scenario's metric to (sign, pair scorer).
-
-    The best ride minimises sign * score: -1 for a similarity, 1 for a
-    distance. Carpool scores a request against a ride as car_score(ride,
-    request).
-    """
-    name, car = scenario.metric, metrics.car_score
-    pair_score = car if scenario.mode == "car" else lambda a, b, w: car(b, a, w)
-    if name == "wgm":
-        return -1, lambda a, b: pair_score(a, b, scenario.weights)
-    if name == "wgm_time":
-        return -1, lambda a, b: pair_score(a, b, metrics.TIME_HEAVY_WEIGHTS)
-    if name == "lcss":
-        params = MetricParams.for_context(ctx, scenario.dist_threshold, scenario.time_threshold)
-        return -1, lambda a, b: float(metrics.lcss(a, b, params))
-    if name == "dtw":
-        return 1, lambda a, b: metrics.dtw(a, b, "distance")
-    if name == "dtw_time":
-        return 1, lambda a, b: metrics.dtw(a, b, "distance_times_time")
-    if name == "frechet":
-        return 1, metrics.frechet_discrete
-    raise ValueError(f"unknown metric {name!r}")
+#: -1 when the best ride maximises the metric (a similarity), 1 when it
+#: minimises it (a distance).
+_SIGN = {"wgm": -1, "wgm_time": -1, "lcss": -1, "dtw": 1, "dtw_time": 1, "frechet": 1}
 
 
 def _endpoints_and_reps(
@@ -207,8 +186,11 @@ def _match(
 
     Trips are scored on rep_len sampled waypoints, scaled into the box of
     both populations; their endpoints decide the candidates, which the
-    scenarios share with the first one. Each candidate is scored once; the
-    best minimises (sign * score, ride id), so equal scores go to the lowest
+    scenarios share with the first one, as they share mode and thresholds.
+    Each candidate is scored once: by car_score pair by pair for the WGM
+    metrics, by one dp_batch call over all pairs for every DP metric (carpool
+    scores a request against a ride as car_score(ride, request)). The best
+    minimises (sign * score, ride id), so equal scores go to the lowest
     ride id. Path lengths are computed only for the rides some request
     picked.
     """
@@ -216,21 +198,37 @@ def _match(
     req_od, reps_req = _endpoints_and_reps(requests, rep_len, ctx)
     ride_od, reps_ride = _endpoints_and_reps(rides, rep_len, ctx)
     candidates = _candidate_indices(req_od, ride_od, scenarios[0])
+    pair_req = [i for i, cands in enumerate(candidates) for _ in cands]
+    pair_ride = [j for cands in candidates for j in cands]
+    ends = list(itertools.accumulate(map(len, candidates)))
     req_od, ride_od = req_od.tolist(), ride_od.tolist()
     ride_ids = [t.id for t in rides]
+    pair_ids = [ride_ids[j] for j in pair_ride]
     req_len = [path_length(t) for t in requests]
+    dp = None
     reports = []
     for scenario in scenarios:
-        sign, score = _metric_fn(scenario, ctx)
+        if scenario.metric in metrics.DP_METRICS:
+            if dp is None:
+                params = MetricParams.for_context(
+                    ctx, scenario.dist_threshold, scenario.time_threshold)
+                dp = metrics.dp_batch(reps_req, reps_ride, pair_req, pair_ride, params)
+            scores = dp[scenario.metric].tolist()
+        else:
+            w = metrics.TIME_HEAVY_WEIGHTS if scenario.metric == "wgm_time" else scenario.weights
+            # the scalar metric runs faster on float lists than on numpy rows
+            reps = ((reps_req[i].tolist(), reps_ride[j].tolist())
+                    for i, j in zip(pair_req, pair_ride))
+            scores = [metrics.car_score(a, b, w) if scenario.mode == "car"
+                      else metrics.car_score(b, a, w) for a, b in reps]
+        sign = _SIGN[scenario.metric]
+        keys = list(zip([sign * x for x in scores], pair_ids, pair_ride))
         rows, chosen = [], []
-        for request, cands, rep, (o, d) in zip(requests, candidates, reps_req, req_od):
-            if not cands:
+        for request, start, end, (o, d) in zip(requests, [0] + ends, ends, req_od):
+            if start == end:
                 rows.append(MatchRow(request.id, None, 0.0, 0.0, 0.0, 0.0, 0.0))
                 continue
-            # the scalar metrics run faster on float lists than on numpy rows
-            rep = rep.tolist()
-            key, ride_id, j = min((sign * score(rep, reps_ride[j].tolist()), ride_ids[j], j)
-                                  for j in cands)
+            key, ride_id, j = min(keys[start:end])
             ride_o, ride_d = ride_od[j]
             rows.append(MatchRow(
                 request_id=request.id,

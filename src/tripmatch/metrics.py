@@ -3,7 +3,9 @@
 Every function here operates on scaled point sequences of shape (n, 3),
 columns (x, y, t) in [0, 1]: one trip's rows of model.sample_points, mapped
 by model.scale_points. The scalar functions take a sequence as an array or
-as a list of rows; individual points are any 3-sequences (x, y, t).
+as a list of rows; individual points are any 3-sequences (x, y, t). The
+batched kernels wgm_batch and dp_batch score stacks of pairs; the scalar
+functions stay as their oracles.
 """
 
 from __future__ import annotations
@@ -153,8 +155,9 @@ def wgm_sim(
     return total / n
 
 
-#: Point pairs scored per tile by wgm_batch: each temporary holds about 2 MB,
-#: so a 10k x 10k score matrix never builds an (n, n, k) array.
+#: Point pairs scored per tile by wgm_batch and dp_batch: each temporary
+#: holds about 2 MB, so a 10k x 10k score matrix never builds an (n, n, k)
+#: array, nor an infinite time gate a (P, m, n) distance tensor.
 TILE_POINTS = 1 << 18
 
 
@@ -294,6 +297,70 @@ def frechet_discrete(t1: np.ndarray, t2: np.ndarray) -> float:
             cur[j] = max(_xy_dist(p, q), min(prev[j], cur[j - 1], prev[j - 1]))
         prev = cur
     return prev[n]
+
+
+#: The tables dp_batch fills, in the order of its results.
+DP_METRICS = ("lcss", "dtw", "dtw_time", "frechet")
+
+
+def dp_batch(
+    a: np.ndarray, b: np.ndarray, i: Sequence[int], j: Sequence[int], params: MetricParams
+) -> dict[str, np.ndarray]:
+    """lcss, dtw in both cost modes and frechet_discrete of the pairs (a[i], b[j]), bit for bit.
+
+    a and b are (N, m, 3) and (M, n, 3) stacks, and i and j index sequences
+    of equal length P; the pairs are gathered tile by tile, so no (P, m, 3)
+    copy is made. Returns a (P,) float array per name in DP_METRICS. Each
+    tile of at most TILE_POINTS cells (or one pair) builds one distance
+    tensor with math.hypot, as _xy_dist does, and fills the four tables
+    from it one anti-diagonal at a time, each cell by the scalar recursion's
+    steps.
+    """
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    if a.ndim != 3 or b.ndim != 3 or a.shape[2] != 3 or b.shape[2] != 3:
+        raise ValueError(f"reps must be stacks of shape (N, m, 3), got {a.shape} and {b.shape}")
+    m, n = a.shape[1], b.shape[1]
+    if m < 1 or n < 1:
+        raise ValueError("dp_batch requires non-empty sequences")
+    if len(i) != len(j):
+        raise ValueError(f"pair indices must have equal length, got {len(i)} and {len(j)}")
+    out = np.empty((len(DP_METRICS), len(i)))
+    rows = max(1, TILE_POINTS // (m * n))
+    for start in range(0, len(i), rows):
+        tile = slice(start, start + rows)
+        out[:, tile] = _dp_tile(a[i[tile]], b[j[tile]], params)
+    return dict(zip(DP_METRICS, out))
+
+
+def _dp_tile(a: np.ndarray, b: np.ndarray, params: MetricParams) -> np.ndarray:
+    m, n = a.shape[1], b.shape[1]
+    dx, dy, dt = (a[:, :, None, c] - b[:, None, :, c] for c in range(3))
+    d = np.fromiter(map(math.hypot, memoryview(dx.ravel()), memoryview(dy.ravel())),
+                    float, count=dx.size).reshape(dx.shape)
+    dt = np.abs(dt)
+    hit = (d <= params.eps_space) & (dt <= params.eps_time)
+    d_time = d * dt
+    # prev1 and prev2 hold anti-diagonals s - 1 and s - 2 of the four tables
+    # (DP_METRICS order), indexed by the row i of cell (i, s - i). Border
+    # cells (row or column 0) are 0 for LCSS and inf for the others, but for
+    # the (0, 0) anchor, which is 0 in all four.
+    border = np.array([0.0, math.inf, math.inf, math.inf])[:, None, None]
+    prev2 = np.broadcast_to(border, (4, len(a), m + 1)).copy()
+    prev2[:, :, 0] = 0.0
+    prev1 = np.broadcast_to(border, prev2.shape).copy()
+    for s in range(2, m + n + 1):
+        r = np.arange(max(1, s - n), min(m, s - 1) + 1)
+        lo, hi = r[0], r[-1] + 1
+        up, left, diag = prev1[:, :, lo - 1:hi - 1], prev1[:, :, lo:hi], prev2[:, :, lo - 1:hi - 1]
+        near = np.minimum(np.minimum(up[1:], left[1:]), diag[1:])
+        cell = (slice(None), r - 1, s - r - 1)
+        cur = np.broadcast_to(border, prev1.shape).copy()
+        cur[0, :, lo:hi] = np.where(hit[cell], diag[0] + 1.0, np.maximum(up[0], left[0]))
+        cur[1, :, lo:hi] = d[cell] + near[0]
+        cur[2, :, lo:hi] = d_time[cell] + near[1]
+        cur[3, :, lo:hi] = np.maximum(d[cell], near[2])
+        prev2, prev1 = prev1, cur
+    return prev1[:, :, m]
 
 
 def laplacian_kernel(score: float | np.ndarray, gamma: float = 3.0) -> float | np.ndarray:

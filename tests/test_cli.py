@@ -340,6 +340,9 @@ class TestMatch:
         ("--sweep-L", "1,0", "--sweep-L: counts must be at least 1, got 0"),
         ("--sweep-L", "-1", "--sweep-L: counts must be at least 1, got -1"),
         ("--sweep-L", "1,3", "--sweep-L needs --sweep-dist or --sweep-time"),
+        ("--sweep-dist", ",", "--sweep-dist: needs at least one value, got ','"),
+        ("--sweep-time", ",", "--sweep-time: needs at least one value, got ','"),
+        ("--sweep-L", ", ,", "--sweep-L: needs at least one value, got ', ,'"),
     ])
     def test_bad_sweep_value_writes_nothing(self, flag, value, message, trips_file, tmp_path,
                                             capsys):
@@ -395,6 +398,15 @@ class TestCompare:
         assert code == 1 and summary["category"] == "invalid-argument"
         assert "more than once: wgm,dtw,wgm" in summary["message"]
         assert not (out / "comparison.csv").exists()
+
+    def test_empty_wt_sweep_writes_nothing(self, trips_file, tmp_path, capsys):
+        out = tmp_path / "cmp"
+        code, summary = run(capsys, "compare", "--trips", str(trips_file),
+                            "--n-riders", "10", "--n-rides", "50",
+                            "--wt-sweep", ",", "--out", str(out))
+        assert code == 1 and summary["category"] == "invalid-argument"
+        assert summary["message"] == "--wt-sweep: needs at least one value, got ','"
+        assert list(out.iterdir()) == []
 
     def test_trip_shorter_than_rep_len_is_invalid(self, trips_file, tmp_path, capsys):
         out = tmp_path / "short"

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import tripmatch.metrics as metrics
 from tripmatch.matching import (
     METRIC_NAMES,
     MatchReport,
@@ -30,7 +31,10 @@ from tripmatch.metrics import (
     frechet_discrete,
     lcss,
 )
-from tripmatch.model import ScaleContext, Trip, od_points, od_rep, path_length, spatial_distance
+from tripmatch.model import (
+    ScaleContext, Trip, od_points, od_rep, path_length, sample_points, scale_points,
+    spatial_distance,
+)
 
 from conftest import rider_ride_population, straight_trip
 
@@ -95,15 +99,18 @@ def filter_cases(draw) -> tuple[list[Trip], list[Trip], MatchScenario]:
     return requests, rides, scenario
 
 
-def exhaustive_choice(requests: list[Trip], rides: list[Trip], scenario: MatchScenario
-                      ) -> list[tuple[str | None, float]]:
-    """Each request's (ride id, score) by a full scan of its candidates.
+def exhaustive_choice(requests: list[Trip], rides: list[Trip], scenario: MatchScenario,
+                      rep_len: int = 2) -> list[tuple[str | None, float]]:
+    """Each request's (ride id, score) by a scan of its candidates, one pair at a time.
 
-    Similarities take the argmax and distances the argmin, each scored by
-    the scalar metric on the scaled OD endpoints; equal scores go to the
-    lowest ride id. A request without candidates gets (None, 0.0).
+    Each candidate is scored by the scalar metric on rep_len sampled
+    waypoints (2 gives the scaled OD endpoints); similarities take the
+    argmax and distances the argmin, and equal scores go to the lowest ride
+    id. A request without candidates gets (None, 0.0).
     """
     ctx = ScaleContext.from_trips(list(requests) + list(rides))
+    reps_req, reps_ride = (scale_points(sample_points(trips, rep_len), ctx)
+                           for trips in (requests, rides))
     pair = car_score if scenario.mode == "car" else lambda a, b, w: car_score(b, a, w)
     params = MetricParams(scenario.dist_threshold / max(ctx.x_span, ctx.y_span),
                           scenario.time_threshold / ctx.t_span)
@@ -117,9 +124,8 @@ def exhaustive_choice(requests: list[Trip], rides: list[Trip], scenario: MatchSc
     }[scenario.metric]
     out = []
     candidates = _candidate_indices(od_points(requests), od_points(rides), scenario)
-    for request, cands in zip(requests, candidates):
-        ranked = sorted((-sign * score(od_rep(request, ctx), od_rep(rides[j], ctx)), rides[j].id)
-                        for j in cands)
+    for rep, cands in zip(reps_req, candidates):
+        ranked = sorted((-sign * score(rep, reps_ride[j]), rides[j].id) for j in cands)
         out.append((ranked[0][1], -sign * ranked[0][0]) if ranked else (None, 0.0))
     return out
 
@@ -453,6 +459,23 @@ class TestCompareMetrics:
         scenarios = by_metric(METRIC_NAMES, dataclasses.replace(scenario, mode=mode))
         assert compare_metrics(requests, rides, scenarios, rep_len=2) == \
             [greedy_match(requests, rides, s) for s in scenarios]
+
+    @pytest.mark.parametrize("mode", ["car", "carpool"])
+    @pytest.mark.parametrize("dist, span", [(3000.0, 1800.0), (math.inf, math.inf)])
+    def test_equals_a_scan_of_scalar_scores(self, mode, dist, span, monkeypatch):
+        requests, rides = rider_ride_population(seed=44, n_requests=10, n_rides=40, waypoints=30)
+        if mode == "carpool":
+            # the population nests rides in requests; carpool needs the converse
+            requests, rides = rides[:12], requests
+        base = MatchScenario(mode=mode, dist_threshold=dist, time_threshold=span)
+        scenarios = by_metric(METRIC_NAMES, base)
+        # tiles of two pairs, so the batched DP metrics cross tile boundaries
+        monkeypatch.setattr(metrics, "TILE_POINTS", 2 * 20 * 20)
+        reports = compare_metrics(requests, rides, scenarios, rep_len=20)
+        assert sum(r.matched for r in reports[0].rows) >= 3
+        for scenario, report in zip(scenarios, reports):
+            assert [(r.ride_id, r.score) for r in report.rows] == \
+                exhaustive_choice(requests, rides, scenario, rep_len=20)
 
     def test_scenarios_must_share_gates(self):
         req = straight_trip("r", (1000, 1000), (5000, 5000), 100, 700, n=60)

@@ -22,7 +22,9 @@ from tripmatch.metrics import (
     PointRole,
     TimeMode,
     WgmWeights,
+    DP_METRICS,
     car_score,
+    dp_batch,
     dtw,
     frechet_discrete,
     laplacian_kernel,
@@ -429,6 +431,79 @@ class TestCellCounts:
                 calls.clear()
                 run()
                 assert len(calls) == m * n
+
+
+def scalar_dp(a, b, params) -> np.ndarray:
+    """The scalar lcss, dtw (both cost modes) and frechet_discrete of each pair, as (4, P)."""
+    rows = [[float(lcss(x, y, params)), dtw(x, y), dtw(x, y, "distance_times_time"),
+             frechet_discrete(x, y)] for x, y in zip(a, b)]
+    return np.array(rows, dtype=float).reshape(-1, len(DP_METRICS)).T
+
+
+@st.composite
+def dp_cases(draw):
+    """P pairs of (m, 3) and (n, 3) sequences and LCSS thresholds.
+
+    Coordinates often come from three values, so points repeat and
+    distances tie; each threshold is often a distance or time gap that some
+    cell realises, so the <= gates are hit on their boundary.
+    """
+    p, m, n = draw(st.integers(0, 6)), draw(st.integers(1, 12)), draw(st.integers(1, 12))
+    value = st.one_of(st.sampled_from((0.0, 0.5, 1.0)), st.floats(0.0, 1.0))
+    a = draw(arrays(float, (p, m, 3), elements=value))
+    b = draw(arrays(float, (p, n, 3), elements=value))
+    dists = {math.hypot(*(x[:2] - y[:2])) for k in range(p) for x in a[k] for y in b[k]}
+    gaps = {abs(x[2] - y[2]) for k in range(p) for x in a[k] for y in b[k]}
+
+    def threshold(realised):
+        positive = sorted(v for v in realised if v > 0)
+        if positive and draw(st.booleans()):
+            return draw(st.sampled_from(positive))
+        return draw(st.floats(1e-3, 1.5))
+
+    return a, b, MetricParams(threshold(dists), threshold(gaps))
+
+
+class TestDpBatch:
+    @settings(max_examples=150, deadline=None)
+    @given(dp_cases())
+    def test_bit_equal_to_scalar_metrics(self, case):
+        a, b, params = case
+        got = dp_batch(a, b, range(len(a)), range(len(b)), params)
+        assert list(got) == list(DP_METRICS)
+        assert np.array_equal(np.array(list(got.values())), scalar_dp(a, b, params))
+
+    def test_bit_equal_on_uniform_sequences(self):
+        # np.hypot and math.hypot differ in the last bit on about 0.6% of
+        # uniform pairs; against a one-point sequence every cell is on the
+        # DTW and Frechet paths, so a switch to np.hypot would show here
+        rng = np.random.default_rng(23)
+        a, b = rng.random((300, 1, 3)), rng.random((300, 12, 3))
+        params = MetricParams(0.3, 0.2)
+        got = dp_batch(a, b, range(len(a)), range(len(b)), params)
+        assert np.array_equal(np.array(list(got.values())), scalar_dp(a, b, params))
+
+    def test_tiles_equal_one_tile(self, monkeypatch):
+        rng = np.random.default_rng(17)
+        a = np.stack([random_seq(rng, 6) for _ in range(5)])
+        b = np.stack([random_seq(rng, 4) for _ in range(4)])
+        i, j = rng.integers(0, 5, 11), rng.integers(0, 4, 11)
+        params = MetricParams(0.4, 0.3)
+        whole = dp_batch(a, b, i, j, params)
+        assert np.array_equal(np.array(list(whole.values())), scalar_dp(a[i], b[j], params))
+        for tile in (1, 6 * 4 * 2, 6 * 4 * 3 - 1):  # tiles of 1, 2 and 2 pairs
+            monkeypatch.setattr(metrics, "TILE_POINTS", tile)
+            tiled = dp_batch(a, b, i, j, params)
+            assert all(np.array_equal(tiled[name], whole[name]) for name in DP_METRICS)
+
+    def test_shapes_checked(self):
+        params = MetricParams(0.3, 0.3)
+        with pytest.raises(ValueError, match="non-empty"):
+            dp_batch(np.zeros((2, 0, 3)), np.zeros((2, 3, 3)), [0], [1], params)
+        with pytest.raises(ValueError, match="stacks"):
+            dp_batch(np.zeros((2, 3)), np.zeros((2, 3)), [0], [1], params)
+        with pytest.raises(ValueError, match="equal length"):
+            dp_batch(np.zeros((2, 3, 3)), np.zeros((3, 3, 3)), [0, 1], [2], params)
 
 
 class TestLaplacianKernel:
