@@ -66,9 +66,9 @@ def build_trip_dag(
     time differences, scaled into the trips' own bounding box. Edges are
     keyed in ascending (a, b) order.
 
-    The candidate successors of every trip are found at once by
-    model.window_pairs, a bisection of the start times; the exact predicate
-    runs on those pairs alone.
+    The candidate successors of every trip are found by model.window_pairs,
+    a bisection of the start times; the exact predicate runs on those pairs
+    alone, a block of them at a time.
     """
     # an infinite threshold means no limit; NaN fails both comparisons
     if not (dist_threshold > 0 and time_threshold > 0):
@@ -78,11 +78,13 @@ def build_trip_dag(
     # each trip's successors start in [end, end + T]; the upper bound is
     # widened by a relative slack because start <= end + T and
     # start - end <= T can round apart, and the exact gap test decides
-    src, dst = window_pairs(start, end, (end + time_threshold) * (1 + 1e-12))
-    gap = start[dst] - end[src]
-    keep = (gap > 0) & (gap <= time_threshold)
-    keep &= np.hypot(*(dest[src] - origin[dst]).T) <= dist_threshold
-    src, dst = src[keep], dst[keep]
+    kept = []
+    for src, dst in window_pairs(start, end, (end + time_threshold) * (1 + 1e-12)):
+        gap = start[dst] - end[src]
+        keep = (gap > 0) & (gap <= time_threshold)
+        keep &= np.hypot(*(dest[src] - origin[dst]).T) <= dist_threshold
+        kept.append((src[keep], dst[keep]))
+    src, dst = map(np.concatenate, zip(*kept))
     by_pair = np.lexsort((dst, src))
     src, dst = src[by_pair], dst[by_pair]
     reps = scale_points(od, ScaleContext.from_trips(trips))

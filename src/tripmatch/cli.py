@@ -13,6 +13,7 @@ import argparse
 import csv
 import dataclasses
 import hashlib
+import io
 import json
 import os
 import sys
@@ -41,6 +42,13 @@ def _write_csv(path: Path, header: Sequence[str], rows: Iterable[Sequence[object
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
         writer.writerows(rows)
+
+
+def _csv_field(text: str) -> str:
+    """text as _write_csv's writer writes it in a row of several fields."""
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerow([text, ""])
+    return buf.getvalue()[:-2]
 
 
 def _write_json(path: Path, obj: object) -> None:
@@ -265,13 +273,16 @@ def cmd_affinity(cfg: dict, outdir: Path) -> dict:
     trips = _load_trips(cfg["trips"])
     reps = model.scale_points(model.od_points(trips), model.ScaleContext.from_trips(trips))
     values = _affinity(cfg, reps)
-    ratio = affinity.sym_decompose(values)[2]
+    # sym_decompose's ||S||^2 / ||A||^2, as (||A||^2 + <A, A^T>) / (2 ||A||^2)
+    energy = np.einsum("ij,ij->", values, values)
+    ratio = (energy + np.einsum("ij,ji->", values, values)) / (2 * energy) if energy > 0 else 1.0
     rows = values.T if cfg["scorer"] == "cp" else values
-    ids = [t.id for t in trips]
-    _write_csv(outdir / "affinity.csv", ["i", "j", "score"],
-               ([a, b, f"{score:.6f}"]
-                for a, row in zip(ids, rows) for b, score in zip(ids, row.tolist())))
-    return {"n": len(ids), "scorer": cfg["scorer"], "symmetric_ratio": round(ratio, 6)}
+    ids = [_csv_field(t.id) for t in trips]
+    with open(outdir / "affinity.csv", "w", newline="") as fh:
+        fh.write("i,j,score\n")
+        for a, row in zip(ids, rows):
+            fh.write("".join([f"{a},{b},{score:.6f}\n" for b, score in zip(ids, row.tolist())]))
+    return {"n": len(ids), "scorer": cfg["scorer"], "symmetric_ratio": round(float(ratio), 6)}
 
 
 def cmd_cluster(cfg: dict, outdir: Path) -> dict:

@@ -2,14 +2,16 @@
 
 from __future__ import annotations
 
+import io
 import json
 import math
+import re
 from dataclasses import dataclass
 from typing import IO, Iterable, Iterator
 
 import numpy as np
 
-from .model import ScaleContext, Trip
+from .model import ScaleContext, Trip, check_points
 
 
 class TraceFormatError(ValueError):
@@ -250,22 +252,101 @@ def _points_xyt(points: object) -> np.ndarray:
     return xyt
 
 
-def read_trips_jsonl(source: Iterable[str]) -> Iterator[Trip]:
-    """Read trips from the line-delimited JSON format written by write_trips_jsonl.
+#: Non-blank lines read as one block. A block of compact lines is parsed as
+#: a whole; a few hundred lines amortise that parse and keep its text small.
+_BLOCK_LINES = 256
 
-    Each record's points go straight into the trip's array and are
-    validated once, as a whole.
+#: The text of a compact line around its id and around its points' numbers.
+_ID_START, _ID_END, _POINTS_END = '{"id":"', '","points":[[', "]]}"
 
-    Raises:
-        TraceFormatError: naming the line of a record that does not decode
-            to a valid trip, or whose id repeats an earlier record's; every
-            consumer keys trips by id.
+#: Characters an id must not hold for json.loads to read it as written.
+_ESCAPED = re.compile(r'[\x00-\x1f\\]')
+
+#: Bytes a block's numbers may hold once its points are split into lines.
+_NUMBER_BYTES = b"0123456789.,eE+-\n"
+
+
+def _json_reads_otherwise(text: bytes) -> bool:
+    """Whether json.loads would reject or read apart some number of text.
+
+    text holds comma- and newline-separated tokens that float() has
+    accepted. float() also takes a mantissa sign "+", a point with no digit
+    on one side (".5", "5.") and leading zeros ("01"), which JSON rejects.
     """
-    first_seen: dict[str, int] = {}
-    for lineno, line in enumerate(source, start=1):
-        line = line.strip()
-        if not line:
-            continue
+    b = np.frombuffer(b"\n" + text + b"\n", dtype=np.uint8)
+
+    def digit(at: np.ndarray) -> np.ndarray:
+        return b[at] - ord("0") < 10  # uint8 wraps below "0"
+
+    plus = np.flatnonzero(b == ord("+"))
+    if (b[plus - 1] | 0x20 != ord("e")).any():  # | 0x20 lower-cases "E"
+        return True
+    point = np.flatnonzero(b == ord("."))
+    if not (digit(point - 1) & digit(point + 1)).all():
+        return True
+    first = np.flatnonzero((b == ord(",")) | (b == ord("\n")))[:-1] + 1
+    first += b[first] == ord("-")
+    return bool(((b[first] == ord("0")) & digit(first + 1)).any())
+
+
+def _compact_block(
+    lines: list[str], first_seen: dict[str, int]
+) -> tuple[list[str], np.ndarray, np.ndarray] | None:
+    """The ids, stacked read-only x, y, t rows and first rows of the lines' trips.
+
+    None unless every line is in the writer's compact form
+    {"id":"<id>","points":[[t,x,y],...]}, every number is a plain decimal
+    that json.loads and float() read alike, below 2**53 in magnitude, and
+    the trips pass check_points with ids new to first_seen and to each other.
+    The numbers are read by one text parse, which makes no Python object for
+    each of them.
+    """
+    ids, bodies = [], []
+    for line in lines:
+        end = line.find('"', len(_ID_START))
+        if not (line.startswith(_ID_START) and line.startswith(_ID_END, end)
+                and line.endswith(_POINTS_END)):
+            return None
+        ids.append(line[len(_ID_START):end])
+        bodies.append(line[end + len(_ID_END):-len(_POINTS_END)])
+    if (_ESCAPED.search("".join(ids)) or len(set(ids)) < len(ids)
+            or not first_seen.keys().isdisjoint(ids)):
+        return None
+    rows = np.array([body.count("],[") + 1 for body in bodies])
+    text = "],[".join(bodies).replace("],[", "\n")
+    raw = text.encode(errors="surrogatepass")  # any other character leaves a byte over 127
+    if not raw or raw.translate(None, _NUMBER_BYTES):
+        return None
+    try:
+        tx = np.loadtxt(io.StringIO(text), delimiter=",", ndmin=2)
+    except ValueError:
+        return None
+    # an empty point leaves an empty line, which loadtxt skips
+    if tx.shape != (rows.sum(), 3) or _json_reads_otherwise(raw):
+        return None
+    # JSON reads the integer -0 as +0.0; past 2**53 the reader compares times exactly
+    if not np.abs(tx).max() < _EXACT_FLOAT_LIMIT or np.signbit(tx[tx == 0]).any():
+        return None
+    xyt = tx[:, [1, 2, 0]]
+    xyt.flags.writeable = False
+    starts = np.cumsum(rows) - rows
+    try:
+        check_points(xyt, starts, ids)
+    except ValueError:
+        return None
+    return ids, xyt, starts
+
+
+def _read_block(block: list[tuple[int, str]], first_seen: dict[str, int]) -> Iterator[Trip]:
+    """The trips of numbered non-blank lines, by the compact path if it takes them all."""
+    compact = _compact_block([line for _, line in block], first_seen)
+    if compact is not None:
+        ids, xyt, starts = compact
+        for (lineno, _), trip_id, points in zip(block, ids, np.split(xyt, starts[1:])):
+            first_seen[trip_id] = lineno
+            yield Trip._wrap(trip_id, points)
+        return
+    for lineno, line in block:
         try:
             obj = json.loads(line)
             xyt = _points_xyt(obj["points"])
@@ -277,3 +358,29 @@ def read_trips_jsonl(source: Iterable[str]) -> Iterator[Trip]:
                                    f" (first on line {first_seen[trip.id]})")
         first_seen[trip.id] = lineno
         yield trip
+
+
+def read_trips_jsonl(source: Iterable[str]) -> Iterator[Trip]:
+    """Read trips from the line-delimited JSON format written by write_trips_jsonl.
+
+    Non-blank lines are read in blocks. A block of lines all in the writer's
+    compact form is parsed as a whole, and its trips hold views into one
+    array; any other block is decoded line by line with json.loads. Both
+    paths accept, reject and report the same records alike.
+
+    Raises:
+        TraceFormatError: naming the line of a record that does not decode
+            to a valid trip, or whose id repeats an earlier record's; every
+            consumer keys trips by id.
+    """
+    first_seen: dict[str, int] = {}
+    block: list[tuple[int, str]] = []
+    for lineno, line in enumerate(source, start=1):
+        line = line.strip()
+        if line:
+            block.append((lineno, line))
+        if len(block) == _BLOCK_LINES:
+            yield from _read_block(block, first_seen)
+            block = []
+    if block:
+        yield from _read_block(block, first_seen)

@@ -139,7 +139,7 @@ def _candidate_indices(
     a ride's origin time to one interval per request, [t, t + T] for car
     and [t - T, t] for carpool, so model.window_pairs bisects the rides'
     origin times once for every request; the exact gates then run on the
-    pairs in those windows alone.
+    pairs in those windows alone, a block of requests at a time.
     """
     ox, oy, ot, dx, dy, dt = rides.reshape(-1, 6).T
     rox, roy, rot, rdx, rdy, rdt = requests.reshape(-1, 6).T
@@ -147,17 +147,17 @@ def _candidate_indices(
     # |ot - rot| <= T rounds at the scale of the times, not of rot - T, so
     # the far bound is widened by a relative slack and the exact gate decides
     pad = 1e-12 * (rot + span)
-    if scenario.mode == "car":
-        i, j = window_pairs(ot, rot, rot + span + pad)
-        gate = dt[j] <= rdt[i]
-    else:
-        i, j = window_pairs(ot, rot - span - pad, rot)
-        gate = dt[j] >= rdt[i]
-    gate &= (np.abs(ot[j] - rot[i]) <= span) & (np.abs(dt[j] - rdt[i]) <= span)
-    i, j = i[gate], j[gate]
-    near = np.hypot(ox[j] - rox[i], oy[j] - roy[i]) <= dist
-    near &= np.hypot(dx[j] - rdx[i], dy[j] - rdy[i]) <= dist
-    i, j = i[near], j[near]
+    car = scenario.mode == "car"
+    windows = (rot, rot + span + pad) if car else (rot - span - pad, rot)
+    kept = []
+    for i, j in window_pairs(ot, *windows):
+        gate = dt[j] <= rdt[i] if car else dt[j] >= rdt[i]
+        gate &= (np.abs(ot[j] - rot[i]) <= span) & (np.abs(dt[j] - rdt[i]) <= span)
+        i, j = i[gate], j[gate]
+        near = np.hypot(ox[j] - rox[i], oy[j] - roy[i]) <= dist
+        near &= np.hypot(dx[j] - rdx[i], dy[j] - rdy[i]) <= dist
+        kept.append((i[near], j[near]))
+    i, j = map(np.concatenate, zip(*kept))
     rides_of = j[np.lexsort((j, i))].tolist()
     ends = np.cumsum(np.bincount(i, minlength=len(requests))).tolist()
     return [rides_of[a:b] for a, b in zip([0] + ends, ends)]

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 from numpy.typing import ArrayLike
@@ -30,8 +30,10 @@ class Trip:
 
     The points are stored once, as a read-only float array of shape (m, 3)
     with columns x, y, t; `origin` and `destination` build Waypoint objects
-    from it on demand. A trip is immutable, and two trips are equal when
-    their ids and points are.
+    from it on demand. A trip read from a file may hold a view into an
+    array it shares with the other trips read from the same block of lines.
+    A trip is immutable, and two trips are equal when their ids and points
+    are.
     """
 
     __slots__ = ("id", "_xyt")
@@ -44,10 +46,18 @@ class Trip:
                 finite, and the times are >= 0 and non-decreasing.
         """
         xyt = np.array(xyt, dtype=float)
-        _check_points(id, xyt)
+        check_points(xyt, _ONE_TRIP, (id,))
         xyt.flags.writeable = False
         object.__setattr__(self, "id", id)
         object.__setattr__(self, "_xyt", xyt)
+
+    @classmethod
+    def _wrap(cls, id: str, xyt: np.ndarray) -> "Trip":
+        """A trip holding xyt itself: read-only (m, 3) rows that check_points passed."""
+        trip = object.__new__(cls)
+        object.__setattr__(trip, "id", id)
+        object.__setattr__(trip, "_xyt", xyt)
+        return trip
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError(f"Trip is immutable; cannot set {name!r}")
@@ -94,19 +104,43 @@ class Trip:
         return self._xyt
 
 
-def _check_points(trip_id: str, xyt: np.ndarray) -> None:
-    """Raise ValueError unless xyt holds a valid trip's (m, 3) x, y, t rows."""
+#: The offsets of check_points for a single trip.
+_ONE_TRIP = np.zeros(1, dtype=np.intp)
+
+
+def check_points(xyt: np.ndarray, starts: np.ndarray, ids: Sequence[str]) -> None:
+    """Raise ValueError unless xyt stacks valid trips' x, y, t rows.
+
+    xyt must have shape (n, 3). Trip i is rows starts[i] up to the next
+    trip's first row, or to the end, and ids[i] names it. Every trip needs
+    at least one row, finite values, and times that are >= 0 and
+    non-decreasing. The rules are applied one after another, each to all
+    trips at once; the error names the first trip that breaks the first
+    rule broken.
+    """
     if xyt.size == 0:
-        raise ValueError(f"trip {trip_id!r} has no waypoints")
+        raise ValueError(f"trip {ids[0]!r} has no waypoints")
     if xyt.ndim != 2 or xyt.shape[1] != 3:
-        raise ValueError(f"trip {trip_id!r} points must have shape (m, 3), got {xyt.shape}")
+        raise ValueError(f"trip {ids[0]!r} points must have shape (m, 3), got {xyt.shape}")
+    if starts[-1] >= len(xyt) or len(starts) > 1 and (np.diff(starts) <= 0).any():
+        rows = np.diff(starts, append=len(xyt))
+        raise ValueError(f"trip {ids[int(rows.argmin())]!r} has no waypoints")
+
+    def owner(bad: np.ndarray) -> str:
+        """The id of the trip that holds the first row where bad is set."""
+        return ids[int(np.searchsorted(starts, bad.argmax(), side="right")) - 1]
+
     if not np.isfinite(xyt).all():
-        raise ValueError(f"trip {trip_id!r} has a non-finite coordinate or time")
+        raise ValueError(
+            f"trip {owner(~np.isfinite(xyt).all(axis=1))!r} has a non-finite coordinate or time")
     t = xyt[:, 2]
     if t.min() < 0:
-        raise ValueError(f"trip {trip_id!r} has a waypoint time below 0")
-    if (t[1:] < t[:-1]).any():
-        raise ValueError(f"trip {trip_id!r} waypoints are not sorted by time")
+        raise ValueError(f"trip {owner(t < 0)!r} has a waypoint time below 0")
+    down = t[1:] < t[:-1]
+    if down.any():
+        down[starts[1:] - 1] = False  # a trip may start before the previous one ends
+        if down.any():
+            raise ValueError(f"trip {owner(down)!r} waypoints are not sorted by time")
 
 
 @dataclass(frozen=True, slots=True)
@@ -192,25 +226,40 @@ def od_rep(trip: Trip, ctx: ScaleContext) -> np.ndarray:
     return scale_points(od_points([trip]), ctx)[0]
 
 
+#: Pairs window_pairs expands at a time, unless one window alone holds more.
+WINDOW_BLOCK_PAIRS = 1 << 19
+
+
 def window_pairs(
     keys: np.ndarray, lo: np.ndarray, hi: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Every pair (i, j) with lo[i] <= keys[j] <= hi[i], as two intp arrays.
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Every pair (i, j) with lo[i] <= keys[j] <= hi[i], in blocks of two intp arrays.
 
     The pairs are grouped by i in ascending order, and within a group j
     runs in ascending key order. One stable sort of keys and two bisections
-    find each window; the windows are then expanded into pairs in one pass.
-    Every lo[i] must be <= hi[i].
+    find each window. The windows are then expanded into pairs a block of
+    whole groups at a time: each block holds at most WINDOW_BLOCK_PAIRS
+    pairs, or one group, and there is at least one block. Every lo[i] must
+    be <= hi[i].
     """
     order = np.argsort(keys, kind="stable")
     ordered = keys[order]
     first = np.searchsorted(ordered, lo, side="left")
     count = np.searchsorted(ordered, hi, side="right") - first
-    i = np.repeat(np.arange(len(lo)), count)
-    # pair p sits at sorted position p - (pairs of the groups before i) + first[i]
-    slot = np.arange(len(i))
-    slot += (first - np.cumsum(count) + count)[i]
-    return i, order[slot]
+    ends = np.cumsum(count)
+    # pair p of the groups together sits at sorted position p + shift[i]
+    shift = first - ends + count
+    start, done = 0, 0
+    while True:
+        stop = max(int(np.searchsorted(ends, done + WINDOW_BLOCK_PAIRS, side="right")), start + 1)
+        stop = min(stop, len(lo))
+        i = np.repeat(np.arange(start, stop), count[start:stop])
+        slot = np.arange(done, done + len(i))
+        slot += shift[i]
+        yield i, order[slot]
+        if stop == len(lo):
+            return
+        start, done = stop, int(ends[stop - 1])
 
 
 def path_length(trip: Trip) -> float:

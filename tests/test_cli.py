@@ -3,22 +3,27 @@
 from __future__ import annotations
 
 import csv
+import io
 import json
 import os
+import re
 import subprocess
 import sys
+import tempfile
 import tracemalloc
 from pathlib import Path
 from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import tripmatch
 from tripmatch import matching, metrics
 from tripmatch.affinity import build_affinity
 from tripmatch.cli import build_parser, main
-from tripmatch.ingest import read_trips_jsonl
-from tripmatch.model import ScaleContext, od_rep
+from tripmatch.ingest import read_trips_jsonl, write_trips_jsonl
+from tripmatch.model import ScaleContext, Trip, od_rep
 
 
 def run(capsys, *argv) -> tuple[int, dict]:
@@ -200,6 +205,25 @@ class TestAffinityAndCluster:
         # with room to spare; the n^2 CSV rows as lists took about 20 matrices
         assert peak < 8 * (8 * n * n)
 
+    @settings(max_examples=40, deadline=None)
+    @given(st.lists(st.text(st.sampled_from('ab,"\r\n \t'), max_size=4), min_size=2,
+                    max_size=4, unique=True))
+    def test_affinity_file_quotes_ids_as_csv_writer_does(self, ids):
+        trips = [Trip(trip_id, [(10.0 * k, 5.0 * k, 60.0 * k + 30.0 * n) for n in range(3)])
+                 for k, trip_id in enumerate(ids)]
+        with tempfile.TemporaryDirectory() as tmp:
+            trips_path, out = Path(tmp) / "trips.jsonl", Path(tmp) / "aff"
+            with open(trips_path, "w") as fh:
+                write_trips_jsonl(trips, fh)
+            assert main(["affinity", "--trips", str(trips_path), "--out", str(out)]) == 0
+            written = (out / "affinity.csv").read_bytes().decode()
+        # the ids hold no digits, so every number in the file is a score
+        scores = iter(re.findall(r"-?\d+\.\d{6}", written))
+        expected = io.StringIO(newline="")
+        csv.writer(expected, lineterminator="\n").writerows(
+            [["i", "j", "score"]] + [[i, j, next(scores)] for i in ids for j in ids])
+        assert written == expected.getvalue()
+
     def test_cluster_outputs(self, trips_file, tmp_path, capsys):
         out = tmp_path / "clus"
         code, summary = run(capsys, "cluster", "--trips", str(trips_file),
@@ -297,6 +321,24 @@ class TestMatch:
         assert code == 0 and summary["n_matched"] == 1
         assert (out / "matches.csv").read_text().splitlines()[1].startswith(
             "s,r," if mode == "carpool" else "r,s,")
+
+    def test_compact_and_general_reads_give_the_same_files(self, trips_file, tmp_path, capsys):
+        # the same records with spaces and reordered keys: none is in the compact form
+        general = tmp_path / "general.jsonl"
+        with open(trips_file) as src, open(general, "w") as dst:
+            for line in src:
+                rec = json.loads(line)
+                dst.write(json.dumps({"points": rec["points"], "id": rec["id"]}) + "\n")
+        for path, compact in ((trips_file, True), (general, False)):
+            with open(path) as fh:
+                assert all((t.xyt().base is not None) == compact for t in read_trips_jsonl(fh))
+            code, _ = run(capsys, "match", "--trips", str(path),
+                          "--n-riders", "15", "--n-rides", "45", "--mode", "car",
+                          "--sweep-dist", "600,1800,3600", "--sweep-L", "1,3",
+                          "--out", str(tmp_path / path.stem))
+            assert code == 0
+        for name in ("matches.csv", "curve.csv", "report.json"):
+            assert read(tmp_path / trips_file.stem / name) == read(tmp_path / "general" / name)
 
     def test_sweep_curve(self, trips_file, tmp_path, capsys):
         out = tmp_path / "curve"

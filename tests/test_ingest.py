@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tripmatch import ingest
 from tripmatch.ingest import (
     SynthConfig,
     TimeWindow,
@@ -342,3 +343,149 @@ class TestReaderMatchesWaypointOracle:
         assert crash.value.lineno == 2
         with pytest.raises(TraceFormatError, match=r"^line 2: "):
             list(read_trips_jsonl(lines))
+
+
+# -- the compact block path against the same oracle -------------------------
+
+#: A JSON number as it appears in a line's text.
+NUMBER = re.compile(r"-?\d+(?:\.\d+)?(?:[eE][+-]?\d+)?")
+
+#: Number tokens, written as text: some json.loads rejects or reads otherwise
+#: than float() does, some it reads alike, some past 2**53 and 2**63.
+TEXT_TOKENS = st.one_of(
+    st.sampled_from(["01", "-01", "00", "0.5", ".5", "-.5", "5.", "5.e3", "+5", "-0", "-0.0",
+                     "0", "-0e0", "1e5", "1E+2", "2.5e-3", "1e05", "1e-400", "-1e-400", "1e400",
+                     "5e-324", "true", "false", "null", "NaN", "-Infinity", " 1", "1 ", "0x10",
+                     "1_0", "--1", "1e", "1-2", "1.2.3", "1,2", ""]),
+    st.integers(2**53 - 3, 2**53 + 3).map(str), st.integers(-2**53 - 3, -2**53 + 3).map(str),
+    st.integers(2**63 - 2, 2**63 + 2).map(str),
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.from_regex(r"-?(0|[1-9][0-9]{0,17})(\.[0-9]{1,25})?([eE][+-]?[0-9]{1,3})?",
+                  fullmatch=True))
+#: Ids that json.dumps writes with escapes, or that hold characters it does not escape.
+ESCAPED_IDS = st.text(st.sampled_from('ab"\\\n\t\x00\x1f\x7fé '), min_size=1,
+                      max_size=4)
+
+
+@st.composite
+def compact_record_lines(draw) -> str:
+    """A trips.jsonl line with "," and ":" separators, maybe edited as text.
+
+    The record is a valid one, or a record_lines one re-written. The edit
+    puts a drawn token in place of one number of the points, gives the
+    record an id that needs escapes, or puts a raw control character or a
+    backslash into the id as written.
+    """
+    if draw(st.booleans()):
+        times = sorted(draw(st.lists(TIMES, min_size=1, max_size=5)))
+        rec = {"id": draw(st.text(max_size=3)),
+               "points": [[t, draw(COORDS), draw(COORDS)] for t in times]}
+    else:
+        try:
+            rec = json.loads(draw(record_lines()))
+        except ValueError:
+            rec = None
+    edit = draw(st.sampled_from(["none", "none", "token", "token", "escaped-id", "raw-id"]))
+    if edit == "escaped-id" and isinstance(rec, dict):
+        rec["id"] = draw(ESCAPED_IDS)
+    if rec is None:
+        return draw(record_lines())
+    line = json.dumps(rec, separators=(",", ":"), ensure_ascii=draw(st.booleans()))
+    numbers = list(NUMBER.finditer(line, max(line.find('"points":'), 0)))
+    if edit == "token" and numbers:
+        m = numbers[draw(st.integers(0, len(numbers) - 1))]
+        line = line[:m.start()] + draw(TEXT_TOKENS) + line[m.end():]
+    elif edit == "raw-id" and line.startswith('{"id":"'):
+        line = line[:7] + draw(st.sampled_from(["\x00", "\x1f", "\\", "\t", "\\u0041"])) + line[7:]
+    return line
+
+
+def assert_reads_like_oracle(lines) -> None:
+    expected, expected_line = _outcome(oracle_read_trips_jsonl(lines))
+    got, got_line = _outcome((t.id, t.xyt()) for t in read_trips_jsonl(lines))
+    assert got_line == expected_line
+    assert [i for i, _ in got] == [i for i, _ in expected]
+    for (_, xyt), (_, oracle_xyt) in zip(got, expected):
+        assert xyt.shape == oracle_xyt.shape
+        assert xyt.tobytes() == oracle_xyt.tobytes()
+
+
+def compact_line(i: int, t0: str | None = None) -> str:
+    """Trip t<i>'s line as the writer writes it; t0 replaces its first time as written."""
+    points = [[100.0 * i + k, 0.25 * k - i, 1e-3 * i * k] for k in range(4)]
+    line = json.dumps({"id": f"t{i}", "points": points}, separators=(",", ":"))
+    return line if t0 is None else re.sub(r'(?<="points":\[\[)[^,]*', t0, line, count=1)
+
+
+def spaced(line: str) -> str:
+    """The same record in the general path's reach: a space after its first separator."""
+    return line.replace('","points":', '", "points":', 1)
+
+
+class TestCompactReaderMatchesWaypointOracle:
+    @settings(max_examples=500, deadline=None)
+    @given(st.lists(st.one_of(compact_record_lines(), st.sampled_from(["", "  "])),
+                    min_size=1, max_size=6))
+    def test_same_decisions_ids_and_bits(self, lines):
+        assert_reads_like_oracle(lines)
+
+    def test_compact_lines_share_one_read_only_block(self):
+        trips = list(read_trips_jsonl([compact_line(i) for i in range(3)]))
+        bases = {id(t.xyt().base) for t in trips}
+        assert len(bases) == 1 and trips[0].xyt().base is not None
+        assert not any(t.xyt().flags.writeable for t in trips)
+        assert trips[2].xyt().tolist() == [[0.25 * k - 2, 2e-3 * k, 200.0 + k] for k in range(4)]
+
+    def test_other_lines_own_their_points(self):
+        (trip,) = read_trips_jsonl([spaced(compact_line(0))])
+        assert trip.xyt().base is None and not trip.xyt().flags.writeable
+
+    @pytest.mark.parametrize("bad", [
+        # tokens json.loads rejects or reads apart from float()
+        "01", "-01", ".5", "5.", "+5", "-0", "1e400", "9007199254740993", "\x0c5", "5\x0b",
+        # tokens both read alike
+        "1E+2", "0e0", "-0.0",
+        # whole lines: a duplicate id, unsorted times, times that are unsorted
+        # but equal as floats, a control character, no closing brace, and a
+        # valid record the general path reads
+        "duplicate", "unsorted", "rounded-tie", "control", "truncated", "spaced",
+    ])
+    def test_edited_line_in_the_second_block(self, bad):
+        lines = [compact_line(i) for i in range(BAD + 20)]
+        lines[BAD] = {
+            "duplicate": lines[3],
+            "unsorted": compact_line(BAD, f"{100.0 * BAD + 3.5}"),
+            "rounded-tie": f'{{"id":"t{BAD}","points":[[{2**53 + 1},0,0],[{2**53},0,0]]}}',
+            "control": lines[BAD].replace('"t', '"\x01t', 1),
+            "truncated": lines[BAD][:-1],
+            "spaced": spaced(lines[BAD]),
+        }.get(bad) or compact_line(BAD, bad)
+        assert_reads_like_oracle(lines)
+        compact = _message(read_trips_jsonl(lines))
+        general = [line if i == BAD else spaced(line) for i, line in enumerate(lines)]
+        assert compact == _message(read_trips_jsonl(general))
+        if compact is not None:
+            assert compact.startswith(f"line {BAD + 1}: ")
+
+
+#: A line past the first block of the reader.
+BAD = ingest._BLOCK_LINES + 5
+
+
+def _message(trips) -> str | None:
+    """The reader's error message, or None when it reads every line."""
+    try:
+        for _ in trips:
+            pass
+    except TraceFormatError as exc:
+        return str(exc)
+    return None
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.from_regex(r"-?(0|[1-9][0-9]{0,20})(\.[0-9]{1,25})?([eE][+-]?[0-9]{1,3})?",
+                              fullmatch=True), min_size=1, max_size=30))
+def test_text_parse_rounds_like_float(tokens):
+    """The block path's one parse of many numbers gives float()'s bits for each."""
+    parsed = np.loadtxt(io.StringIO("\n".join(tokens)), delimiter=",", ndmin=2)
+    assert parsed.ravel().tobytes() == np.array([float(t) for t in tokens]).tobytes()

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -11,6 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import tripmatch.metrics as metrics
+from tripmatch import model
 from tripmatch.matching import (
     METRIC_NAMES,
     MatchReport,
@@ -203,6 +206,23 @@ class TestCandidateIndices:
         expected = [[j for j, ride in enumerate(rides) if passes_filter(request, ride, scenario)]
                     for request in requests]
         assert _candidate_indices(od_points(requests), od_points(rides), scenario) == expected
+
+    @pytest.mark.parametrize("mode", ["car", "carpool"])
+    def test_unbounded_windows_expand_in_blocks(self, mode):
+        requests, rides = rider_ride_population(3, n_requests=400, n_rides=2000)
+        scenario = MatchScenario(mode=mode, time_threshold=math.inf, dist_threshold=1800.0)
+        req_od, ride_od = od_points(requests), od_points(rides)
+        whole = _candidate_indices(req_od, ride_od, scenario)  # about 400k pairs: one block
+        with mock.patch.object(model, "WINDOW_BLOCK_PAIRS", 1 << 12):
+            tracemalloc.start()
+            try:
+                blocked = _candidate_indices(req_od, ride_od, scenario)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert blocked == whole and any(whole)
+        # expanding every window at once peaks near 19 MB
+        assert peak < 2_000_000
 
 
 class TestMatchCountsCurve:

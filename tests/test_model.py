@@ -2,16 +2,20 @@
 
 from __future__ import annotations
 
+import re
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tripmatch import model
 from tripmatch.model import (
     ScaleContext,
     Trip,
     Waypoint,
+    check_points,
     od_points,
     od_rep,
     path_length,
@@ -271,6 +275,53 @@ class TestWindowPairs:
         expected = [(i, j) for i in range(len(lo))
                     for j in sorted(range(len(keys)), key=lambda j: keys[j])
                     if lo[i] <= keys[j] <= hi[i]]
-        i, j = window_pairs(keys, lo, hi)
+        i, j = map(np.concatenate, zip(*window_pairs(keys, lo, hi)))
         assert i.dtype == j.dtype == np.intp
         assert list(zip(i.tolist(), j.tolist())) == expected
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.integers(0, 20), max_size=30),
+           st.lists(st.tuples(st.integers(-2, 22), st.integers(0, 8)), max_size=12),
+           st.integers(1, 12))
+    def test_blocks_hold_whole_windows_up_to_the_cap(self, keys, windows, cap):
+        keys = np.array(keys, dtype=float)
+        lo = np.array([a for a, _ in windows], dtype=float)
+        hi = lo + [w for _, w in windows]
+        whole = [np.concatenate(a) for a in zip(*window_pairs(keys, lo, hi))]
+        with mock.patch.object(model, "WINDOW_BLOCK_PAIRS", cap):
+            blocks = list(window_pairs(keys, lo, hi))
+        assert blocks
+        for i, _ in blocks:
+            assert len(i) <= cap or len(set(i.tolist())) == 1
+        groups = [set(i.tolist()) for i, _ in blocks]
+        assert all(a.isdisjoint(b) for a, b in zip(groups, groups[1:]))
+        for got, want in zip(map(np.concatenate, zip(*blocks)), whole):
+            assert got.tolist() == want.tolist()
+
+
+class TestCheckPoints:
+    #: Three stacked trips: a's rows 0-1, b's rows 2-3 and c's row 4.
+    STACK = np.array([[0.0, 0.0, 5.0], [0.0, 0.0, 6.0], [1.0, 1.0, 1.0], [1.0, 1.0, 2.0],
+                      [2.0, 2.0, 0.0]])
+    STARTS = np.array([0, 2, 4])
+
+    def test_a_trip_may_start_before_the_previous_one_ends(self):
+        check_points(self.STACK, self.STARTS, "abc")
+
+    @pytest.mark.parametrize("row, col, value, message", [
+        (3, 2, 0.5, "trip 'b' waypoints are not sorted by time"),
+        (4, 0, np.nan, "trip 'c' has a non-finite coordinate or time"),
+        (1, 2, -1.0, "trip 'a' has a waypoint time below 0"),  # also unsorted
+        (2, 1, np.inf, "trip 'b' has a non-finite coordinate or time"),
+    ])
+    def test_names_the_trip_that_breaks_the_first_rule_broken(self, row, col, value, message):
+        xyt = self.STACK.copy()
+        xyt[row, col] = value
+        with pytest.raises(ValueError, match=re.escape(message)):
+            check_points(xyt, self.STARTS, "abc")
+
+    @pytest.mark.parametrize("starts, empty", [([0, 2, 2], "b"), ([0, 2, 5], "c"),
+                                               ([0, 0, 4], "a")])
+    def test_names_a_trip_with_no_rows(self, starts, empty):
+        with pytest.raises(ValueError, match=f"trip '{empty}' has no waypoints"):
+            check_points(self.STACK, np.array(starts), "abc")
