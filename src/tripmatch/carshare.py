@@ -20,12 +20,16 @@ from .metrics import WgmWeights
 from .model import ScaleContext, Trip, od_points, path_length, scale_points, window_pairs
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, eq=False)
 class TripDag:
-    """Hand-off graph: node i is trips[i], edge (i, j) means j can follow i."""
+    """Hand-off graph: node i is trips[i], edge row (i, j) means j can follow i.
+
+    edges is an (E, 2) intp array of distinct rows; weights[k] weighs row k.
+    """
 
     trip_ids: tuple[str, ...]
-    edges: dict[tuple[int, int], float]
+    edges: np.ndarray
+    weights: np.ndarray
 
     @property
     def n(self) -> int:
@@ -63,16 +67,14 @@ def build_trip_dag(
     most time_threshold seconds, and b's origin lies within dist_threshold
     meters of a's destination. The edge weight is the point similarity of
     the hand-off pair, a's destination against b's origin, with absolute
-    time differences, scaled into the trips' own bounding box. Edges are
-    keyed in ascending (a, b) order.
+    time differences, scaled into the trips' own bounding box. The edge rows
+    are in ascending (a, b) order, with their weights beside them.
 
     The candidate successors of every trip are found by model.window_pairs,
     a bisection of the start times; the exact predicate runs on those pairs
     alone, a block of them at a time.
     """
-    # an infinite threshold means no limit; NaN fails both comparisons
-    if not (dist_threshold > 0 and time_threshold > 0):
-        raise ValueError("thresholds must be positive")
+    metrics.check_thresholds(dist_threshold, time_threshold)
     od = od_points(trips)
     origin, start, dest, end = od[:, 0, :2], od[:, 0, 2], od[:, 1, :2], od[:, 1, 2]
     # each trip's successors start in [end, end + T]; the upper bound is
@@ -90,8 +92,7 @@ def build_trip_dag(
     reps = scale_points(od, ScaleContext.from_trips(trips))
     # a's destination against b's origin, as one-point sequences
     weight = metrics.wgm_batch(reps[src, 1:], reps[dst, :1], weights)
-    edges = dict(zip(zip(src.tolist(), dst.tolist()), weight.tolist()))
-    return TripDag(tuple(t.id for t in trips), edges)
+    return TripDag(tuple(t.id for t in trips), np.stack([src, dst], axis=1), weight)
 
 
 def max_card_max_weight_matching(dag: TripDag) -> dict[int, int]:
@@ -104,25 +105,30 @@ def max_card_max_weight_matching(dag: TripDag) -> dict[int, int]:
     more than any n real edges: the solver therefore matches as many
     predecessors to real successors as possible and, among those
     matchings, one of maximum weight. Weights must be nonnegative; absent
-    pairs never enter the matching.
+    pairs never enter the matching. Every edge row must hold two trip
+    indices and appear once: the solver would add a repeated row's costs.
 
     Returns {predecessor index: successor index}.
     """
-    if not dag.edges:
+    if not len(dag.edges):
         return {}
-    weights = np.fromiter(dag.edges.values(), dtype=float, count=len(dag.edges))
-    if weights.min() < 0:
+    n, (rows, cols) = dag.n, dag.edges.T
+    if dag.edges.min() < 0 or dag.edges.max() >= n:
+        raise ValueError(f"edge rows must index the {n} trips")
+    # row (i, j) as i * n + j; a stable sort, unlike np.unique's, reuses lexsort's code pages
+    if not np.diff(np.sort(rows * n + cols, kind="stable")).all():
+        raise ValueError("edge rows must be distinct")
+    if dag.weights.min() < 0:
         raise ValueError("edge weights must be nonnegative")
     # imported here: scipy.sparse costs about a quarter second to import,
     # and no other subcommand needs it
     from scipy.sparse import csr_array
     from scipy.sparse.csgraph import min_weight_full_bipartite_matching
 
-    n, top = dag.n, weights.max()
-    rows, cols = np.array(list(dag.edges), dtype=np.intp).T
+    top = dag.weights.max()
     dummies = np.arange(n)
     costs = csr_array(
-        (np.concatenate([1 + top - weights, np.full(n, n * (top + 1) + 1)]),
+        (np.concatenate([1 + top - dag.weights, np.full(n, n * (top + 1) + 1)]),
          (np.concatenate([rows, dummies]), np.concatenate([cols, n + dummies]))),
         shape=(n, 2 * n))
     matched_rows, matched_cols = min_weight_full_bipartite_matching(costs)
@@ -135,13 +141,19 @@ def extract_chains(dag: TripDag, matching: Mapping[int, int]) -> ChainSchedule:
     A trip whose successor-side copy is unmatched starts a chain; following
     each trip's matched successor walks the whole chain. The chains
     partition the trips and their count is n - |matching|: the fleet size.
+    A matching that closes a cycle is rejected, as its trips start no chain.
     """
     succs = list(matching.values())
     if len(set(succs)) != len(succs):
         raise ValueError("matching assigns one successor to several trips")
-    for i, j in matching.items():
-        if (i, j) not in dag.edges:
-            raise ValueError(f"matched pair ({i}, {j}) is not a graph edge")
+    pairs = np.array(list(matching.items()), dtype=np.intp).reshape(-1, 2)
+    # each row (i, j) as i * n + j, looked up in the sorted rows by bisection
+    codes, wanted = np.sort(dag.edges @ (dag.n, 1), kind="stable"), pairs @ (dag.n, 1)
+    is_edge = np.searchsorted(codes, wanted, "right") > np.searchsorted(codes, wanted)
+    is_edge &= ((pairs >= 0) & (pairs < dag.n)).all(1)
+    if not is_edge.all():
+        i, j = pairs[np.argmin(is_edge)].tolist()
+        raise ValueError(f"matched pair ({i}, {j}) is not a graph edge")
     has_predecessor = set(succs)
     chains = []
     for start in range(dag.n):
@@ -151,6 +163,8 @@ def extract_chains(dag: TripDag, matching: Mapping[int, int]) -> ChainSchedule:
         while chain[-1] in matching:
             chain.append(matching[chain[-1]])
         chains.append(tuple(dag.trip_ids[v] for v in chain))
+    if sum(map(len, chains)) != dag.n:
+        raise ValueError("matching closes a cycle, so its chains miss some trips")
     schedule = ChainSchedule(
         chains=tuple(chains),
         n_cars=len(chains),

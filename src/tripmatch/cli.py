@@ -267,22 +267,26 @@ def _affinity(cfg: dict, reps: np.ndarray) -> np.ndarray:
     return metrics.wgm_batch(reps[:, None], reps[None, :], _weights(cfg), mode)
 
 
+def _symmetric_ratio(a: np.ndarray) -> float:
+    """sym_decompose's ||S||^2 / ||A||^2, as (||A||^2 + <A, A^T>) / (2 ||A||^2)."""
+    energy = np.einsum("ij,ij->", a, a)
+    return float((energy + np.einsum("ij,ji->", a, a)) / (2 * energy)) if energy > 0 else 1.0
+
+
 def cmd_affinity(cfg: dict, outdir: Path) -> dict:
     if not cfg.get("trips"):
         raise ValueError("--trips is required")
     trips = _load_trips(cfg["trips"])
     reps = model.scale_points(model.od_points(trips), model.ScaleContext.from_trips(trips))
     values = _affinity(cfg, reps)
-    # sym_decompose's ||S||^2 / ||A||^2, as (||A||^2 + <A, A^T>) / (2 ||A||^2)
-    energy = np.einsum("ij,ij->", values, values)
-    ratio = (energy + np.einsum("ij,ji->", values, values)) / (2 * energy) if energy > 0 else 1.0
     rows = values.T if cfg["scorer"] == "cp" else values
     ids = [_csv_field(t.id) for t in trips]
     with open(outdir / "affinity.csv", "w", newline="") as fh:
         fh.write("i,j,score\n")
         for a, row in zip(ids, rows):
             fh.write("".join([f"{a},{b},{score:.6f}\n" for b, score in zip(ids, row.tolist())]))
-    return {"n": len(ids), "scorer": cfg["scorer"], "symmetric_ratio": round(float(ratio), 6)}
+    return {"n": len(ids), "scorer": cfg["scorer"],
+            "symmetric_ratio": round(_symmetric_ratio(values), 6)}
 
 
 def cmd_cluster(cfg: dict, outdir: Path) -> dict:
@@ -293,7 +297,11 @@ def cmd_cluster(cfg: dict, outdir: Path) -> dict:
         raise ValueError(f"cluster needs at least 3 trips for its 2-D embeddings, got {len(trips)}")
     od = model.od_points(trips)
     reps = model.scale_points(od, model.ScaleContext.from_trips(trips))
-    sym, ratio = affinity.sym_decompose(_affinity(cfg, reps))[::2]
+    sym = _affinity(cfg, reps)
+    ratio = _symmetric_ratio(sym)
+    # S = (A + A^T) / 2 in A's own buffer; numpy copies the overlapping A^T first
+    sym += sym.T
+    sym /= 2.0
     if cfg.get("kernel_gamma") is not None:
         sym = metrics.laplacian_kernel(sym, cfg["kernel_gamma"])
     labels = affinity.spectral_cluster(sym, cfg["k"], cfg["seed"])

@@ -43,9 +43,7 @@ class MatchScenario:
     def __post_init__(self) -> None:
         if self.mode not in ("car", "carpool"):
             raise ValueError(f"unknown mode {self.mode!r}")
-        # an infinite threshold means no limit; NaN fails both comparisons
-        if not (self.dist_threshold > 0 and self.time_threshold > 0):
-            raise ValueError("thresholds must be positive")
+        metrics.check_thresholds(self.dist_threshold, self.time_threshold)
         if self.metric not in METRIC_NAMES:
             raise ValueError(f"unknown metric {self.metric!r}")
 

@@ -66,6 +66,13 @@ DEFAULT_DIST_THRESHOLD = 1800.0
 DEFAULT_TIME_THRESHOLD = 900.0
 
 
+def check_thresholds(dist_threshold: float, time_threshold: float) -> None:
+    """Reject a distance or time gate that is not positive."""
+    # an infinite threshold means no limit; NaN fails both comparisons
+    if not (dist_threshold > 0 and time_threshold > 0):
+        raise ValueError("thresholds must be positive")
+
+
 @dataclass(frozen=True, slots=True)
 class MetricParams:
     """LCSS match thresholds, in scaled units."""

@@ -8,6 +8,7 @@ over subsets (which never mentions matchings at all).
 from __future__ import annotations
 
 import math
+import tracemalloc
 from functools import lru_cache
 
 import numpy as np
@@ -31,15 +32,32 @@ from conftest import straight_trip
 W = WgmWeights(0.6, 0.4)
 
 
+def make_dag(trip_ids, rows, weights) -> TripDag:
+    """TripDag over trip_ids with the listed (i, j) edge rows and their weights."""
+    return TripDag(tuple(trip_ids), np.array(rows, dtype=np.intp).reshape(-1, 2),
+                   np.array(weights, dtype=float))
+
+
+def dag_of(trip_ids, edges: dict[tuple[int, int], float]) -> TripDag:
+    """TripDag whose edge rows are edges' keys, in order, weighted by its values."""
+    return make_dag(trip_ids, list(edges), list(edges.values()))
+
+
+def edge_items(dag: TripDag) -> list[tuple[tuple[int, int], float]]:
+    """The DAG's ((i, j), weight) pairs, in row order."""
+    return [((i, j), w) for (i, j), w in zip(dag.edges.tolist(), dag.weights.tolist())]
+
+
 def random_dag(rng, max_n=8) -> TripDag:
     """Random DAG on a topological order, with random weights in (0, 1]."""
     n = int(rng.integers(2, max_n + 1))
-    edges = {}
+    rows, weights = [], []
     for i in range(n):
         for j in range(i + 1, n):
             if rng.random() < 0.35:
-                edges[(i, j)] = float(rng.uniform(0.05, 1.0))
-    return TripDag(tuple(f"t{i}" for i in range(n)), edges)
+                rows.append((i, j))
+                weights.append(float(rng.uniform(0.05, 1.0)))
+    return make_dag([f"t{i}" for i in range(n)], rows, weights)
 
 
 @st.composite
@@ -55,7 +73,7 @@ def dags(draw, max_n=8, tied=False) -> TripDag:
     if tied:
         weights = st.sampled_from(draw(st.lists(weights, min_size=1, max_size=3))) \
             if draw(st.booleans()) else st.just(0.0)
-    return TripDag(tuple(f"t{i}" for i in range(n)), {e: draw(weights) for e in chosen})
+    return make_dag([f"t{i}" for i in range(n)], chosen, [draw(weights) for _ in chosen])
 
 
 @st.composite
@@ -105,7 +123,7 @@ def assert_acyclic(dag: TripDag) -> None:
     """Kahn topological sort over the DAG's edges."""
     indeg = [0] * dag.n
     succ: dict[int, list[int]] = {}
-    for (i, j) in dag.edges:
+    for i, j in dag.edges.tolist():
         indeg[j] += 1
         succ.setdefault(i, []).append(j)
     queue = [v for v in range(dag.n) if indeg[v] == 0]
@@ -122,7 +140,7 @@ def assert_acyclic(dag: TripDag) -> None:
 
 def brute_force_best_matching(dag: TripDag) -> tuple[int, float]:
     """Max cardinality, then max weight, by enumerating every matching."""
-    edges = list(dag.edges.items())
+    edges = edge_items(dag)
 
     def explore(idx, used_left, used_right, size, weight):
         best = (size, weight)
@@ -148,7 +166,7 @@ def brute_force_min_path_partition(dag: TripDag) -> tuple[int, float]:
     """
     n = dag.n
     succ = {}
-    for (i, j), w in dag.edges.items():
+    for (i, j), w in edge_items(dag):
         succ.setdefault(i, []).append((j, w))
 
     paths = []  # (mask, weight)
@@ -191,7 +209,8 @@ def brute_force_min_path_partition(dag: TripDag) -> tuple[int, float]:
 
 
 def matching_weight(dag: TripDag, matching: dict[int, int]) -> float:
-    return sum(dag.edges[(i, j)] for i, j in matching.items())
+    weight_of = dict(edge_items(dag))
+    return sum(weight_of[(i, j)] for i, j in matching.items())
 
 
 class TestBuildTripDag:
@@ -199,26 +218,26 @@ class TestBuildTripDag:
         a = straight_trip("a", (1000, 1000), (5000, 5000), 0, 900)
         b = straight_trip("b", (5400, 5000), (9000, 9000), 1200, 2100)
         dag = build_trip_dag([a, b])
-        assert set(dag.edges) == {(0, 1)}
+        assert dag.edges.tolist() == [[0, 1]]
 
     def test_overlapping_trips_never_connect(self):
         a = straight_trip("a", (1000, 1000), (5000, 5000), 0, 1000)
         b = straight_trip("b", (5000, 5000), (9000, 9000), 900, 2000)
         dag = build_trip_dag([a, b])
-        assert dag.edges == {}
+        assert dag.edges.shape == (0, 2) and dag.weights.shape == (0,)
 
     def test_equal_timestamps_excluded(self):
         a = straight_trip("a", (1000, 1000), (5000, 5000), 0, 900)
         b = straight_trip("b", (5000, 5000), (9000, 9000), 900, 2000)
         dag = build_trip_dag([a, b])
-        assert dag.edges == {}
+        assert dag.edges.shape == (0, 2) and dag.weights.shape == (0,)
 
     def test_threshold_gates(self):
         a = straight_trip("a", (1000, 1000), (5000, 5000), 0, 900)
         far = straight_trip("f", (6900, 5000), (9000, 9000), 1000, 2000)
         late = straight_trip("l", (5000, 5000), (9000, 9000), 1900, 2900)
         dag = build_trip_dag([a, far, late])
-        assert dag.edges == {}
+        assert dag.edges.shape == (0, 2) and dag.weights.shape == (0,)
 
     def test_edge_weight_is_handoff_psim(self):
         a = straight_trip("a", (1000, 1000), (5000, 5000), 0, 900)
@@ -228,7 +247,8 @@ class TestBuildTripDag:
         end = (4000 / 8000, 4000 / 8000, 900 / 2100)
         start = (4400 / 8000, 4000 / 8000, 1200 / 2100)
         expected = psim(end, start, W)
-        assert math.isclose(dag.edges[(0, 1)], expected, rel_tol=1e-12)
+        assert dag.edges.tolist() == [[0, 1]]
+        assert math.isclose(dag.weights[0], expected, rel_tol=1e-12)
 
     def test_output_is_acyclic(self):
         rng = np.random.default_rng(0)
@@ -239,7 +259,7 @@ class TestBuildTripDag:
             trips.append(straight_trip(f"t{i:02d}", (x0, y0), (x0 + 1500, y0), t0, t0 + 600))
         dag = build_trip_dag(trips)
         assert_acyclic(dag)
-        for (i, j) in dag.edges:
+        for i, j in dag.edges.tolist():
             assert trips[j].start_time > trips[i].end_time
 
     def test_gap_decides_where_the_window_bound_rounds(self):
@@ -248,7 +268,23 @@ class TestBuildTripDag:
         b = straight_trip("b", (5000, 5000), (9000, 9000), 986.999756924277, 1500)
         assert b.start_time > a.end_time + 523.2
         assert b.start_time - a.end_time == 523.2
-        assert set(build_trip_dag([a, b], time_threshold=523.2).edges) == {(0, 1)}
+        assert build_trip_dag([a, b], time_threshold=523.2).edges.tolist() == [[0, 1]]
+
+    def test_dag_holds_its_edges_as_arrays(self):
+        # trip j starts 2 (j - i) - 1 s after trip i ends: every later trip follows
+        trips = [straight_trip(f"t{i:03d}", (1000 + i, 1000), (5000, 5000 + i), 2 * i, 2 * i + 1)
+                 for i in range(400)]
+        build_trip_dag(trips[:3], dist_threshold=math.inf)  # one-time allocations go first
+        tracemalloc.start()
+        try:
+            dag = build_trip_dag(trips, dist_threshold=math.inf)
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert len(dag.edges) == 400 * 399 // 2
+        # the (E, 2) intp rows and (E,) weights take 24 bytes an edge; a dict
+        # keyed by (i, j) tuples took about 178
+        assert held < 40 * len(dag.edges)
 
     @settings(max_examples=300, deadline=None)
     @given(handoff_cases())
@@ -262,9 +298,11 @@ class TestBuildTripDag:
                         spatial_distance(a.destination, b.origin) <= dist:
                     expected.append((i, j))
         dag = build_trip_dag(trips, dist, span, W)
-        assert list(dag.edges) == expected
+        assert dag.edges.dtype == np.intp and dag.edges.shape == (len(expected), 2)
+        assert dag.weights.shape == (len(expected),)
+        assert [tuple(e) for e in dag.edges.tolist()] == expected
         box = ScaleContext.from_trips(trips)
-        for (i, j), weight in dag.edges.items():
+        for (i, j), weight in edge_items(dag):
             a, b = od_rep(trips[i], box), od_rep(trips[j], box)
             assert math.isclose(weight, psim(a[1], b[0], W), rel_tol=1e-12)
 
@@ -277,15 +315,16 @@ def dense_oracle(dag: TripDag) -> tuple[int, float]:
     """
     from scipy.optimize import linear_sum_assignment
 
-    if not dag.edges:
+    weight_of = dict(edge_items(dag))
+    if not weight_of:
         return 0, 0.0
-    shift = dag.n * (max(dag.edges.values()) + 1) + 1
+    shift = dag.n * (max(weight_of.values()) + 1) + 1
     profit = np.zeros((dag.n, dag.n))
-    for (i, j), w in dag.edges.items():
+    for (i, j), w in weight_of.items():
         profit[i, j] = w + shift
     rows, cols = linear_sum_assignment(profit, maximize=True)
-    chosen = [(i, j) for i, j in zip(rows.tolist(), cols.tolist()) if (i, j) in dag.edges]
-    return len(chosen), sum(dag.edges[e] for e in chosen)
+    chosen = [(i, j) for i, j in zip(rows.tolist(), cols.tolist()) if (i, j) in weight_of]
+    return len(chosen), sum(weight_of[e] for e in chosen)
 
 
 class TestMatching:
@@ -293,7 +332,7 @@ class TestMatching:
     @given(st.one_of(dags(tied=True), dags()))
     def test_sparse_solver_equals_oracles(self, dag):
         matching = max_card_max_weight_matching(dag)
-        assert all(edge in dag.edges for edge in matching.items())
+        assert set(matching.items()) <= set(dict(edge_items(dag)))
         assert len(set(matching.values())) == len(matching)
         size, weight = brute_force_best_matching(dag)
         dense_size, dense_weight = dense_oracle(dag)
@@ -302,23 +341,36 @@ class TestMatching:
         assert math.isclose(dense_weight, weight, abs_tol=1e-9)
 
     def test_single_edge(self):
-        dag = TripDag(("a", "b"), {(0, 1): 0.5})
+        dag = dag_of(("a", "b"), {(0, 1): 0.5})
         assert max_card_max_weight_matching(dag) == {0: 1}
 
     def test_chain_fully_matched(self):
-        dag = TripDag(("a", "b", "c"), {(0, 1): 0.9, (1, 2): 0.8})
+        dag = dag_of(("a", "b", "c"), {(0, 1): 0.9, (1, 2): 0.8})
         assert max_card_max_weight_matching(dag) == {0: 1, 1: 2}
 
     def test_empty(self):
-        assert max_card_max_weight_matching(TripDag(("a", "b", "c"), {})) == {}
+        assert max_card_max_weight_matching(dag_of(("a", "b", "c"), {})) == {}
 
     def test_negative_weights_rejected(self):
         with pytest.raises(ValueError):
-            max_card_max_weight_matching(TripDag(("a", "b"), {(0, 1): -0.1}))
+            max_card_max_weight_matching(dag_of(("a", "b"), {(0, 1): -0.1}))
+
+    @pytest.mark.parametrize("row", [(0, 4), (0, 3), (3, 0), (-1, 2)])
+    def test_rejects_rows_outside_the_trips(self, row):
+        # column 4 would be trip 1's dummy column, column 3 trip 0's
+        dag = make_dag(("a", "b", "c"), [(0, 1), (1, 2), row], [0.5, 0.5, 0.9])
+        with pytest.raises(ValueError, match="index the 3 trips"):
+            max_card_max_weight_matching(dag)
+
+    def test_rejects_repeated_rows(self):
+        # the sparse solver would add the two rows' costs into one edge
+        dag = make_dag(("a", "b", "c"), [(0, 1), (1, 2), (0, 1)], [0.5, 0.5, 0.5])
+        with pytest.raises(ValueError, match="distinct"):
+            max_card_max_weight_matching(dag)
 
     def test_prefers_cardinality_over_weight(self):
         # taking the heavy middle edge alone would block a 2-edge matching
-        dag = TripDag(("a", "b", "c"), {(0, 1): 1.0, (1, 1): 0.01, (1, 2): 0.01})
+        dag = dag_of(("a", "b", "c"), {(0, 1): 1.0, (1, 1): 0.01, (1, 2): 0.01})
         matching = max_card_max_weight_matching(dag)
         assert len(matching) == 2
 
@@ -334,14 +386,14 @@ class TestMatching:
 
 class TestExtractChains:
     def test_no_matching_all_singletons(self):
-        dag = TripDag(("a", "b", "c"), {(0, 1): 0.5})
+        dag = dag_of(("a", "b", "c"), {(0, 1): 0.5})
         schedule = extract_chains(dag, {})
         assert schedule.n_cars == 3
         assert schedule.singleton_count == 3
         assert all(len(c) == 1 for c in schedule.chains)
 
     def test_full_chain(self):
-        dag = TripDag(("a", "b", "c"), {(0, 1): 0.9, (1, 2): 0.8})
+        dag = dag_of(("a", "b", "c"), {(0, 1): 0.9, (1, 2): 0.8})
         schedule = extract_chains(dag, {0: 1, 1: 2})
         assert schedule.chains == (("a", "b", "c"),)
         assert schedule.n_cars == 1
@@ -369,14 +421,28 @@ class TestExtractChains:
         assert len(matching) == brute_force_best_matching(dag)[0]
 
     def test_rejects_duplicated_successor(self):
-        dag = TripDag(("a", "b", "c"), {(0, 2): 0.5, (1, 2): 0.5})
+        dag = dag_of(("a", "b", "c"), {(0, 2): 0.5, (1, 2): 0.5})
         with pytest.raises(ValueError, match="successor"):
             extract_chains(dag, {0: 2, 1: 2})
 
     def test_rejects_non_edges(self):
-        dag = TripDag(("a", "b"), {})
+        dag = dag_of(("a", "b"), {})
         with pytest.raises(ValueError, match="edge"):
             extract_chains(dag, {0: 1})
+
+    def test_rejects_pairs_outside_the_trips(self):
+        # -1 * 3 + 4 == 0 * 3 + 1, yet (-1, 4) is not the edge (0, 1)
+        dag = dag_of(("a", "b", "c"), {(0, 1): 0.5})
+        with pytest.raises(ValueError, match=r"\(-1, 4\) is not a graph edge"):
+            extract_chains(dag, {-1: 4})
+
+    def test_rejects_cycles(self):
+        loop = dag_of(("a",), {(0, 0): 1.0})
+        assert max_card_max_weight_matching(loop) == {0: 0}
+        with pytest.raises(ValueError, match="cycle"):
+            extract_chains(loop, {0: 0})
+        with pytest.raises(ValueError, match="cycle"):
+            extract_chains(dag_of(("a", "b"), {(0, 1): 1.0, (1, 0): 1.0}), {0: 1, 1: 0})
 
     def test_min_path_partition_oracle(self):
         rng = np.random.default_rng(4)
@@ -392,7 +458,7 @@ class TestExtractChains:
 class TestChainStats:
     def test_singleton_has_no_pickups(self):
         trip = straight_trip("a", (0, 0), (3000, 4000), 0, 600)
-        dag = TripDag(("a",), {})
+        dag = dag_of(("a",), {})
         schedule = extract_chains(dag, {})
         (stat,) = chain_stats(schedule, [trip])
         assert stat.length == 1

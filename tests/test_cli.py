@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 
 import tripmatch
 from tripmatch import matching, metrics
-from tripmatch.affinity import build_affinity
+from tripmatch.affinity import build_affinity, sym_decompose
 from tripmatch.cli import build_parser, main
 from tripmatch.ingest import read_trips_jsonl, write_trips_jsonl
 from tripmatch.model import ScaleContext, Trip, od_rep
@@ -186,6 +186,17 @@ class TestAffinityAndCluster:
         car = {(i, j): score for i, j, score in files["car"][1:]}
         assert files["cp"][0] == files["car"][0]
         assert files["cp"][1:] == [[i, j, car[j, i]] for i, j, _ in files["car"][1:]]
+
+    def test_both_commands_print_sym_decompose_ratio(self, trips_file, tmp_path, capsys):
+        with open(trips_file) as fh:
+            trips = list(read_trips_jsonl(fh))
+        ctx = ScaleContext.from_trips(trips)
+        a = build_affinity([od_rep(t, ctx) for t in trips], metrics.car_score).values
+        expected = round(sym_decompose(a)[2], 6)
+        for command in (["affinity"], ["cluster", "--k", "3"]):
+            code, summary = run(capsys, *command, "--trips", str(trips_file), "--scorer", "car",
+                                "--out", str(tmp_path / command[0]))
+            assert code == 0 and summary["symmetric_ratio"] == expected
 
     def test_affinity_builds_no_list_of_rows(self, tmp_path, capsys):
         n = 300
