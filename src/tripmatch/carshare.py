@@ -17,7 +17,7 @@ import numpy as np
 
 from . import metrics
 from .metrics import WgmWeights
-from .model import ScaleContext, Trip, od_points, path_length, scale_points, window_pairs
+from .model import ScaleContext, Trip, od_points, path_lengths, scale_points, window_pairs
 
 
 @dataclass(frozen=True, slots=True, eq=False)
@@ -179,10 +179,11 @@ def chain_stats(schedule: ChainSchedule, trips: Sequence[Trip]) -> list[ChainSta
     """Per-chain travel, hand-off distance, and hand-off wait totals."""
     index = {t.id: i for i, t in enumerate(trips)}
     od = od_points(trips).tolist()
+    lengths = path_lengths(trips).tolist()
     out = []
     for idx, chain in enumerate(schedule.chains):
         members = [index[tid] for tid in chain]
-        travel = sum(path_length(trips[i]) for i in members)
+        travel = sum(lengths[i] for i in members)
         pickup_m = 0.0
         pickup_s = 0.0
         for a, b in zip(members, members[1:]):

@@ -88,14 +88,18 @@ def _parse_bbox(text: str) -> model.ScaleContext:
     return model.ScaleContext(*parts)
 
 
-def _parse_list(text: str, flag: str, kind: type = float) -> list:
-    """The numbers of a comma list; a bad or empty one raises a ValueError naming flag."""
+def _parse_list(text: str, flag: str, rule: str, ok: Callable[[float], bool],
+                kind: type = float) -> list:
+    """The numbers of a comma list, each ok by rule; else a ValueError naming flag."""
     try:
         values = [kind(p) for p in text.split(",") if p.strip()]
     except ValueError as exc:
         raise ValueError(f"{flag}: {exc}") from None
     if not values:
         raise ValueError(f"{flag}: needs at least one value, got {text!r}")
+    bad = [v for v in values if not ok(v)]  # NaN fails every rule
+    if bad:
+        raise ValueError(f"{flag}: {rule}, got {bad[0]:g}")
     return values
 
 
@@ -202,7 +206,7 @@ def cmd_stats(cfg: dict, outdir: Path) -> dict:
     trips = _load_trips(cfg["trips"])
     ctx = model.ScaleContext.from_trips(trips)
     durations = [t.duration for t in trips if t.duration > 0]
-    lengths = [model.path_length(t) for t in trips]
+    lengths = model.path_lengths(trips).tolist()
     n_points = [len(t.xyt()) for t in trips]
     distances = [d for d in lengths if d > 0]
 
@@ -303,7 +307,7 @@ def cmd_cluster(cfg: dict, outdir: Path) -> dict:
     sym += sym.T
     sym /= 2.0
     if cfg.get("kernel_gamma") is not None:
-        sym = metrics.laplacian_kernel(sym, cfg["kernel_gamma"])
+        metrics.laplacian_kernel(sym, cfg["kernel_gamma"], out=sym)
     labels = affinity.spectral_cluster(sym, cfg["k"], cfg["seed"])
     coords_pca, explained = affinity.pca_2d(reps.reshape(len(reps), -1))
     # the affinity is not needed past here, so its buffer becomes the distances
@@ -342,18 +346,14 @@ def cmd_cluster(cfg: dict, outdir: Path) -> dict:
 
 
 def cmd_match(cfg: dict, outdir: Path) -> dict:
-    match_counts = _parse_list(cfg["sweep_l"], "--sweep-L", int) if cfg.get("sweep_l") else [1]
-    sweeps = {vary: _parse_list(cfg[f"sweep_{vary}"], f"--sweep-{vary}")
+    match_counts = (_parse_list(cfg["sweep_l"], "--sweep-L", "counts must be at least 1",
+                                lambda v: v >= 1, int) if cfg.get("sweep_l") else [1])
+    # an infinite threshold means no limit
+    sweeps = {vary: _parse_list(cfg[f"sweep_{vary}"], f"--sweep-{vary}",
+                                "thresholds must be positive", lambda v: v > 0)
               for vary in ("dist", "time") if cfg.get(f"sweep_{vary}")}
-    for vary, sweep in sweeps.items():
-        # an infinite threshold means no limit; NaN fails the comparison
-        bad = [v for v in sweep if not v > 0]
-        if bad:
-            raise ValueError(f"--sweep-{vary}: thresholds must be positive, got {bad[0]:g}")
     if cfg.get("sweep_l") and not sweeps:
         raise ValueError("--sweep-L needs --sweep-dist or --sweep-time")
-    if min(match_counts, default=1) < 1:
-        raise ValueError(f"--sweep-L: counts must be at least 1, got {min(match_counts)}")
     requests, rides = _split_riders_rides(cfg)
     scenario = _scenario(cfg)
     report = matching.greedy_match(requests, rides, scenario)
@@ -362,10 +362,11 @@ def cmd_match(cfg: dict, outdir: Path) -> dict:
         curve_rows += matching.match_counts_curve(
             requests, rides, scenario, sweep, match_counts, vary)
 
-    _write_matches_csv(outdir / "matches.csv", report)
+    # the accounting may raise, so it runs before any file is written
     table = report.to_table_dict()
     table.update({k: round(v, 3) for k, v in matching.savings_accounting(report).items()
                   if k != "savings"})
+    _write_matches_csv(outdir / "matches.csv", report)
     _write_json(outdir / "report.json", table)
     if curve_rows:
         _write_csv(outdir / "curve.csv", ["vary", "threshold", "L", "count"],
@@ -378,14 +379,17 @@ def cmd_match(cfg: dict, outdir: Path) -> dict:
 
 
 def cmd_compare(cfg: dict, outdir: Path) -> dict:
-    requests, rides = _split_riders_rides(cfg)
-    scenario = _scenario(cfg)
     names = [m.strip() for m in cfg["metrics"].split(",") if m.strip()]
     if not names:
         raise ValueError("--metrics must name at least one metric")
     if len(set(names)) < len(names):
         raise ValueError(f"--metrics names a metric more than once: {cfg['metrics']}")
-    sweep = _parse_list(cfg["wt_sweep"], "--wt-sweep") if cfg.get("wt_sweep") else []
+    if cfg["rep_len"] < 2:
+        raise ValueError(f"--rep-len must be at least 2, got {cfg['rep_len']}")
+    sweep = (_parse_list(cfg["wt_sweep"], "--wt-sweep", "weights must lie in [0, 1]",
+                         lambda v: 0 <= v <= 1) if cfg.get("wt_sweep") else [])
+    requests, rides = _split_riders_rides(cfg)
+    scenario = _scenario(cfg)
     scenarios = [dataclasses.replace(scenario, metric=name) for name in names]
     scenarios += [dataclasses.replace(scenario, metric="wgm",
                                       weights=metrics.WgmWeights(1.0 - wt, wt))

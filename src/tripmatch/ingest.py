@@ -342,9 +342,10 @@ def _read_block(block: list[tuple[int, str]], first_seen: dict[str, int]) -> Ite
     compact = _compact_block([line for _, line in block], first_seen)
     if compact is not None:
         ids, xyt, starts = compact
-        for (lineno, _), trip_id, points in zip(block, ids, np.split(xyt, starts[1:])):
+        bounds = starts.tolist() + [len(xyt)]
+        for (lineno, _), trip_id, a, b in zip(block, ids, bounds, bounds[1:]):
             first_seen[trip_id] = lineno
-            yield Trip._wrap(trip_id, points)
+            yield Trip._wrap(trip_id, xyt[a:b])
         return
     for lineno, line in block:
         try:

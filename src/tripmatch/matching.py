@@ -19,7 +19,7 @@ import numpy as np
 from . import metrics
 from .metrics import MetricParams, WgmWeights
 from .model import (
-    ScaleContext, Trip, od_points, path_length, sample_points, scale_points, window_pairs,
+    ScaleContext, Trip, od_points, path_lengths, sample_points, scale_points, window_pairs,
 )
 
 #: Metric names accepted by greedy_match and compare_metrics.
@@ -137,7 +137,8 @@ def _candidate_indices(
     a ride's origin time to one interval per request, [t, t + T] for car
     and [t - T, t] for carpool, so model.window_pairs bisects the rides'
     origin times once for every request; the exact gates then run on the
-    pairs in those windows alone, a block of requests at a time.
+    pairs in those windows alone, a block of requests at a time, in three
+    stages that each gather columns only for the pairs the last one passed.
     """
     ox, oy, ot, dx, dy, dt = rides.reshape(-1, 6).T
     rox, roy, rot, rdx, rdy, rdt = requests.reshape(-1, 6).T
@@ -147,14 +148,19 @@ def _candidate_indices(
     pad = 1e-12 * (rot + span)
     car = scenario.mode == "car"
     windows = (rot, rot + span + pad) if car else (rot - span - pad, rot)
+    # the order and destination-time gates as one interval: a - b <= 0 iff a <= b
+    late_lo, late_hi = (-span, 0.0) if car else (0.0, span)
     kept = []
     for i, j in window_pairs(ot, *windows):
-        gate = dt[j] <= rdt[i] if car else dt[j] >= rdt[i]
-        gate &= (np.abs(ot[j] - rot[i]) <= span) & (np.abs(dt[j] - rdt[i]) <= span)
-        i, j = i[gate], j[gate]
-        near = np.hypot(ox[j] - rox[i], oy[j] - roy[i]) <= dist
-        near &= np.hypot(dx[j] - rdx[i], dy[j] - rdy[i]) <= dist
-        kept.append((i[near], j[near]))
+        late = dt[j] - rdt[i]
+        keep = np.flatnonzero((late >= late_lo) & (late <= late_hi))
+        i, j = i[keep], j[keep]
+        keep = np.flatnonzero(np.hypot(ox[j] - rox[i], oy[j] - roy[i]) <= dist)
+        i, j = i[keep], j[keep]
+        # inside its window, a pair fails the origin-time gate only in the pad
+        keep = np.flatnonzero((np.hypot(dx[j] - rdx[i], dy[j] - rdy[i]) <= dist)
+                              & (np.abs(ot[j] - rot[i]) <= span))
+        kept.append((i[keep], j[keep]))
     i, j = map(np.concatenate, zip(*kept))
     rides_of = j[np.lexsort((j, i))].tolist()
     ends = np.cumsum(np.bincount(i, minlength=len(requests))).tolist()
@@ -202,7 +208,7 @@ def _match(
     req_od, ride_od = req_od.tolist(), ride_od.tolist()
     ride_ids = [t.id for t in rides]
     pair_ids = [ride_ids[j] for j in pair_ride]
-    req_len = [path_length(t) for t in requests]
+    req_len = path_lengths(requests).tolist()
     dp = None
     reports = []
     for scenario in scenarios:
@@ -239,7 +245,8 @@ def _match(
             ))
             chosen.append(j)
         matched = [r for r in rows if r.matched]
-        ride_len = {j: path_length(rides[j]) for j in dict.fromkeys(chosen)}
+        distinct = list(dict.fromkeys(chosen))
+        ride_len = dict(zip(distinct, path_lengths([rides[j] for j in distinct]).tolist()))
         reports.append(MatchReport(
             mode=scenario.mode,
             metric=scenario.metric,

@@ -370,8 +370,10 @@ def _dp_tile(a: np.ndarray, b: np.ndarray, params: MetricParams) -> np.ndarray:
     return prev1[:, :, m]
 
 
-def laplacian_kernel(score: float | np.ndarray, gamma: float = 3.0) -> float | np.ndarray:
-    """exp(-gamma * (1 - score)), elementwise: sharpens similarity contrast near 1."""
+def laplacian_kernel(score: float | np.ndarray, gamma: float = 3.0, out: np.ndarray | None = None):
+    """exp(-gamma * (1 - score)), as the same float exp(gamma * (score - 1)), into out if given."""
     if not 0 < gamma < math.inf:
         raise ValueError(f"kernel gamma must be positive and finite, got {gamma}")
-    return np.exp(-gamma * (1.0 - score))
+    kernel = np.subtract(score, 1.0, out=out)
+    kernel *= gamma
+    return np.exp(kernel, out=out)

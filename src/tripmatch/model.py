@@ -262,12 +262,21 @@ def window_pairs(
         start, done = stop, int(ends[stop - 1])
 
 
+def path_lengths(trips: Sequence[Trip]) -> np.ndarray:
+    """Each trip's path length in meters; equal-size trips are summed as one stack, bit for bit."""
+    xys = [trip.xyt()[:, :2] for trip in trips]
+    m = np.array([len(xy) for xy in xys], dtype=np.intp)
+    out = np.zeros(len(xys))
+    for size in set(m.tolist()) - {1}:  # np.unique would import numpy.ma, 20 ms cold
+        members = np.flatnonzero(m == size)
+        step = np.diff(np.stack([xys[i] for i in members.tolist()]), axis=1)
+        out[members] = np.hypot(step[..., 0], step[..., 1]).sum(axis=1)
+    return out
+
+
 def path_length(trip: Trip) -> float:
     """Total traveled distance in meters: sum of consecutive segment lengths."""
-    xy = trip.xyt()[:, :2]
-    if len(xy) == 1:
-        return 0.0
-    return float(np.hypot(*np.diff(xy, axis=0).T).sum())
+    return float(path_lengths([trip])[0])
 
 
 def spatial_distance(a: Waypoint, b: Waypoint) -> float:

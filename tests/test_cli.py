@@ -19,7 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import tripmatch
-from tripmatch import matching, metrics
+from tripmatch import affinity, matching, metrics
 from tripmatch.affinity import build_affinity, sym_decompose
 from tripmatch.cli import build_parser, main
 from tripmatch.ingest import read_trips_jsonl, write_trips_jsonl
@@ -216,6 +216,31 @@ class TestAffinityAndCluster:
         # with room to spare; the n^2 CSV rows as lists took about 20 matrices
         assert peak < 8 * (8 * n * n)
 
+    def test_kernel_gamma_makes_no_matrix(self, tmp_path, capsys):
+        n = 300
+        code, _ = run(capsys, "synth", "--n", str(n), "--out", str(tmp_path / "synth"))
+        assert code == 0
+        spectral, peaks = affinity.spectral_cluster, []
+
+        def spectral_after_peak(*args, **kwargs):
+            peaks.append(tracemalloc.get_traced_memory()[1])
+            return spectral(*args, **kwargs)
+
+        with (mock.patch.object(metrics, "TILE_POINTS", 1 << 12),
+              mock.patch.object(affinity, "spectral_cluster", spectral_after_peak)):
+            for gamma in ([], ["--kernel-gamma", "3"]):
+                tracemalloc.start()
+                try:
+                    code, _ = run(capsys, "cluster", "--k", "4",
+                                  "--trips", str(tmp_path / "synth/trips.jsonl"),
+                                  "--out", str(tmp_path / "cl"), *gamma)
+                finally:
+                    tracemalloc.stop()
+                assert code == 0
+        # the peak up to the spectral step; the kernel through fresh arrays
+        # added about 0.9 of an n x n matrix to it
+        assert peaks[1] < peaks[0] + 0.25 * (8 * n * n)
+
     @settings(max_examples=40, deadline=None)
     @given(st.lists(st.text(st.sampled_from('ab,"\r\n \t'), max_size=4), min_size=2,
                     max_size=4, unique=True))
@@ -291,6 +316,17 @@ class TestMatch:
         assert "match travels (km)" in report
         matches = (out / "matches.csv").read_text().splitlines()
         assert len(matches) == 16
+
+    def test_undefined_report_writes_nothing(self, tmp_path, capsys):
+        # one-waypoint trips travel 0 km, so the savings divide by zero
+        trips = tmp_path / "trips.jsonl"
+        trips.write_text("".join(f'{{"id":"{k}","points":[[{k}.0,100.0,200.0]]}}\n'
+                                 for k in range(3)))
+        out = tmp_path / "match"
+        code, summary = run(capsys, "match", "--requests", str(trips), "--rides", str(trips),
+                            "--out", str(out))
+        assert code == 1 and summary["category"] == "undefined-report"
+        assert list(out.iterdir()) == []
 
     def test_zero_feasible_pairs(self, tmp_path, capsys):
         trips = tmp_path / "trips.jsonl"
@@ -459,6 +495,22 @@ class TestCompare:
                             "--wt-sweep", ",", "--out", str(out))
         assert code == 1 and summary["category"] == "invalid-argument"
         assert summary["message"] == "--wt-sweep: needs at least one value, got ','"
+        assert list(out.iterdir()) == []
+
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--rep-len", "1", "--rep-len must be at least 2, got 1"),
+        ("--wt-sweep", "0.5,2", "--wt-sweep: weights must lie in [0, 1], got 2"),
+        ("--wt-sweep", "-0.1", "--wt-sweep: weights must lie in [0, 1], got -0.1"),
+        ("--wt-sweep", "nan", "--wt-sweep: weights must lie in [0, 1], got nan"),
+    ])
+    def test_bad_flag_value_writes_nothing(self, flag, value, message, tmp_path, capsys):
+        # the trips file does not exist: the flag is checked before any input is read
+        out = tmp_path / "cmp"
+        code, summary = run(capsys, "compare", "--trips", str(tmp_path / "absent.jsonl"),
+                            "--n-riders", "10", "--n-rides", "50", flag, value,
+                            "--out", str(out))
+        assert code == 1 and summary["category"] == "invalid-argument"
+        assert summary["message"] == message
         assert list(out.iterdir()) == []
 
     def test_trip_shorter_than_rep_len_is_invalid(self, trips_file, tmp_path, capsys):

@@ -196,7 +196,52 @@ def rounding_case(mode: str, request_t: float, ride_t: float) -> tuple:
     return [request], [ride], MatchScenario(mode=mode, time_threshold=523.2)
 
 
+def just_past(ref: float, limit: float, direction: float) -> float:
+    """The float nearest ref + direction * limit that lies more than limit from ref."""
+    value = ref + direction * limit
+    while abs(value - ref) <= limit:
+        value = float(np.nextafter(value, direction * math.inf))
+    return value
+
+
+def one_gate_case(mode: str, gate: str) -> tuple:
+    """One request, a ride that passes every gate, and a ride that only `gate` rejects.
+
+    The thresholds are 1000 m and 600 s, and the second ride misses its gate
+    by the fewest ulps. For "origin time" that puts its origin time inside
+    the relative pad that widens the time window.
+    """
+    sign = 1.0 if mode == "car" else -1.0  # which way a car ride's window moves inward
+    request = straight_trip("r", (0, 0), (5000, 0), 1000.0, 3000.0)
+    origin, dest, t0, t1 = (0.0, 0.0), (5000.0, 0.0), 1000.0 + 200 * sign, 3000.0 - 200 * sign
+    if gate == "dest order":
+        t1 = just_past(3000.0, 0.0, sign)
+    elif gate == "dest span":
+        t1 = just_past(3000.0, 600.0, -sign)
+    elif gate == "origin time":
+        t0 = just_past(1000.0, 600.0, sign)
+    elif gate == "origin distance":
+        origin = (0.0, just_past(0.0, 1000.0, 1.0))
+    else:
+        assert gate == "dest distance"
+        dest = (5000.0, just_past(0.0, 1000.0, 1.0))
+    rides = [straight_trip("pass", (0, 0), (5000, 0), 1000.0 + 200 * sign, 3000.0 - 200 * sign),
+             straight_trip("fail", origin, dest, t0, t1)]
+    return [request], rides, MatchScenario(mode=mode, dist_threshold=1000.0,
+                                           time_threshold=600.0)
+
+
+def with_one_gate_examples(test):
+    """test with an @example for each gate and mode in which that gate alone rejects a ride."""
+    for mode in ("car", "carpool"):
+        for gate in ("dest order", "dest span", "origin time", "origin distance",
+                     "dest distance"):
+            test = example(one_gate_case(mode, gate))(test)
+    return test
+
+
 class TestCandidateIndices:
+    @with_one_gate_examples
     @settings(max_examples=200, deadline=None)
     @given(filter_cases())
     @example(rounding_case("car", 420.07671791192416, 943.2767179119243))
@@ -206,6 +251,28 @@ class TestCandidateIndices:
         expected = [[j for j, ride in enumerate(rides) if passes_filter(request, ride, scenario)]
                     for request in requests]
         assert _candidate_indices(od_points(requests), od_points(rides), scenario) == expected
+
+    @pytest.mark.parametrize("mode", ["car", "carpool"])
+    @pytest.mark.parametrize("gate", ["dest order", "dest span", "origin time",
+                                      "origin distance", "dest distance"])
+    def test_one_gate_case_rejects_by_that_gate_alone(self, mode, gate):
+        (request,), (passing, failing), scenario = one_gate_case(mode, gate)
+        assert passes_filter(request, passing, scenario)
+        assert not passes_filter(request, failing, scenario)
+        car = mode == "car"
+        # the failing ride lies in the request's window, so an exact gate must reject it
+        pad = 1e-12 * (request.start_time + scenario.time_threshold)
+        start_gap = (failing.start_time - request.start_time) * (1 if car else -1)
+        assert 0 <= start_gap <= scenario.time_threshold + pad
+        gates = {
+            "dest order": (failing.end_time <= request.end_time if car
+                           else failing.end_time >= request.end_time),
+            "dest span": abs(failing.end_time - request.end_time) <= 600,
+            "origin time": abs(failing.start_time - request.start_time) <= 600,
+            "origin distance": spatial_distance(request.origin, failing.origin) <= 1000,
+            "dest distance": spatial_distance(request.destination, failing.destination) <= 1000,
+        }
+        assert [g for g, ok in gates.items() if not ok] == [gate]
 
     @pytest.mark.parametrize("mode", ["car", "carpool"])
     def test_unbounded_windows_expand_in_blocks(self, mode):

@@ -19,6 +19,7 @@ from tripmatch.model import (
     od_points,
     od_rep,
     path_length,
+    path_lengths,
     sample_points,
     scale_points,
     spatial_distance,
@@ -32,6 +33,14 @@ def scale_point(w: Waypoint, ctx: ScaleContext) -> tuple[float, float, float]:
     """Per-point scaling in plain floats, clamped into [0, 1]."""
     return tuple(min(max((v - lo) / span, 0.0), 1.0) for v, lo, span in (
         (w.x, ctx.x_min, ctx.x_span), (w.y, ctx.y_min, ctx.y_span), (w.t, ctx.t_min, ctx.t_span)))
+
+
+def per_trip_path_length(trip: Trip) -> float:
+    """The sum of one trip's segment lengths, a trip at a time."""
+    xy = trip.xyt()[:, :2]
+    if len(xy) == 1:
+        return 0.0
+    return float(np.hypot(*np.diff(xy, axis=0).T).sum())
 
 
 def point_trip(*points: tuple[float, float, float]) -> Trip:
@@ -258,6 +267,19 @@ class TestPathLength:
     def test_at_least_displacement(self, synth_trips):
         for trip in synth_trips:
             assert path_length(trip) >= od_displacement(trip) - 1e-9
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.one_of(st.sampled_from([1, 2, 7]), st.integers(1, 400)), max_size=16),
+           st.integers(0, 2**32 - 1))
+    def test_population_equals_per_trip_sums(self, sizes, seed):
+        # a few point counts repeat, so most groups stack several trips
+        rng = np.random.default_rng(seed)
+        trips = [Trip(f"t{n}", np.column_stack([rng.uniform(-2e4, 2e4, (m, 2)),
+                                                np.sort(rng.uniform(0, 9e4, m))]))
+                 for n, m in enumerate(sizes)]
+        lengths = path_lengths(trips)
+        assert lengths.shape == (len(trips),)
+        assert lengths.tolist() == [per_trip_path_length(t) for t in trips]
 
     def test_spatial_distance(self):
         assert spatial_distance(Waypoint(0, 0, 0), Waypoint(3, 4, 9)) == 5.0
