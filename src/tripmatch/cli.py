@@ -15,6 +15,7 @@ import dataclasses
 import hashlib
 import io
 import json
+import math
 import os
 import sys
 from pathlib import Path
@@ -296,9 +297,14 @@ def cmd_affinity(cfg: dict, outdir: Path) -> dict:
 def cmd_cluster(cfg: dict, outdir: Path) -> dict:
     if not cfg.get("trips"):
         raise ValueError("--trips is required")
+    gamma = cfg.get("kernel_gamma")
+    if gamma is not None and not 0 < gamma < math.inf:
+        raise ValueError(f"--kernel-gamma must be positive and finite, got {gamma}")
     trips = _load_trips(cfg["trips"])
     if len(trips) < 3:
         raise ValueError(f"cluster needs at least 3 trips for its 2-D embeddings, got {len(trips)}")
+    if not 2 <= cfg["k"] <= len(trips):
+        raise ValueError(f"--k must be in [2, {len(trips)}], got {cfg['k']}")
     od = model.od_points(trips)
     reps = model.scale_points(od, model.ScaleContext.from_trips(trips))
     sym = _affinity(cfg, reps)
@@ -306,8 +312,8 @@ def cmd_cluster(cfg: dict, outdir: Path) -> dict:
     # S = (A + A^T) / 2 in A's own buffer; numpy copies the overlapping A^T first
     sym += sym.T
     sym /= 2.0
-    if cfg.get("kernel_gamma") is not None:
-        metrics.laplacian_kernel(sym, cfg["kernel_gamma"], out=sym)
+    if gamma is not None:
+        metrics.laplacian_kernel(sym, gamma, out=sym)
     labels = affinity.spectral_cluster(sym, cfg["k"], cfg["seed"])
     coords_pca, explained = affinity.pca_2d(reps.reshape(len(reps), -1))
     # the affinity is not needed past here, so its buffer becomes the distances
@@ -354,8 +360,8 @@ def cmd_match(cfg: dict, outdir: Path) -> dict:
               for vary in ("dist", "time") if cfg.get(f"sweep_{vary}")}
     if cfg.get("sweep_l") and not sweeps:
         raise ValueError("--sweep-L needs --sweep-dist or --sweep-time")
-    requests, rides = _split_riders_rides(cfg)
     scenario = _scenario(cfg)
+    requests, rides = _split_riders_rides(cfg)
     report = matching.greedy_match(requests, rides, scenario)
     curve_rows = []
     for vary, sweep in sweeps.items():
@@ -384,16 +390,20 @@ def cmd_compare(cfg: dict, outdir: Path) -> dict:
         raise ValueError("--metrics must name at least one metric")
     if len(set(names)) < len(names):
         raise ValueError(f"--metrics names a metric more than once: {cfg['metrics']}")
+    unknown = [name for name in names if name not in matching.METRIC_NAMES]
+    if unknown:
+        raise ValueError(f"--metrics: unknown metric {unknown[0]!r}; "
+                         f"known metrics are {', '.join(matching.METRIC_NAMES)}")
     if cfg["rep_len"] < 2:
         raise ValueError(f"--rep-len must be at least 2, got {cfg['rep_len']}")
     sweep = (_parse_list(cfg["wt_sweep"], "--wt-sweep", "weights must lie in [0, 1]",
                          lambda v: 0 <= v <= 1) if cfg.get("wt_sweep") else [])
-    requests, rides = _split_riders_rides(cfg)
     scenario = _scenario(cfg)
     scenarios = [dataclasses.replace(scenario, metric=name) for name in names]
     scenarios += [dataclasses.replace(scenario, metric="wgm",
                                       weights=metrics.WgmWeights(1.0 - wt, wt))
                   for wt in sweep]
+    requests, rides = _split_riders_rides(cfg)
     reports = matching.compare_metrics(requests, rides, scenarios, cfg["rep_len"])
     tables = {name: rep.to_table_dict() for name, rep in zip(names, reports)}
     _write_json(outdir / "report.json", tables)

@@ -9,7 +9,6 @@ request, so the request's window must nest inside the ride's.
 from __future__ import annotations
 
 import dataclasses
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -22,8 +21,12 @@ from .model import (
     ScaleContext, Trip, od_points, path_lengths, sample_points, scale_points, window_pairs,
 )
 
+#: -1 when the best ride maximises the metric (a similarity), 1 when it
+#: minimises it (a distance).
+_SIGN = {"wgm": -1, "wgm_time": -1, "lcss": -1, "dtw": 1, "dtw_time": 1, "frechet": 1}
+
 #: Metric names accepted by greedy_match and compare_metrics.
-METRIC_NAMES = ("wgm", "wgm_time", "lcss", "dtw", "dtw_time", "frechet")
+METRIC_NAMES = tuple(_SIGN)
 
 
 class UndefinedReportError(ValueError):
@@ -167,19 +170,6 @@ def _candidate_indices(
     return [rides_of[a:b] for a, b in zip([0] + ends, ends)]
 
 
-#: -1 when the best ride maximises the metric (a similarity), 1 when it
-#: minimises it (a distance).
-_SIGN = {"wgm": -1, "wgm_time": -1, "lcss": -1, "dtw": 1, "dtw_time": 1, "frechet": 1}
-
-
-def _endpoints_and_reps(
-    trips: Sequence[Trip], k: int, ctx: ScaleContext
-) -> tuple[np.ndarray, np.ndarray]:
-    """Raw (n, 2, 3) endpoints and scaled (n, k, 3) reps from one sample stack, then dropped."""
-    raw = sample_points(trips, k)
-    return raw[:, [0, -1]], scale_points(raw, ctx)
-
-
 def _match(
     requests: Sequence[Trip],
     rides: Sequence[Trip],
@@ -193,22 +183,28 @@ def _match(
     scenarios share with the first one, as they share mode and thresholds.
     Each candidate is scored once: by car_score pair by pair for the WGM
     metrics, by one dp_batch call over all pairs for every DP metric (carpool
-    scores a request against a ride as car_score(ride, request)). The best
-    minimises (sign * score, ride id), so equal scores go to the lowest
-    ride id. Path lengths are computed only for the rides some request
-    picked.
+    scores a request against a ride as car_score(ride, request)). One lexsort
+    by (request, sign * score, ride id, ride index) puts each request's best
+    ride first in its run of pairs. Offsets and path lengths are computed
+    only for the chosen pairs.
     """
-    ctx = ScaleContext.from_trips(list(requests) + list(rides))
-    req_od, reps_req = _endpoints_and_reps(requests, rep_len, ctx)
-    ride_od, reps_ride = _endpoints_and_reps(rides, rep_len, ctx)
+    trips = list(requests) + list(rides)
+    ctx = ScaleContext.from_trips(trips)
+    raw = sample_points(trips, rep_len)
+    n = len(requests)
+    od, scaled = raw[:, [0, -1]], scale_points(raw, ctx)
+    req_od, ride_od, reps_req, reps_ride = od[:n], od[n:], scaled[:n], scaled[n:]
     candidates = _candidate_indices(req_od, ride_od, scenarios[0])
-    pair_req = [i for i, cands in enumerate(candidates) for _ in cands]
-    pair_ride = [j for cands in candidates for j in cands]
-    ends = list(itertools.accumulate(map(len, candidates)))
-    req_od, ride_od = req_od.tolist(), ride_od.tolist()
+    counts = np.array([len(c) for c in candidates], dtype=np.intp)
+    pair_req = np.repeat(np.arange(n), counts)
+    pair_ride = np.array([j for cands in candidates for j in cands], dtype=np.intp)
+    matched = np.flatnonzero(counts).tolist()
+    firsts = (np.cumsum(counts) - counts)[matched]
     ride_ids = [t.id for t in rides]
-    pair_ids = [ride_ids[j] for j in pair_ride]
+    id_rank = np.empty(len(rides), dtype=np.intp)
+    id_rank[sorted(range(len(rides)), key=ride_ids.__getitem__)] = np.arange(len(rides))
     req_len = path_lengths(requests).tolist()
+    unmatched = [MatchRow(t.id, None, 0.0, 0.0, 0.0, 0.0, 0.0) for t in requests]
     dp = None
     reports = []
     for scenario in scenarios:
@@ -217,50 +213,40 @@ def _match(
                 params = MetricParams.for_context(
                     ctx, scenario.dist_threshold, scenario.time_threshold)
                 dp = metrics.dp_batch(reps_req, reps_ride, pair_req, pair_ride, params)
-            scores = dp[scenario.metric].tolist()
+            scores = dp[scenario.metric]
         else:
             w = metrics.TIME_HEAVY_WEIGHTS if scenario.metric == "wgm_time" else scenario.weights
             # the scalar metric runs faster on float lists than on numpy rows
             reps = ((reps_req[i].tolist(), reps_ride[j].tolist())
-                    for i, j in zip(pair_req, pair_ride))
-            scores = [metrics.car_score(a, b, w) if scenario.mode == "car"
-                      else metrics.car_score(b, a, w) for a, b in reps]
+                    for i, j in zip(pair_req.tolist(), pair_ride.tolist()))
+            scores = np.array([metrics.car_score(a, b, w) if scenario.mode == "car"
+                               else metrics.car_score(b, a, w) for a, b in reps], dtype=float)
         sign = _SIGN[scenario.metric]
-        keys = list(zip([sign * x for x in scores], pair_ids, pair_ride))
-        rows, chosen = [], []
-        for request, start, end, (o, d) in zip(requests, [0] + ends, ends, req_od):
-            if start == end:
-                rows.append(MatchRow(request.id, None, 0.0, 0.0, 0.0, 0.0, 0.0))
-                continue
-            key, ride_id, j = min(keys[start:end])
-            ride_o, ride_d = ride_od[j]
-            rows.append(MatchRow(
-                request_id=request.id,
-                ride_id=ride_id,
-                oo_dist_m=math.hypot(o[0] - ride_o[0], o[1] - ride_o[1]),
-                dd_dist_m=math.hypot(d[0] - ride_d[0], d[1] - ride_d[1]),
-                oo_time_s=abs(o[2] - ride_o[2]),
-                dd_time_s=abs(d[2] - ride_d[2]),
-                score=sign * key,
-            ))
-            chosen.append(j)
-        matched = [r for r in rows if r.matched]
+        best = np.lexsort((id_rank[pair_ride], sign * scores, pair_req))[firsts]
+        chosen = pair_ride[best].tolist()
+        rows = list(unmatched)
+        for i, j, score, ((ox, oy, ot), (dx, dy, dt)) in zip(
+                matched, chosen, scores[best].tolist(),
+                (req_od[matched] - ride_od[chosen]).tolist()):
+            rows[i] = MatchRow(requests[i].id, ride_ids[j], math.hypot(ox, oy),
+                               math.hypot(dx, dy), abs(ot), abs(dt), score)
+        hits = [rows[i] for i in matched]
         distinct = list(dict.fromkeys(chosen))
         ride_len = dict(zip(distinct, path_lengths([rides[j] for j in distinct]).tolist()))
         reports.append(MatchReport(
             mode=scenario.mode,
             metric=scenario.metric,
             rows=tuple(rows),
-            n_requests=len(rows),
-            n_matched=len(matched),
+            n_requests=n,
+            n_matched=len(chosen),
             match_travels_km=sum(ride_len[j] for j in chosen) / 1000.0,
             match_travels_distinct_km=sum(ride_len.values()) / 1000.0,
             req_travels_km=sum(req_len) / 1000.0,
-            req_travels_matched_km=sum(n for r, n in zip(rows, req_len) if r.matched) / 1000.0,
-            oo_dist_km=sum(r.oo_dist_m for r in matched) / 1000.0,
-            dd_dist_km=sum(r.dd_dist_m for r in matched) / 1000.0,
-            oo_time_s=sum(r.oo_time_s for r in matched),
-            dd_time_s=sum(r.dd_time_s for r in matched),
+            req_travels_matched_km=sum(req_len[i] for i in matched) / 1000.0,
+            oo_dist_km=sum(r.oo_dist_m for r in hits) / 1000.0,
+            dd_dist_km=sum(r.dd_dist_m for r in hits) / 1000.0,
+            oo_time_s=sum(r.oo_time_s for r in hits),
+            dd_time_s=sum(r.dd_time_s for r in hits),
         ))
     return reports
 

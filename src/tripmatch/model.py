@@ -181,10 +181,11 @@ class ScaleContext:
         points = [trip.xyt() for trip in trips]
         if not points:
             raise ValueError("cannot derive scale context from an empty trip set")
-        stacked = np.concatenate(points)
-        lo, hi = stacked.min(axis=0), stacked.max(axis=0)
-        (x_min, y_min, t_min), (x_max, y_max, t_max) = (
-            lo.tolist(), np.where(hi > lo, hi, lo + 1.0).tolist())
+        # a column at a time: numpy reduces a tall (N, 3) array along axis 0 slowly
+        columns = np.concatenate(points).T
+        lo, hi = [float(c.min()) for c in columns], [float(c.max()) for c in columns]
+        (x_min, y_min, t_min), (x_max, y_max, t_max) = lo, [
+            b if b > a else a + 1.0 for a, b in zip(lo, hi)]
         return cls(x_min, x_max, y_min, y_max, t_min, t_max)
 
 

@@ -296,6 +296,22 @@ class TestAffinityAndCluster:
         assert "at least 3 trips" in summary["message"] and "got 2" in summary["message"]
         assert list(out.iterdir()) == []
 
+    @pytest.mark.parametrize("flags, message", [
+        (["--k", "0"], "--k must be in [2, 60], got 0"),
+        (["--k", "61"], "--k must be in [2, 60], got 61"),
+        (["--kernel-gamma", "-1"], "--kernel-gamma must be positive and finite, got -1.0"),
+        (["--kernel-gamma", "nan"], "--kernel-gamma must be positive and finite, got nan"),
+    ])
+    def test_bad_k_or_gamma_scores_nothing(self, flags, message, trips_file, tmp_path,
+                                           capsys):
+        out = tmp_path / "c"
+        with mock.patch.object(metrics, "wgm_batch", side_effect=AssertionError("scored")):
+            code, summary = run(capsys, "cluster", "--trips", str(trips_file), "--k", "3",
+                                *flags, "--out", str(out))
+        assert code == 1 and summary["category"] == "invalid-argument"
+        assert summary["message"] == message
+        assert list(out.iterdir()) == []
+
     @pytest.mark.parametrize("gamma", ["-2", "0"])
     def test_nonpositive_kernel_gamma_rejected(self, gamma, trips_file, tmp_path, capsys):
         code, summary = run(capsys, "cluster", "--trips", str(trips_file), "--k", "2",
@@ -445,6 +461,21 @@ class TestMatch:
         assert summary["message"] == message
         assert list(out.iterdir()) == []
 
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--dist-threshold", "-5", "thresholds must be positive"),
+        ("--time-threshold", "0", "thresholds must be positive"),
+        ("--w-space", "-1", "weights must be finite and nonnegative"),
+    ])
+    def test_bad_scenario_value_writes_nothing(self, flag, value, message, tmp_path, capsys):
+        # the input files do not exist: the scenario is checked before any input is read
+        out = tmp_path / "m"
+        absent = str(tmp_path / "absent.jsonl")
+        code, summary = run(capsys, "match", "--requests", absent, "--rides", absent,
+                            flag, value, "--out", str(out))
+        assert code == 1 and summary["category"] == "invalid-argument"
+        assert summary["message"] == message
+        assert list(out.iterdir()) == []
+
     def test_bad_split_is_invalid(self, trips_file, tmp_path, capsys):
         code, summary = run(capsys, "match", "--trips", str(trips_file),
                             "--n-riders", "50", "--n-rides", "50",
@@ -502,6 +533,10 @@ class TestCompare:
         ("--wt-sweep", "0.5,2", "--wt-sweep: weights must lie in [0, 1], got 2"),
         ("--wt-sweep", "-0.1", "--wt-sweep: weights must lie in [0, 1], got -0.1"),
         ("--wt-sweep", "nan", "--wt-sweep: weights must lie in [0, 1], got nan"),
+        ("--metrics", "wgm,bogus", "--metrics: unknown metric 'bogus'; known metrics are "
+                                   "wgm, wgm_time, lcss, dtw, dtw_time, frechet"),
+        ("--dist-threshold", "-5", "thresholds must be positive"),
+        ("--w-space", "-1", "weights must be finite and nonnegative"),
     ])
     def test_bad_flag_value_writes_nothing(self, flag, value, message, tmp_path, capsys):
         # the trips file does not exist: the flag is checked before any input is read

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import math
 import tracemalloc
 from unittest import mock
@@ -17,9 +18,11 @@ from tripmatch import model
 from tripmatch.matching import (
     METRIC_NAMES,
     MatchReport,
+    MatchRow,
     MatchScenario,
     UndefinedReportError,
     _candidate_indices,
+    _match,
     compare_metrics,
     greedy_match,
     match_counts_curve,
@@ -35,8 +38,8 @@ from tripmatch.metrics import (
     lcss,
 )
 from tripmatch.model import (
-    ScaleContext, Trip, od_points, od_rep, path_length, sample_points, scale_points,
-    spatial_distance,
+    ScaleContext, Trip, od_points, od_rep, path_length, path_lengths, sample_points,
+    scale_points, spatial_distance,
 )
 
 from conftest import rider_ride_population, straight_trip
@@ -131,6 +134,70 @@ def exhaustive_choice(requests: list[Trip], rides: list[Trip], scenario: MatchSc
         ranked = sorted((-sign * score(rep, reps_ride[j]), rides[j].id) for j in cands)
         out.append((ranked[0][1], -sign * ranked[0][0]) if ranked else (None, 0.0))
     return out
+
+
+def per_request_match(requests: list[Trip], rides: list[Trip],
+                      scenarios: list[MatchScenario], rep_len: int) -> list[MatchReport]:
+    """The matcher as a loop over requests, each taking one min of its key tuples.
+
+    A request's best ride minimises (sign * score, ride id, ride index)
+    over its candidates; offsets are read from the endpoints as lists and
+    totals are summed row by row, in request order.
+    """
+    ctx = ScaleContext.from_trips(list(requests) + list(rides))
+    raw_req, raw_ride = sample_points(requests, rep_len), sample_points(rides, rep_len)
+    reps_req, reps_ride = scale_points(raw_req, ctx), scale_points(raw_ride, ctx)
+    candidates = _candidate_indices(raw_req[:, [0, -1]], raw_ride[:, [0, -1]], scenarios[0])
+    pair_req = [i for i, cands in enumerate(candidates) for _ in cands]
+    pair_ride = [j for cands in candidates for j in cands]
+    ends = list(itertools.accumulate(map(len, candidates)))
+    req_od, ride_od = raw_req[:, [0, -1]].tolist(), raw_ride[:, [0, -1]].tolist()
+    pair_ids = [rides[j].id for j in pair_ride]
+    req_len = path_lengths(requests).tolist()
+    reports = []
+    for scenario in scenarios:
+        if scenario.metric in metrics.DP_METRICS:
+            params = MetricParams.for_context(
+                ctx, scenario.dist_threshold, scenario.time_threshold)
+            scores = metrics.dp_batch(reps_req, reps_ride, pair_req, pair_ride,
+                                      params)[scenario.metric].tolist()
+        else:
+            w = TIME_HEAVY_WEIGHTS if scenario.metric == "wgm_time" else scenario.weights
+            reps = ((reps_req[i].tolist(), reps_ride[j].tolist())
+                    for i, j in zip(pair_req, pair_ride))
+            scores = [car_score(a, b, w) if scenario.mode == "car" else car_score(b, a, w)
+                      for a, b in reps]
+        sign = -1 if scenario.metric in ("wgm", "wgm_time", "lcss") else 1
+        keys = list(zip([sign * x for x in scores], pair_ids, pair_ride))
+        rows, chosen = [], []
+        for request, start, end, (o, d) in zip(requests, [0] + ends, ends, req_od):
+            if start == end:
+                rows.append(MatchRow(request.id, None, 0.0, 0.0, 0.0, 0.0, 0.0))
+                continue
+            key, ride_id, j = min(keys[start:end])
+            ride_o, ride_d = ride_od[j]
+            rows.append(MatchRow(
+                request.id, ride_id,
+                math.hypot(o[0] - ride_o[0], o[1] - ride_o[1]),
+                math.hypot(d[0] - ride_d[0], d[1] - ride_d[1]),
+                abs(o[2] - ride_o[2]), abs(d[2] - ride_d[2]), sign * key))
+            chosen.append(j)
+        matched = [r for r in rows if r.matched]
+        distinct = list(dict.fromkeys(chosen))
+        ride_len = dict(zip(distinct, path_lengths([rides[j] for j in distinct]).tolist()))
+        reports.append(MatchReport(
+            mode=scenario.mode, metric=scenario.metric, rows=tuple(rows),
+            n_requests=len(rows), n_matched=len(matched),
+            match_travels_km=sum(ride_len[j] for j in chosen) / 1000.0,
+            match_travels_distinct_km=sum(ride_len.values()) / 1000.0,
+            req_travels_km=sum(req_len) / 1000.0,
+            req_travels_matched_km=sum(n for r, n in zip(rows, req_len) if r.matched) / 1000.0,
+            oo_dist_km=sum(r.oo_dist_m for r in matched) / 1000.0,
+            dd_dist_km=sum(r.dd_dist_m for r in matched) / 1000.0,
+            oo_time_s=sum(r.oo_time_s for r in matched),
+            dd_time_s=sum(r.dd_time_s for r in matched),
+        ))
+    return reports
 
 
 def published_car_report() -> MatchReport:
@@ -446,6 +513,82 @@ class TestGreedyMatch:
         ctx = ScaleContext.from_trips([req, ride])
         expected = car_score(od_rep(ride, ctx), od_rep(req, ctx))
         assert math.isclose(row.score, expected, rel_tol=1e-12)
+
+
+class TestChoiceOnPairArrays:
+    """The lexsort choice against the per-request loop, report field by field with ==."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(filter_cases(), st.sampled_from(["car", "carpool"]),
+           st.lists(st.integers(0, 5), min_size=12, max_size=12), st.integers(2, 4))
+    def test_equals_per_request_loop(self, case, mode, id_of, rep_len):
+        requests, rides, scenario = case
+        # few ids for up to twelve rides, so some rides share one; the anchor
+        # gives the scale box its extent
+        rides = [Trip(f"ride-{id_of[j]}", t.xyt()) for j, t in enumerate(rides)]
+        rides.append(straight_trip("anchor", (0, 0), (20_000, 20_000), 0, 20_000))
+        scenarios = by_metric(METRIC_NAMES, dataclasses.replace(scenario, mode=mode))
+        scenarios.append(dataclasses.replace(scenarios[0], weights=WgmWeights(0.1, 0.9)))
+        assert _match(requests, rides, scenarios, rep_len) == \
+            per_request_match(requests, rides, scenarios, rep_len)
+
+    @pytest.mark.parametrize("mode", ["car", "carpool"])
+    @pytest.mark.parametrize("seed", [51, 52])
+    def test_equals_per_request_loop_on_a_population(self, mode, seed):
+        # hundreds of matched rows with inexact offsets, where a numpy sum or
+        # np.hypot would round differently from the loop's
+        requests, rides = rider_ride_population(seed, n_requests=300, n_rides=600, waypoints=5)
+        if mode == "carpool":
+            # the population nests rides in requests; carpool needs the converse
+            requests, rides = rides[:300], requests
+        scenarios = by_metric(METRIC_NAMES, MatchScenario(mode=mode))
+        reports = _match(requests, rides, scenarios, 3)
+        assert reports[0].n_matched >= 100
+        assert reports == per_request_match(requests, rides, scenarios, 3)
+
+    @pytest.mark.parametrize("mode", ["car", "carpool"])
+    def test_no_requests(self, mode):
+        ride = straight_trip("s", (1100, 1000), (5100, 5000), 150, 650)
+        scenarios = by_metric(METRIC_NAMES, MatchScenario(mode=mode))
+        reports = _match([], [ride], scenarios, 2)
+        assert reports == per_request_match([], [ride], scenarios, 2)
+        assert all(r.rows == () and r.n_requests == r.n_matched == 0 for r in reports)
+        assert all(r.req_travels_km == r.match_travels_km == 0.0 for r in reports)
+
+    @pytest.mark.parametrize("mode", ["car", "carpool"])
+    def test_requests_without_candidates(self, mode):
+        requests = [straight_trip("r0", (1000, 1000), (5000, 5000), 100, 700),
+                    straight_trip("r1", (9000, 9000), (3000, 3000), 100, 700)]
+        far = straight_trip("s", (15_000, 15_000), (19_000, 19_000), 100, 700)
+        scenarios = by_metric(METRIC_NAMES, MatchScenario(mode=mode))
+        reports = _match(requests, [far], scenarios, 2)
+        assert reports == per_request_match(requests, [far], scenarios, 2)
+        for report in reports:
+            assert report.rows == tuple(MatchRow(t.id, None, 0.0, 0.0, 0.0, 0.0, 0.0)
+                                        for t in requests)
+            assert report.n_matched == 0 and report.req_travels_matched_km == 0.0
+
+    @pytest.mark.parametrize("metric", METRIC_NAMES)
+    def test_equal_scores_go_to_the_lowest_ride_id(self, metric):
+        req = straight_trip("r", (1000, 1000), (5000, 5000), 100, 700)
+        twins = [straight_trip(i, (1100, 1000), (5100, 5000), 150, 650) for i in "cab"]
+        scenarios = [MatchScenario(metric=metric)]
+        (report,) = _match([req], twins, scenarios, 2)
+        assert report == per_request_match([req], twins, scenarios, 2)[0]
+        assert report.rows[0].ride_id == "a"
+
+    @pytest.mark.parametrize("metric", METRIC_NAMES)
+    def test_rides_sharing_an_id_go_to_the_lowest_index(self, metric):
+        # equal endpoints score alike; only the path length tells the two apart
+        req = straight_trip("r", (1000, 1000), (5000, 5000), 100, 700)
+        straight = straight_trip("s", (1100, 1000), (5100, 5000), 150, 650)
+        detour = Trip("s", [(1100, 1000, 150), (3000, 9000, 400), (5100, 5000, 650)])
+        scenarios = [MatchScenario(metric=metric)]
+        for rides in ([straight, detour], [detour, straight]):
+            (report,) = _match([req], rides, scenarios, 2)
+            assert report == per_request_match([req], rides, scenarios, 2)[0]
+            assert report.rows[0].ride_id == "s"
+            assert report.match_travels_km == path_length(rides[0]) / 1000.0
 
 
 class TestSavingsAccounting:
