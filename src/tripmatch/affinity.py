@@ -17,6 +17,8 @@ Scorer = Callable[[np.ndarray, np.ndarray], float]
 #: k-means++ seedings per kmeans call, and Lloyd iterations per seeding.
 KMEANS_RESTARTS = 100
 KMEANS_MAX_ITER = 300
+#: Rows per block when checking a square matrix for finiteness and symmetry.
+CHECK_ROWS = 256
 
 
 @dataclass(frozen=True, slots=True)
@@ -65,19 +67,60 @@ def sym_decompose(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
     return s, k, ratio
 
 
-def _kmeans_pp_init(points: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
-    """k-means++ seeding: spread initial centers by squared-distance sampling."""
+def _distinct_rows(points: np.ndarray) -> int:
+    """The number of distinct rows of points; -0.0 equals 0.0, as in a squared distance."""
+    ordered = points[np.lexsort(points.T)]
+    return 1 + int(np.count_nonzero((ordered[1:] != ordered[:-1]).any(axis=1)))
+
+
+def _sq_dists(points: np.ndarray, centers: np.ndarray) -> np.ndarray:
+    """(restarts, n) squared distances from each point to each restart's center.
+
+    The columns are added one at a time, in the order ((points - center) ** 2).sum(axis=1)
+    adds them over column-major points, so each row is bit-equal to that sum.
+    """
+    d2 = (points[:, 0] - centers[:, 0, None]) ** 2
+    for j in range(1, points.shape[1]):
+        d2 += (points[:, j] - centers[:, j, None]) ** 2
+    return d2
+
+
+def _kmeans_pp_seeds(points: np.ndarray, k: int, rng: np.random.Generator,
+                     restarts: int) -> np.ndarray:
+    """k-means++ seedings of `restarts` runs at once: (restarts, k, d) centers.
+
+    Each restart's first center is a uniform point, and each later one a
+    point drawn with probability proportional to its squared distance from
+    the nearest center so far; once every distinct point is a center, the
+    rest are uniform. The rng numbers are drawn first, restart by restart
+    with the calls the one-restart loop made (`rng.integers(n)`, then the one
+    `rng.random()` that `rng.choice(n, p=d2 / d2.sum())` consumes per
+    sampled center), and the draws are then resolved on (restarts, n)
+    arrays with choice's own arithmetic, so every center is bit-equal to
+    seeding the restarts one after another.
+    """
     n = points.shape[0]
-    centers = np.empty((k, points.shape[1]))
-    centers[0] = points[rng.integers(n)]
-    d2 = ((points - centers[0]) ** 2).sum(axis=1)
-    for c in range(1, k):
-        total = d2.sum()
-        if total <= 0:
-            centers[c] = points[rng.integers(n)]
-            continue
-        centers[c] = points[rng.choice(n, p=d2 / total)]
-        d2 = np.minimum(d2, ((points - centers[c]) ** 2).sum(axis=1))
+    m = min(k, _distinct_rows(points))  # centers 1..m-1 are sampled by distance
+    firsts, uniforms, lates = [], [], []
+    for _ in range(restarts):
+        firsts.append(rng.integers(n))
+        uniforms.append([rng.random() for _ in range(m - 1)])
+        lates.append([rng.integers(n) for _ in range(k - m)])
+    centers = np.empty((restarts, k, points.shape[1]))
+    centers[:, 0] = points[firsts]
+    d2 = _sq_dists(points, centers[:, 0])
+    u = np.array(uniforms).reshape(restarts, m - 1)
+    for c in range(1, m):
+        total = d2.sum(axis=1)
+        assert (total > 0).all()
+        cdf = np.cumsum(d2 / total[:, None], axis=1)
+        cdf /= cdf[:, -1:]
+        # searchsorted(cdf, u, side="right") on each row
+        centers[:, c] = points[np.count_nonzero(cdf <= u[:, c - 1, None], axis=1)]
+        d2 = np.minimum(d2, _sq_dists(points, centers[:, c]))
+    if m < k:
+        assert not d2.any()
+        centers[:, m:] = points[np.array(lates, dtype=np.intp).reshape(restarts, k - m)]
     return centers
 
 
@@ -108,14 +151,15 @@ def kmeans(points: np.ndarray, k: int, seed: int) -> np.ndarray:
     """Seeded k-means with KMEANS_RESTARTS k-means++ restarts; keeps the lowest-inertia run."""
     if not 1 <= k <= points.shape[0]:
         raise ValueError(f"k must be in [1, {points.shape[0]}], got {k}")
+    if not np.isfinite(points).all():
+        raise ValueError("k-means points must be finite")
     # the broadcast point-center distances run about 3x faster on column-major points
     points = np.asfortranarray(points)
     rng = np.random.default_rng(seed)
     best_labels: np.ndarray | None = None
     best_inertia = np.inf
-    for _ in range(KMEANS_RESTARTS):
-        centers = _kmeans_pp_init(points, k, rng)
-        labels, inertia = _lloyd(points, centers.copy())
+    for centers in _kmeans_pp_seeds(points, k, rng, KMEANS_RESTARTS):
+        labels, inertia = _lloyd(points, centers)
         if inertia < best_inertia:
             best_labels, best_inertia = labels, inertia
         if best_inertia == 0.0:
@@ -125,11 +169,18 @@ def kmeans(points: np.ndarray, k: int, seed: int) -> np.ndarray:
 
 
 def _check_square_symmetric(a: np.ndarray, name: str) -> np.ndarray:
-    """a as a float array; raises ValueError unless it is square and symmetric within 1e-9."""
+    """a as a float array; raises ValueError unless it is square, finite and symmetric within 1e-9.
+
+    Reads CHECK_ROWS rows at a time, so it builds no n x n temporary.
+    """
     a = np.asarray(a, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"{name} must be square, got shape {a.shape}")
-    if np.abs(a - a.T).max() > 1e-9:
+    blocks = [slice(i, i + CHECK_ROWS) for i in range(0, len(a), CHECK_ROWS)]
+    # NaN compares false, so a non-finite entry would pass the symmetry test
+    if not all(np.isfinite(a[rows]).all() for rows in blocks):
+        raise ValueError(f"{name} must be finite")
+    if any(np.abs(a[rows] - a[:, rows].T).max() > 1e-9 for rows in blocks):
         raise ValueError(f"{name} must be symmetric within 1e-9")
     return a
 

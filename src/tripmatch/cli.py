@@ -98,17 +98,34 @@ def _parse_list(text: str, flag: str, rule: str, ok: Callable[[float], bool],
         raise ValueError(f"{flag}: {exc}") from None
     if not values:
         raise ValueError(f"{flag}: needs at least one value, got {text!r}")
-    bad = [v for v in values if not ok(v)]  # NaN fails every rule
-    if bad:
-        raise ValueError(f"{flag}: {rule}, got {bad[0]:g}")
-    return values
+    return [_checked(v, flag, rule, ok) for v in values]
+
+
+def _checked(value: float, flag: str, rule: str, ok: Callable[[float], bool]) -> float:
+    """value if it is ok by rule; else a ValueError naming flag."""
+    if not ok(value):  # NaN fails every rule
+        raise ValueError(f"{flag}: {rule}, got {value:g}")
+    return value
 
 
 def _weights(cfg: dict) -> metrics.WgmWeights:
+    for flag, key in (("--w-space", "w_space"), ("--w-time", "w_time")):
+        _checked(cfg[key], flag, "weights must be finite and nonnegative",
+                 lambda v: 0 <= v < math.inf)
+    if cfg["w_space"] + cfg["w_time"] <= 0:
+        raise ValueError("--w-space, --w-time: weights must not both be zero")
     return metrics.WgmWeights(cfg["w_space"], cfg["w_time"])
 
 
+def _check_thresholds(cfg: dict) -> None:
+    # an infinite threshold means no limit
+    for flag, key in (("--dist-threshold", "dist_threshold"),
+                      ("--time-threshold", "time_threshold")):
+        _checked(cfg[key], flag, "thresholds must be positive", lambda v: v > 0)
+
+
 def _scenario(cfg: dict) -> matching.MatchScenario:
+    _check_thresholds(cfg)
     return matching.MatchScenario(
         mode=cfg["mode"],
         dist_threshold=cfg["dist_threshold"],
@@ -337,12 +354,17 @@ def cmd_cluster(cfg: dict, outdir: Path) -> dict:
     summary_rows = []
     for cluster in range(cfg["k"]):
         members = by_variable[:, labels == cluster]
-        if not members.shape[1]:
+        size = members.shape[1]
+        if not size:
             summary_rows.append([cluster, 0] + [""] * (3 * len(variables)))
             continue
-        cells: list[object] = [cluster, members.shape[1]]
-        for arr in members:
-            cells += [f"{arr.mean():.3f}", f"{np.median(arr):.3f}", f"{arr.std():.3f}"]
+        # np.median's arithmetic without its NaN check, which imports numpy.ma
+        ordered = np.sort(members, axis=1)
+        medians = (ordered[:, size // 2] if size % 2
+                   else (ordered[:, size // 2 - 1] + ordered[:, size // 2]) / 2)
+        cells: list[object] = [cluster, size]
+        for arr, median in zip(members, medians):
+            cells += [f"{arr.mean():.3f}", f"{median:.3f}", f"{arr.std():.3f}"]
         summary_rows.append(cells)
     _write_csv(outdir / "cluster_summary.csv", header, summary_rows)
     return {
@@ -423,12 +445,14 @@ def cmd_compare(cfg: dict, outdir: Path) -> dict:
 def cmd_carshare(cfg: dict, outdir: Path) -> dict:
     if not cfg.get("trips"):
         raise ValueError("--trips is required")
+    _check_thresholds(cfg)
+    weights = _weights(cfg)
     trips = _load_trips(cfg["trips"])
     dag, schedule = carshare.schedule_trips(
         trips,
         dist_threshold=cfg["dist_threshold"],
         time_threshold=cfg["time_threshold"],
-        weights=_weights(cfg),
+        weights=weights,
     )
     _write_csv(outdir / "chains.csv", ["chain_id", "position", "trip_id"],
                [[ci, pos, tid]

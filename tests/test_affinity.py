@@ -305,6 +305,108 @@ class TestKmeans:
         labels = kmeans(pts, 2, seed=0)
         assert len(set(labels[:20])) == 1 and len(set(labels[20:])) == 1
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_points_rejected(self, value):
+        pts = np.zeros((4, 2))
+        pts[2, 1] = value
+        with pytest.raises(ValueError, match="finite"):
+            kmeans(pts, 2, seed=0)
+
+
+def oracle_seeds(points: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
+    """k-means++ seeding of one restart, one rng call per center."""
+    n = points.shape[0]
+    centers = np.empty((k, points.shape[1]))
+    centers[0] = points[rng.integers(n)]
+    d2 = ((points - centers[0]) ** 2).sum(axis=1)
+    for c in range(1, k):
+        total = d2.sum()
+        if total <= 0:
+            centers[c] = points[rng.integers(n)]
+            continue
+        centers[c] = points[rng.choice(n, p=d2 / total)]
+        d2 = np.minimum(d2, ((points - centers[c]) ** 2).sum(axis=1))
+    return centers
+
+
+class ScriptedRng(np.random.Generator):
+    """A Generator whose integers() and random() return scripted values, in order.
+
+    Generator.choice draws its uniform through self.random, so it reads the script too.
+    """
+
+    def __init__(self, integers, uniforms):
+        super().__init__(np.random.PCG64(0))
+        self.script = iter(integers), iter(uniforms)
+
+    def integers(self, *args, **kwargs):
+        return next(self.script[0])
+
+    def random(self, *args, **kwargs):
+        return float(next(self.script[1]))
+
+
+@st.composite
+def seeding_cases(draw):
+    """Column-major points and a k: n on both sides of numpy's pairwise-sum block edges,
+    integer values (ties in the cdf), and rows drawn from 1-3 distinct values (fewer than k)."""
+    n = draw(st.sampled_from([1, 7, 8, 9, 127, 128, 129, 300, 517]))
+    d = draw(st.integers(1, 9))
+    gen = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["normal", "integer", "few"]))
+    if kind == "normal":
+        points = gen.normal(size=(n, d))
+    elif kind == "integer":
+        points = gen.integers(-2, 3, size=(n, d)).astype(float)
+    else:
+        distinct = gen.normal(size=(draw(st.integers(1, 3)), d))
+        points = distinct[gen.integers(0, len(distinct), n)]
+    k = draw(st.sampled_from([1, n, *range(2, min(n, 9) + 1)]))
+    return np.asfortranarray(points), k
+
+
+def assert_seeds_match_oracle(points: np.ndarray, k: int, seed: int, restarts: int) -> None:
+    rng, oracle_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    got = affinity._kmeans_pp_seeds(points, k, rng, restarts)
+    want = np.array([oracle_seeds(points, k, oracle_rng) for _ in range(restarts)])
+    assert got.shape == want.shape
+    # bit for bit: -0.0 and 0.0 differ here
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+    assert rng.random() == oracle_rng.random()
+
+
+class TestKmeansPPSeeds:
+    @settings(max_examples=150, deadline=None)
+    @given(case=seeding_cases(), seed=st.integers(0, 2**32 - 1), restarts=st.integers(1, 6))
+    def test_bit_equal_to_oracle(self, case, seed, restarts):
+        assert_seeds_match_oracle(*case, seed, restarts)
+
+    @pytest.mark.parametrize("n, d, k", [(352, 8, 8), (129, 3, 5), (9, 2, 9)])
+    def test_all_restarts_of_a_kmeans_call(self, n, d, k):
+        points = np.asfortranarray(np.random.default_rng(n).normal(size=(n, d)))
+        assert_seeds_match_oracle(points, k, 11, affinity.KMEANS_RESTARTS)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_uniform_on_a_cdf_value(self, seed):
+        # u equal to a cdf entry picks the next point only if the cdf is bit-equal to
+        # choice's: same squared distances, same total, same normalisation, side="right"
+        points = np.asfortranarray(np.random.default_rng(seed).normal(size=(129, 9)))
+        d2 = ((points - points[seed]) ** 2).sum(axis=1)
+        cdf = np.cumsum(d2 / d2.sum())
+        cdf /= cdf[-1]
+        restarts = len(points) - 1
+        got = affinity._kmeans_pp_seeds(
+            points, 2, ScriptedRng([seed] * restarts, cdf[:-1]), restarts)
+        oracle_rng = ScriptedRng([seed] * restarts, cdf[:-1])
+        want = np.array([oracle_seeds(points, 2, oracle_rng) for _ in range(restarts)])
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+    def test_fewer_distinct_rows_than_k(self):
+        # two distinct rows, as a squared distance sees them (-0.0 equals 0.0): one
+        # uniform center, one sampled by distance, then uniform ones
+        points = np.asfortranarray(np.repeat([[0.0, 1.0], [-0.0, 1.0], [0.0, 2.0]], 4, axis=0))
+        assert_seeds_match_oracle(points, 6, 3, affinity.KMEANS_RESTARTS)
+
 
 class TestPca2d:
     def test_line_explains_everything(self):
@@ -349,6 +451,38 @@ class TestPca2d:
     def test_shape_validation(self):
         with pytest.raises(ValueError):
             pca_2d(np.zeros((2, 3)))
+
+
+class TestSquareSymmetricCheck:
+    CALLERS = [(lambda a: spectral_cluster(a, 2, seed=0), "affinity"), (mds_2d, "distance matrix")]
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("call, name", CALLERS, ids=["spectral_cluster", "mds_2d"])
+    @pytest.mark.parametrize("pair", [True, False], ids=["pair", "one-entry"])
+    def test_non_finite_rejected(self, call, name, value, pair):
+        a = 1.0 - np.eye(4)
+        a[1, 2] = value
+        if pair:
+            a[2, 1] = value
+        with pytest.raises(ValueError, match=f"^{name} must be finite$"):
+            call(a)
+
+    @pytest.mark.parametrize("call, name", CALLERS, ids=["spectral_cluster", "mds_2d"])
+    @pytest.mark.parametrize("row", [0, affinity.CHECK_ROWS - 1, affinity.CHECK_ROWS + 2])
+    def test_asymmetry_in_any_row_block(self, call, name, row):
+        n = affinity.CHECK_ROWS + 3
+        a = 1.0 - np.eye(n)
+        a[row, (row + 1) % n] += 1e-6
+        with pytest.raises(ValueError, match=f"^{name} must be symmetric within 1e-9$"):
+            call(a)
+
+    @pytest.mark.parametrize("call, name", CALLERS, ids=["spectral_cluster", "mds_2d"])
+    def test_non_finite_in_a_later_block(self, call, name):
+        n = affinity.CHECK_ROWS + 3
+        a = 1.0 - np.eye(n)
+        a[n - 1, n - 2] = a[n - 2, n - 1] = math.nan
+        with pytest.raises(ValueError, match=f"^{name} must be finite$"):
+            call(a)
 
 
 def torgerson_b(d: np.ndarray) -> np.ndarray:

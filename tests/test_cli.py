@@ -25,6 +25,8 @@ from tripmatch.cli import build_parser, main
 from tripmatch.ingest import read_trips_jsonl, write_trips_jsonl
 from tripmatch.model import ScaleContext, Trip, od_rep
 
+from test_golden import RUNS
+
 
 def run(capsys, *argv) -> tuple[int, dict]:
     code = main(list(argv))
@@ -461,19 +463,20 @@ class TestMatch:
         assert summary["message"] == message
         assert list(out.iterdir()) == []
 
-    @pytest.mark.parametrize("flag, value, message", [
+    @pytest.mark.parametrize("flag, value, rule", [
         ("--dist-threshold", "-5", "thresholds must be positive"),
         ("--time-threshold", "0", "thresholds must be positive"),
         ("--w-space", "-1", "weights must be finite and nonnegative"),
+        ("--w-time", "inf", "weights must be finite and nonnegative"),
     ])
-    def test_bad_scenario_value_writes_nothing(self, flag, value, message, tmp_path, capsys):
+    def test_bad_scenario_value_writes_nothing(self, flag, value, rule, tmp_path, capsys):
         # the input files do not exist: the scenario is checked before any input is read
         out = tmp_path / "m"
         absent = str(tmp_path / "absent.jsonl")
         code, summary = run(capsys, "match", "--requests", absent, "--rides", absent,
                             flag, value, "--out", str(out))
         assert code == 1 and summary["category"] == "invalid-argument"
-        assert summary["message"] == message
+        assert summary["message"] == f"{flag}: {rule}, got {value}"
         assert list(out.iterdir()) == []
 
     def test_bad_split_is_invalid(self, trips_file, tmp_path, capsys):
@@ -535,8 +538,9 @@ class TestCompare:
         ("--wt-sweep", "nan", "--wt-sweep: weights must lie in [0, 1], got nan"),
         ("--metrics", "wgm,bogus", "--metrics: unknown metric 'bogus'; known metrics are "
                                    "wgm, wgm_time, lcss, dtw, dtw_time, frechet"),
-        ("--dist-threshold", "-5", "thresholds must be positive"),
-        ("--w-space", "-1", "weights must be finite and nonnegative"),
+        ("--dist-threshold", "-5", "--dist-threshold: thresholds must be positive, got -5"),
+        ("--w-space", "-1", "--w-space: weights must be finite and nonnegative, got -1"),
+        ("--w-time", "-0.5", "--w-time: weights must be finite and nonnegative, got -0.5"),
     ])
     def test_bad_flag_value_writes_nothing(self, flag, value, message, tmp_path, capsys):
         # the trips file does not exist: the flag is checked before any input is read
@@ -638,6 +642,23 @@ class TestCarshare:
                             "--out", str(out))
         assert code == 0
         assert summary["n_cars"] == summary["n_trips"] - summary["cardinality"]
+
+    @pytest.mark.parametrize("flags, message", [
+        (("--dist-threshold", "-5"), "--dist-threshold: thresholds must be positive, got -5"),
+        (("--time-threshold", "0"), "--time-threshold: thresholds must be positive, got 0"),
+        (("--w-space", "-1"), "--w-space: weights must be finite and nonnegative, got -1"),
+        (("--w-time", "nan"), "--w-time: weights must be finite and nonnegative, got nan"),
+        (("--w-space", "0", "--w-time", "0"),
+         "--w-space, --w-time: weights must not both be zero"),
+    ])
+    def test_bad_flag_value_writes_nothing(self, flags, message, tmp_path, capsys):
+        # the trips file does not exist: the flag is checked before any input is read
+        out = tmp_path / "cs"
+        code, summary = run(capsys, "carshare", "--trips", str(tmp_path / "absent.jsonl"),
+                            *flags, "--out", str(out))
+        assert code == 1 and summary["category"] == "invalid-argument"
+        assert summary["message"] == message
+        assert list(out.iterdir()) == []
 
 
 class TestNonFiniteParameters:
@@ -928,3 +949,15 @@ def test_carshare_never_loads_scipy_optimize(trips_file, tmp_path):
                 f"'--out', {str(tmp_path / 'cs')!r}]) == 0\n"
                 "assert 'scipy.sparse.csgraph' in sys.modules\n"
                 "assert 'scipy.optimize' not in sys.modules")
+
+
+def test_cluster_never_loads_numpy_ma(tmp_path, capsys):
+    # the cluster summary's medians skip np.median, whose NaN check imports numpy.ma
+    synth = RUNS["synth"]
+    assert main([synth[0], "--out", str(tmp_path / "synth"), *synth[1:]]) == 0
+    capsys.readouterr()
+    argv = [a.format(run=tmp_path) for a in RUNS["cluster"]]
+    _run_python("import sys\n"
+                "from tripmatch.cli import main\n"
+                f"assert main({[argv[0], '--out', str(tmp_path / 'cl'), *argv[1:]]!r}) == 0\n"
+                "assert 'numpy.ma' not in sys.modules")
