@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from heapq import heappop, heappush
+from operator import itemgetter
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -73,8 +75,18 @@ def build_trip_dag(
     The candidate successors of every trip are found by model.window_pairs,
     a bisection of the start times; the exact predicate runs on those pairs
     alone, a block of them at a time.
+
+    Raises ValueError naming a trip id that repeats: chains and their
+    statistics key trips by id.
     """
     metrics.check_thresholds(dist_threshold, time_threshold)
+    ids = tuple(t.id for t in trips)
+    if len(set(ids)) < len(ids):
+        seen: set[str] = set()
+        for tid in ids:
+            if tid in seen:
+                raise ValueError(f"duplicate trip id {tid!r}")
+            seen.add(tid)
     od = od_points(trips)
     origin, start, dest, end = od[:, 0, :2], od[:, 0, 2], od[:, 1, :2], od[:, 1, 2]
     # each trip's successors start in [end, end + T]; the upper bound is
@@ -92,7 +104,15 @@ def build_trip_dag(
     reps = scale_points(od, ScaleContext.from_trips(trips))
     # a's destination against b's origin, as one-point sequences
     weight = metrics.wgm_batch(reps[src, 1:], reps[dst, :1], weights)
-    return TripDag(tuple(t.id for t in trips), np.stack([src, dst], axis=1), weight)
+    return TripDag(ids, np.stack([src, dst], axis=1), weight)
+
+
+#: The largest hand-off DAG, in edges, matched by the in-process solver; larger
+#: ones go to scipy's LAPJVsp. On paper-like trips the in-process solve breaks
+#: even with scipy's import (about 0.3 s) plus solve near 150k edges, and falls
+#: behind beyond it (31 s against 21 s at 600k edges); the limit sits at two
+#: thirds of that crossover. The timing table is in CHANGES.md and ROADMAP.md.
+MAX_IN_PROCESS_EDGES = 100_000
 
 
 def max_card_max_weight_matching(dag: TripDag) -> dict[int, int]:
@@ -104,9 +124,14 @@ def max_card_max_weight_matching(dag: TripDag) -> dict[int, int]:
     (i, j) costs 1 + top - w and dummy column n + i costs n * (top + 1) + 1,
     more than any n real edges: the solver therefore matches as many
     predecessors to real successors as possible and, among those
-    matchings, one of maximum weight. Weights must be nonnegative; absent
-    pairs never enter the matching. Every edge row must hold two trip
-    indices and appear once: the solver would add a repeated row's costs.
+    matchings, one of maximum weight. Weights must be finite and
+    nonnegative; absent pairs never enter the matching. Every edge row must
+    hold two trip indices and appear once: the solver would add a repeated
+    row's costs.
+
+    A DAG of at most MAX_IN_PROCESS_EDGES edges is solved in process, a
+    larger one by scipy; both solve the same assignment, so they agree
+    wherever the optimum is unique.
 
     Returns {predecessor index: successor index}.
     """
@@ -118,20 +143,94 @@ def max_card_max_weight_matching(dag: TripDag) -> dict[int, int]:
     # row (i, j) as i * n + j; a stable sort, unlike np.unique's, reuses lexsort's code pages
     if not np.diff(np.sort(rows * n + cols, kind="stable")).all():
         raise ValueError("edge rows must be distinct")
-    if dag.weights.min() < 0:
-        raise ValueError("edge weights must be nonnegative")
+    if not (np.isfinite(dag.weights).all() and dag.weights.min() >= 0):
+        raise ValueError("edge weights must be finite and nonnegative")
+    top = float(dag.weights.max())
+    solve = _shortest_paths if len(dag.edges) <= MAX_IN_PROCESS_EDGES else _lapjvsp
+    return solve(n, rows, cols, 1 + top - dag.weights, n * (top + 1) + 1)
+
+
+def _shortest_paths(n: int, rows: np.ndarray, cols: np.ndarray, costs: np.ndarray,
+                    dummy: float) -> dict[int, int]:
+    """The min-cost full matching by successive shortest paths.
+
+    Dijkstra on reduced costs c - u[i] - v[j], which row and column
+    potentials keep nonnegative, finds each row's cheapest augmenting path
+    (Jonker & Volgenant, 1987). Row i's dummy column is adjacent to i alone,
+    so it needs no heap entry: it bounds the search at dist(i) + dummy - u[i].
+    Only columns a search scans change potential, so every free column keeps
+    potential 0 and path lengths to different free columns compare as costs.
+    """
+    order = np.argsort(rows, kind="stable")
+    starts = np.searchsorted(rows[order], np.arange(n + 1)).tolist()
+    cols_of, costs_of = cols[order].tolist(), costs[order].tolist()
+    adj = [list(zip(cols_of[a:b], costs_of[a:b])) for a, b in zip(starts, starts[1:])]
+    u, v = [dummy] * n, [0.0] * n
+    row_of, col_of = [-1] * n, [-1] * n  # -1: free column; a row on its dummy
+    free = []
+    # warm start: each row's potential is its cheapest edge, which it takes if free
+    for i, edges in enumerate(adj):
+        if edges:
+            j, u[i] = min(edges, key=itemgetter(1))
+            if row_of[j] < 0:
+                row_of[j], col_of[i] = i, j
+            else:
+                free.append(i)
+    for r in free:
+        dist, pred, scanned = {}, {}, []
+        best, end, via = math.inf, -1, r  # end -1: via takes its dummy
+        heap: list[tuple[float, int]] = []
+        i, d_i = r, 0.0
+        while True:
+            base = d_i - u[i]
+            if base + dummy < best:
+                best, end, via = base + dummy, -1, i
+            for j, c in adj[i]:
+                d = base + c - v[j]
+                if d < best and d < dist.get(j, math.inf):
+                    dist[j], pred[j] = d, i
+                    if row_of[j] < 0:
+                        best, end, via = d, j, i
+                    else:
+                        heappush(heap, (d, j))
+            while heap and heap[0][0] > dist[heap[0][1]]:
+                heappop(heap)  # superseded by a shorter entry, which came first
+            if not heap or heap[0][0] >= best:
+                break
+            d_i, j = heappop(heap)
+            dist[j] = -math.inf  # scanned: no later relaxation can improve it
+            scanned.append((j, d_i))
+            i = row_of[j]
+        u[r] += best
+        for j, d in scanned:
+            v[j] -= best - d
+            u[row_of[j]] += best - d
+        i, j = via, end
+        while True:
+            given_up = col_of[i]
+            col_of[i] = j
+            if j >= 0:
+                row_of[j] = i
+            if i == r:
+                break
+            j, i = given_up, pred[given_up]
+    return {i: j for i, j in enumerate(col_of) if j >= 0}
+
+
+def _lapjvsp(n: int, rows: np.ndarray, cols: np.ndarray, costs: np.ndarray,
+             dummy: float) -> dict[int, int]:
+    """The min-cost full matching by scipy's sparse LAPJVsp."""
     # imported here: scipy.sparse costs about a quarter second to import,
     # and no other subcommand needs it
     from scipy.sparse import csr_array
     from scipy.sparse.csgraph import min_weight_full_bipartite_matching
 
-    top = dag.weights.max()
     dummies = np.arange(n)
-    costs = csr_array(
-        (np.concatenate([1 + top - dag.weights, np.full(n, n * (top + 1) + 1)]),
+    matrix = csr_array(
+        (np.concatenate([costs, np.full(n, dummy)]),
          (np.concatenate([rows, dummies]), np.concatenate([cols, n + dummies]))),
         shape=(n, 2 * n))
-    matched_rows, matched_cols = min_weight_full_bipartite_matching(costs)
+    matched_rows, matched_cols = min_weight_full_bipartite_matching(matrix)
     return {i: j for i, j in zip(matched_rows.tolist(), matched_cols.tolist()) if j < n}
 
 

@@ -8,14 +8,17 @@ over subsets (which never mentions matchings at all).
 from __future__ import annotations
 
 import math
+import sys
 import tracemalloc
 from functools import lru_cache
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tripmatch import carshare
 from tripmatch.carshare import (
     TripDag,
     build_trip_dag,
@@ -213,6 +216,15 @@ def matching_weight(dag: TripDag, matching: dict[int, int]) -> float:
     return sum(weight_of[(i, j)] for i, j in matching.items())
 
 
+def matchings_on_both_paths(dag: TripDag) -> list[dict[int, int]]:
+    """The DAG's matching from the in-process solver, then from scipy's."""
+    out = []
+    for limit in (sys.maxsize, 0):
+        with mock.patch.object(carshare, "MAX_IN_PROCESS_EDGES", limit):
+            out.append(max_card_max_weight_matching(dag))
+    return out
+
+
 class TestBuildTripDag:
     def test_sequential_nearby_trips_connect(self):
         a = straight_trip("a", (1000, 1000), (5000, 5000), 0, 900)
@@ -286,6 +298,15 @@ class TestBuildTripDag:
         # keyed by (i, j) tuples took about 178
         assert held < 40 * len(dag.edges)
 
+    def test_rejects_repeated_trip_ids(self):
+        # chain_stats keys trips by id: the chain ('a', 'a') would pair a trip with itself
+        a = straight_trip("a", (1000, 1000), (5000, 5000), 0, 900)
+        b = straight_trip("a", (5400, 5000), (9000, 9000), 1200, 2100)
+        with pytest.raises(ValueError, match="duplicate trip id 'a'"):
+            build_trip_dag([a, b])
+        with pytest.raises(ValueError, match="duplicate trip id 'a'"):
+            schedule_trips([b, straight_trip("c", (0, 0), (9, 9), 0, 60), a])
+
     @settings(max_examples=300, deadline=None)
     @given(handoff_cases())
     def test_sweep_equals_scalar_predicate(self, case):
@@ -331,29 +352,65 @@ class TestMatching:
     @settings(max_examples=300, deadline=None)
     @given(st.one_of(dags(tied=True), dags()))
     def test_sparse_solver_equals_oracles(self, dag):
-        matching = max_card_max_weight_matching(dag)
-        assert set(matching.items()) <= set(dict(edge_items(dag)))
-        assert len(set(matching.values())) == len(matching)
         size, weight = brute_force_best_matching(dag)
         dense_size, dense_weight = dense_oracle(dag)
-        assert len(matching) == size == dense_size
-        assert math.isclose(matching_weight(dag, matching), weight, abs_tol=1e-9)
         assert math.isclose(dense_weight, weight, abs_tol=1e-9)
+        for matching in matchings_on_both_paths(dag):
+            assert set(matching.items()) <= set(dict(edge_items(dag)))
+            assert len(set(matching.values())) == len(matching)
+            assert len(matching) == size == dense_size
+            assert math.isclose(matching_weight(dag, matching), weight, abs_tol=1e-9)
 
     def test_single_edge(self):
         dag = dag_of(("a", "b"), {(0, 1): 0.5})
-        assert max_card_max_weight_matching(dag) == {0: 1}
+        assert matchings_on_both_paths(dag) == [{0: 1}] * 2
 
     def test_chain_fully_matched(self):
         dag = dag_of(("a", "b", "c"), {(0, 1): 0.9, (1, 2): 0.8})
-        assert max_card_max_weight_matching(dag) == {0: 1, 1: 2}
+        assert matchings_on_both_paths(dag) == [{0: 1, 1: 2}] * 2
 
     def test_empty(self):
-        assert max_card_max_weight_matching(dag_of(("a", "b", "c"), {})) == {}
+        assert matchings_on_both_paths(dag_of(("a", "b", "c"), {})) == [{}] * 2
 
     def test_negative_weights_rejected(self):
         with pytest.raises(ValueError):
             max_card_max_weight_matching(dag_of(("a", "b"), {(0, 1): -0.1}))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_weights_rejected(self, bad):
+        # NaN would pass a "min() < 0" test and mis-order the solver's heap
+        dag = dag_of(("a", "b", "c"), {(0, 1): 0.5, (1, 2): bad})
+        with pytest.raises(ValueError, match="edge weights must be finite and nonnegative"):
+            max_card_max_weight_matching(dag)
+
+    def test_paths_agree_on_untied_weights(self):
+        # continuous random weights tie with probability zero, so the
+        # optimum is unique and both exact solvers must find it
+        rng = np.random.default_rng(6)
+        for max_n in [6] * 200 + [40] * 30 + [150] * 5:
+            dag = random_dag(rng, max_n=max_n)
+            in_process, lapjvsp = matchings_on_both_paths(dag)
+            assert in_process == lapjvsp
+
+    @pytest.mark.parametrize("extra, refused", [(0, "_lapjvsp"), (1, "_shortest_paths")])
+    def test_edge_count_picks_the_solver(self, monkeypatch, extra, refused):
+        # MAX_IN_PROCESS_EDGES (+ 1) edges: trip i reaches the next 100 trips
+        # round a ring, so i -> i + 1 matches every trip; few trips keep
+        # scipy's solve fast
+        n_edges = carshare.MAX_IN_PROCESS_EDGES + extra
+        n = -(-n_edges // 100)
+        rows = np.arange(n_edges) // 100
+        cols = (rows + 1 + np.arange(n_edges) % 100) % n
+        dag = TripDag(tuple(map(str, range(n))), np.stack([rows, cols], axis=1),
+                      np.full(n_edges, 0.5))
+
+        def refuse(*args):
+            raise AssertionError(f"{refused} ran on {n_edges} edges")
+
+        monkeypatch.setattr(carshare, refused, refuse)
+        matching = max_card_max_weight_matching(dag)
+        assert len(matching) == n and len(set(matching.values())) == n
+        assert set(matching.items()) <= set(map(tuple, dag.edges.tolist()))
 
     @pytest.mark.parametrize("row", [(0, 4), (0, 3), (3, 0), (-1, 2)])
     def test_rejects_rows_outside_the_trips(self, row):
@@ -371,17 +428,16 @@ class TestMatching:
     def test_prefers_cardinality_over_weight(self):
         # taking the heavy middle edge alone would block a 2-edge matching
         dag = dag_of(("a", "b", "c"), {(0, 1): 1.0, (1, 1): 0.01, (1, 2): 0.01})
-        matching = max_card_max_weight_matching(dag)
-        assert len(matching) == 2
+        assert [len(m) for m in matchings_on_both_paths(dag)] == [2, 2]
 
     def test_against_brute_force(self):
         rng = np.random.default_rng(2)
         for _ in range(300):
             dag = random_dag(rng, max_n=7)
-            matching = max_card_max_weight_matching(dag)
             size, weight = brute_force_best_matching(dag)
-            assert len(matching) == size
-            assert abs(matching_weight(dag, matching) - weight) < 1e-9
+            for matching in matchings_on_both_paths(dag):
+                assert len(matching) == size
+                assert abs(matching_weight(dag, matching) - weight) < 1e-9
 
 
 class TestExtractChains:

@@ -943,10 +943,24 @@ def test_import_does_not_load_the_assignment_solver():
 
 
 def test_carshare_never_loads_scipy_optimize(trips_file, tmp_path):
+    # a hand-off DAG this small is matched in process, without scipy
     _run_python("import sys\n"
                 "from tripmatch.cli import main\n"
                 f"assert main(['carshare', '--trips', {str(trips_file)!r}, "
                 f"'--out', {str(tmp_path / 'cs')!r}]) == 0\n"
+                "assert not [m for m in sys.modules if m.split('.')[0] == 'scipy']\n"
+                "assert 'scipy.optimize' not in sys.modules")
+
+
+def test_carshare_above_the_in_process_limit_loads_only_scipy_sparse(trips_file, tmp_path):
+    _run_python("import sys, json\n"
+                "from tripmatch import carshare\n"
+                "from tripmatch.cli import main\n"
+                "carshare.MAX_IN_PROCESS_EDGES = 0\n"
+                f"assert main(['carshare', '--trips', {str(trips_file)!r}, "
+                f"'--out', {str(tmp_path / 'cs')!r}]) == 0\n"
+                f"assert json.load(open({str(tmp_path / 'cs' / 'schedule_summary.json')!r}))"
+                "['n_edges'] > 0\n"
                 "assert 'scipy.sparse.csgraph' in sys.modules\n"
                 "assert 'scipy.optimize' not in sys.modules")
 
