@@ -39,7 +39,7 @@ class ReplayMismatchError(ValueError):
 # small io helpers
 
 def _write_csv(path: Path, header: Sequence[str], rows: Iterable[Sequence[object]]) -> None:
-    with open(path, "w", newline="") as fh:
+    with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
         writer.writerows(rows)
@@ -53,7 +53,7 @@ def _csv_field(text: str) -> str:
 
 
 def _write_json(path: Path, obj: object) -> None:
-    with open(path, "w") as fh:
+    with open(path, "w", encoding="utf-8") as fh:
         json.dump(obj, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
@@ -75,7 +75,7 @@ def _sha256(path: str) -> str:
 
 
 def _load_trips(path: str) -> list[model.Trip]:
-    with open(path) as fh:
+    with open(path, encoding="utf-8") as fh:
         trips = list(ingest.read_trips_jsonl(fh))
     if not trips:
         raise ValueError(f"no trips in {path}")
@@ -192,11 +192,11 @@ def _write_matches_csv(path: Path, report: matching.MatchReport) -> None:
 def cmd_ingest(cfg: dict, outdir: Path) -> dict:
     if not cfg.get("input"):
         raise ValueError("--input is required")
-    with open(cfg["input"]) as fh:
+    with open(cfg["input"], encoding="utf-8") as fh:
         records, skipped = ingest.parse_trace(fh, cfg["format"])
     window = ingest.TimeWindow(cfg["window_start"], cfg["window_end"])
     trips = ingest.build_trips(records, window)
-    with open(outdir / "trips.jsonl", "w") as fh:
+    with open(outdir / "trips.jsonl", "w", encoding="utf-8") as fh:
         ingest.write_trips_jsonl(trips, fh)
     return {"n_records": len(records), "malformed": skipped, "n_trips": len(trips)}
 
@@ -213,7 +213,7 @@ def cmd_synth(cfg: dict, outdir: Path) -> dict:
         seed=cfg["seed"],
     )
     trips = ingest.generate_synthetic(synth_cfg)
-    with open(outdir / "trips.jsonl", "w") as fh:
+    with open(outdir / "trips.jsonl", "w", encoding="utf-8") as fh:
         ingest.write_trips_jsonl(trips, fh)
     return {"n_trips": len(trips), "seed": cfg["seed"]}
 
@@ -303,7 +303,7 @@ def cmd_affinity(cfg: dict, outdir: Path) -> dict:
     values = _affinity(cfg, reps)
     rows = values.T if cfg["scorer"] == "cp" else values
     ids = [_csv_field(t.id) for t in trips]
-    with open(outdir / "affinity.csv", "w", newline="") as fh:
+    with open(outdir / "affinity.csv", "w", encoding="utf-8", newline="") as fh:
         fh.write("i,j,score\n")
         for a, row in zip(ids, rows):
             fh.write("".join([f"{a},{b},{score:.6f}\n" for b, score in zip(ids, row.tolist())]))
@@ -605,7 +605,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
 
 def _read_config_file(path: str) -> dict:
     values = {}
-    with open(path) as fh:
+    with open(path, encoding="utf-8") as fh:
         for raw in fh:
             line = raw.split("#", 1)[0].strip()
             if not line:
@@ -624,7 +624,7 @@ _RESERVED_KEYS = ("command", "config", "from_manifest")
 
 def _read_manifest(path: str, command: str) -> tuple[dict, dict]:
     """The recorded config (less its command) and input digests of a manifest."""
-    with open(path) as fh:
+    with open(path, encoding="utf-8") as fh:
         try:
             manifest = json.load(fh)
         except ValueError as exc:

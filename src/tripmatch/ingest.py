@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-import io
+import itertools
 import json
 import math
 import re
@@ -252,8 +252,8 @@ def _points_xyt(points: object) -> np.ndarray:
     return xyt
 
 
-#: Non-blank lines read as one block. A block of compact lines is parsed as
-#: a whole; a few hundred lines amortise that parse and keep its text small.
+#: Non-blank lines read as one block. A block of compact lines is tested and
+#: parsed as a whole; a few hundred lines amortise that work and keep it small.
 _BLOCK_LINES = 256
 
 #: The text of a compact line around its id and around its points' numbers.
@@ -262,31 +262,27 @@ _ID_START, _ID_END, _POINTS_END = '{"id":"', '","points":[[', "]]}"
 #: Characters an id must not hold for json.loads to read it as written.
 _ESCAPED = re.compile(r'[\x00-\x1f\\]')
 
-#: Bytes a block's numbers may hold once its points are split into lines.
-_NUMBER_BYTES = b"0123456789.,eE+-\n"
+#: Bytes a block's points may hold: numbers, commas and brackets.
+_NUMBER_BYTES = b"0123456789.,eE+-[]"
 
 
-def _json_reads_otherwise(text: bytes) -> bool:
-    """Whether json.loads would reject or read apart some number of text.
+def _json_reads_otherwise(raw: bytes, b: np.ndarray) -> bool:
+    """Whether json.loads would reject or read apart some number of raw.
 
-    text holds comma- and newline-separated tokens that float() has
-    accepted. float() also takes a mantissa sign "+", a point with no digit
-    on one side (".5", "5.") and leading zeros ("01"), which JSON rejects.
+    raw is a block's points, "[[t,x,y],...]", whose numbers float() has
+    accepted, and b its uint8 view. float() also takes a mantissa sign "+",
+    a point with no digit on one side (".5", "5.") and leading zeros ("01"),
+    which JSON rejects. The tests compare shifted slices; | 0x20 lower-cases "E".
     """
-    b = np.frombuffer(b"\n" + text + b"\n", dtype=np.uint8)
-
-    def digit(at: np.ndarray) -> np.ndarray:
-        return b[at] - ord("0") < 10  # uint8 wraps below "0"
-
-    plus = np.flatnonzero(b == ord("+"))
-    if (b[plus - 1] | 0x20 != ord("e")).any():  # | 0x20 lower-cases "E"
+    if b"+" in raw and ((b[1:] == ord("+")) & (b[:-1] | 0x20 != ord("e"))).any():
         return True
-    point = np.flatnonzero(b == ord("."))
-    if not (digit(point - 1) & digit(point + 1)).all():
+    digit = b - ord("0") < 10  # uint8 wraps below "0"
+    if ((b[1:-1] == ord(".")) & ~(digit[:-2] & digit[2:])).any():
         return True
-    first = np.flatnonzero((b == ord(",")) | (b == ord("\n")))[:-1] + 1
-    first += b[first] == ord("-")
-    return bool(((b[first] == ord("0")) & digit(first + 1)).any())
+    # a number opens after "," or "[", or after a "-" that does
+    opens = (b == ord(",")) | (b == ord("["))
+    opens = opens[1:-2] | ((b[1:-2] == ord("-")) & opens[:-3])
+    return bool((opens & (b[2:-1] == ord("0")) & digit[3:]).any())
 
 
 def _compact_block(
@@ -312,24 +308,27 @@ def _compact_block(
     if (_ESCAPED.search("".join(ids)) or len(set(ids)) < len(ids)
             or not first_seen.keys().isdisjoint(ids)):
         return None
-    rows = np.array([body.count("],[") + 1 for body in bodies])
-    text = "],[".join(bodies).replace("],[", "\n")
-    raw = text.encode(errors="surrogatepass")  # any other character leaves a byte over 127
-    if not raw or raw.translate(None, _NUMBER_BYTES):
+    # any other character leaves a byte over 127; loadtxt would skip an empty point
+    raw = f'[[{"],[".join(bodies)}]]'.encode(errors="surrogatepass")
+    if b"[]" in raw or raw.translate(None, _NUMBER_BYTES):
         return None
-    try:
-        tx = np.loadtxt(io.StringIO(text), delimiter=",", ndmin=2)
-    except ValueError:
+    try:  # a line per point, split a trip at a time to keep few lines alive
+        tx = np.loadtxt(itertools.chain.from_iterable(body.split("],[") for body in bodies),
+                        delimiter=",", ndmin=2, comments=None)
+    except ValueError:  # a field that is no number, as a stray bracket leaves
         return None
-    # an empty point leaves an empty line, which loadtxt skips
-    if tx.shape != (rows.sum(), 3) or _json_reads_otherwise(raw):
+    # each "]" closes one point; trip k's last point closes where its body ends
+    b = np.frombuffer(raw, dtype=np.uint8)
+    last = np.flatnonzero(b == ord("]")).searchsorted(
+        np.cumsum([len(body) + 3 for body in bodies]) - 1)
+    if tx.shape != (last[-1] + 1, 3) or _json_reads_otherwise(raw, b):
         return None
     # JSON reads the integer -0 as +0.0; past 2**53 the reader compares times exactly
     if not np.abs(tx).max() < _EXACT_FLOAT_LIMIT or np.signbit(tx[tx == 0]).any():
         return None
     xyt = tx[:, [1, 2, 0]]
     xyt.flags.writeable = False
-    starts = np.cumsum(rows) - rows
+    starts = np.concatenate(([0], last[:-1] + 1))
     try:
         check_points(xyt, starts, ids)
     except ValueError:

@@ -126,6 +126,39 @@ def _cells_of(x: np.ndarray, y: np.ndarray, ctx: ScaleContext, rows: int, cols: 
     return row * cols + col
 
 
+def _distinct(keys: np.ndarray) -> np.ndarray:
+    """np.unique(keys) of nonnegative integers, without the numpy.ma import it makes."""
+    keys = np.sort(keys)
+    return keys[np.flatnonzero(np.diff(keys, prepend=-1))]
+
+
+#: The five quantiles of a grid cell's durations: min, q1, median, q3 and max.
+_QUANTILES = np.array([0.0, 0.25, 0.5, 0.75, 1.0])
+
+
+def _cell_quantiles(cells: np.ndarray, values: np.ndarray, n_cells: int) -> np.ndarray:
+    """(n_cells, 5) np.percentile(values[cells == c], [0, 25, 50, 75, 100]) per cell c.
+
+    The arithmetic is np.percentile's default linear method, so the results
+    are bit-equal to it, without the numpy.ma import it makes; NaN rows mark
+    empty cells.
+    """
+    order = np.lexsort((values, cells))
+    cells, values = cells[order], values[order]
+    first = np.flatnonzero(np.diff(cells, prepend=-1))
+    size = np.diff(first, append=len(cells))[:, None]
+    at = (size - 1) * _QUANTILES  # virtual index into each cell's sorted run
+    lo = np.floor(at)
+    # at a run's last value np.percentile measures t from index -1, which
+    # only the sign of a zero result shows
+    t = np.where(at < size - 1, at - lo, at + 1)
+    below = first[:, None] + lo.astype(np.intp)
+    a, b = values[below], values[np.minimum(below + 1, first[:, None] + size - 1)]
+    out = np.full((n_cells, len(_QUANTILES)), np.nan)
+    out[cells[first]] = np.where(t >= 0.5, b - (b - a) * (1 - t), a + (b - a) * t)
+    return out
+
+
 def grid_unique_counts(
     trips: Iterable[Trip], ctx: ScaleContext, rows: int, cols: int
 ) -> np.ndarray:
@@ -135,7 +168,7 @@ def grid_unique_counts(
     points = [trip.xyt() for trip in trips]
     xyt = np.concatenate(points) if points else np.empty((0, 3))
     owner = np.repeat(np.arange(len(points)), [len(p) for p in points])
-    visits = np.unique(owner * (rows * cols) + _cells_of(xyt[:, 0], xyt[:, 1], ctx, rows, cols))
+    visits = _distinct(owner * (rows * cols) + _cells_of(xyt[:, 0], xyt[:, 1], ctx, rows, cols))
     counts = np.bincount(visits % (rows * cols), minlength=rows * cols)
     return counts.reshape(rows, cols)
 
@@ -149,7 +182,4 @@ def grid_duration_stats(
     od = od_points(trips)
     cells = _cells_of(od[:, 0, 0], od[:, 0, 1], ctx, rows, cols)
     durations = od[:, 1, 2] - od[:, 0, 2]
-    values = np.full((rows * cols, 5), np.nan)
-    for cell in np.unique(cells):
-        values[cell] = np.percentile(durations[cells == cell], [0, 25, 50, 75, 100])
-    return values.reshape(rows, cols, 5)
+    return _cell_quantiles(cells, durations, rows * cols).reshape(rows, cols, 5)

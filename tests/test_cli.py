@@ -929,9 +929,9 @@ class TestUsageErrors:
         assert err.startswith("usage: tripmatch affinity") and "invalid choice" in err
 
 
-def _run_python(code: str) -> None:
+def _run_python(code: str, **env: str) -> None:
     src = str(Path(tripmatch.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+    env = {**os.environ, **env, "PYTHONPATH": os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")]))}
     subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=60)
 
@@ -975,3 +975,36 @@ def test_cluster_never_loads_numpy_ma(tmp_path, capsys):
                 "from tripmatch.cli import main\n"
                 f"assert main({[argv[0], '--out', str(tmp_path / 'cl'), *argv[1:]]!r}) == 0\n"
                 "assert 'numpy.ma' not in sys.modules")
+
+
+def test_stats_grids_and_cdfs_never_load_numpy_ma(trips_file):
+    # np.unique without return_counts, and np.percentile, would import
+    # numpy.ma; the stats subcommand still loads it with scipy.special
+    _run_python("import sys\n"
+                "from tripmatch import model, stats\n"
+                "from tripmatch.cli import _load_trips\n"
+                f"trips = _load_trips({str(trips_file)!r})\n"
+                "ctx = model.ScaleContext.from_trips(trips)\n"
+                "stats.grid_unique_counts(trips, ctx, 4, 5)\n"
+                "stats.grid_duration_stats(trips, ctx, 4, 5)\n"
+                "stats.empirical_cdf([t.duration for t in trips])\n"
+                "assert 'numpy.ma' not in sys.modules")
+
+
+#: A locale whose preferred encoding is ASCII, with Python's UTF-8 mode and
+#: locale coercion off.
+ASCII_LOCALE = {"LC_ALL": "POSIX", "PYTHONUTF8": "0", "PYTHONCOERCECLOCALE": "0"}
+
+
+def test_files_are_utf8_whatever_the_locale(trips_file, tmp_path):
+    """Ids outside ASCII read and write alike under an ASCII locale."""
+    cafe = tmp_path / "cafe.jsonl"
+    cafe.write_bytes(trips_file.read_bytes().replace(b'"synth-', '"café-'.encode()))
+    for name, env in (("utf8", {"PYTHONUTF8": "1"}), ("ascii", ASCII_LOCALE)):
+        _run_python("import sys\n"
+                    "from tripmatch.cli import main\n"
+                    f"assert main(['carshare', '--trips', {str(cafe)!r}, "
+                    f"'--out', {str(tmp_path / name)!r}]) == 0", **env)
+    chains = read(tmp_path / "ascii" / "chains.csv")
+    assert "café-".encode() in chains
+    assert chains == read(tmp_path / "utf8" / "chains.csv")

@@ -6,6 +6,7 @@ import io
 import json
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -410,11 +411,16 @@ def assert_reads_like_oracle(lines) -> None:
         assert xyt.tobytes() == oracle_xyt.tobytes()
 
 
-def compact_line(i: int, t0: str | None = None) -> str:
-    """Trip t<i>'s line as the writer writes it; t0 replaces its first time as written."""
+#: Where a token goes in a compact line: its first number, the first number
+#: after a "],[" and the last number before one.
+TOKEN_PLACES = (r'(?<="points":\[\[)[^,]*', r'(?<=\],\[)[^,]*', r'[^,]*(?=\],\[)')
+
+
+def compact_line(i: int, t0: str | None = None, place: str = TOKEN_PLACES[0]) -> str:
+    """Trip t<i>'s line as the writer writes it; t0 replaces the number at place."""
     points = [[100.0 * i + k, 0.25 * k - i, 1e-3 * i * k] for k in range(4)]
     line = json.dumps({"id": f"t{i}", "points": points}, separators=(",", ":"))
-    return line if t0 is None else re.sub(r'(?<="points":\[\[)[^,]*', t0, line, count=1)
+    return line if t0 is None else re.sub(place, t0, line, count=1)
 
 
 def spaced(line: str) -> str:
@@ -436,6 +442,13 @@ class TestCompactReaderMatchesWaypointOracle:
         assert not any(t.xyt().flags.writeable for t in trips)
         assert trips[2].xyt().tolist() == [[0.25 * k - 2, 2e-3 * k, 200.0 + k] for k in range(4)]
 
+    def test_empty_points_read_without_a_warning(self):
+        lines = ['{"id":"a","points":[[]]}', '{"id":"b","points":[[],[]]}']
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert_reads_like_oracle(lines[1:])
+            assert_reads_like_oracle(lines)
+
     def test_other_lines_own_their_points(self):
         (trip,) = read_trips_jsonl([spaced(compact_line(0))])
         assert trip.xyt().base is None and not trip.xyt().flags.writeable
@@ -452,20 +465,25 @@ class TestCompactReaderMatchesWaypointOracle:
     ])
     def test_edited_line_in_the_second_block(self, bad):
         lines = [compact_line(i) for i in range(BAD + 20)]
-        lines[BAD] = {
+        whole = {
             "duplicate": lines[3],
             "unsorted": compact_line(BAD, f"{100.0 * BAD + 3.5}"),
             "rounded-tie": f'{{"id":"t{BAD}","points":[[{2**53 + 1},0,0],[{2**53},0,0]]}}',
             "control": lines[BAD].replace('"t', '"\x01t', 1),
             "truncated": lines[BAD][:-1],
             "spaced": spaced(lines[BAD]),
-        }.get(bad) or compact_line(BAD, bad)
-        assert_reads_like_oracle(lines)
-        compact = _message(read_trips_jsonl(lines))
-        general = [line if i == BAD else spaced(line) for i, line in enumerate(lines)]
-        assert compact == _message(read_trips_jsonl(general))
-        if compact is not None:
-            assert compact.startswith(f"line {BAD + 1}: ")
+        }
+        # a token also goes where the reader splits the points' text
+        edits = [whole[bad]] if bad in whole else [
+            compact_line(BAD, bad, place) for place in TOKEN_PLACES]
+        for edit in edits:
+            lines[BAD] = edit
+            assert_reads_like_oracle(lines)
+            compact = _message(read_trips_jsonl(lines))
+            general = [line if i == BAD else spaced(line) for i, line in enumerate(lines)]
+            assert compact == _message(read_trips_jsonl(general))
+            if compact is not None:
+                assert compact.startswith(f"line {BAD + 1}: ")
 
 
 #: A line past the first block of the reader.
@@ -487,5 +505,12 @@ def _message(trips) -> str | None:
                               fullmatch=True), min_size=1, max_size=30))
 def test_text_parse_rounds_like_float(tokens):
     """The block path's one parse of many numbers gives float()'s bits for each."""
+    floats = np.array([float(t) for t in tokens]).tobytes()
     parsed = np.loadtxt(io.StringIO("\n".join(tokens)), delimiter=",", ndmin=2)
-    assert parsed.ravel().tobytes() == np.array([float(t) for t in tokens]).tobytes()
+    assert parsed.ravel().tobytes() == floats
+    # the reader's own call: [t,x,y] points joined by "],[" and split there
+    tokens = tokens * 3
+    points = "],[".join(",".join(tokens[k:k + 3]) for k in range(0, len(tokens), 3))
+    parsed = np.loadtxt(points.split("],["), delimiter=",", ndmin=2, comments=None)
+    assert parsed.shape == (len(tokens) // 3, 3)
+    assert parsed.ravel().tobytes() == floats * 3
