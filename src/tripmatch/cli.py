@@ -5,6 +5,7 @@ effective configuration and input digests; re-running with
 --from-manifest reproduces the outputs byte for byte. Each run prints a
 one-line JSON summary on stdout and exits 0, or prints a JSON error with a
 machine-readable category and exits 1 (2 for usage errors).
+Importing this module sets OPENBLAS_THREAD_TIMEOUT if unset; see BLAS_THREAD_TIMEOUT.
 """
 
 from __future__ import annotations
@@ -20,6 +21,16 @@ import os
 import sys
 from pathlib import Path
 from typing import Callable, Iterable, Sequence
+
+#: OPENBLAS_THREAD_TIMEOUT, set before numpy and scipy load OpenBLAS unless the
+#: user set it: an idle BLAS worker spins 2^20 cycles (0.5 ms at 2.1 GHz) before
+#: it sleeps, not 2^28 (0.13 s). On a 2-core box the benchmark's cluster run fell
+#: from 0.73 to 0.45 s of CPU at the same wall time. eigh at n = 3000 then puts
+#: the worker to sleep about 150 times a call, and no wake-up cost was measurable;
+#: eigh and cluster at n = 3000 read within noise (a few percent) of unset
+#: (table and pairs in CHANGES.md).
+BLAS_THREAD_TIMEOUT = "20"
+os.environ.setdefault("OPENBLAS_THREAD_TIMEOUT", BLAS_THREAD_TIMEOUT)
 
 import numpy as np
 

@@ -19,7 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import tripmatch
-from tripmatch import affinity, matching, metrics
+from tripmatch import affinity, cli, matching, metrics
 from tripmatch.affinity import build_affinity, sym_decompose
 from tripmatch.cli import build_parser, main
 from tripmatch.ingest import read_trips_jsonl, write_trips_jsonl
@@ -929,11 +929,16 @@ class TestUsageErrors:
         assert err.startswith("usage: tripmatch affinity") and "invalid choice" in err
 
 
-def _run_python(code: str, **env: str) -> None:
+def _run_python(code: str, **env: str) -> str:
+    """The stdout of code run in a fresh interpreter with env added to this one's."""
     src = str(Path(tripmatch.__file__).resolve().parents[1])
-    env = {**os.environ, **env, "PYTHONPATH": os.pathsep.join(
+    # importing tripmatch.cli set OPENBLAS_THREAD_TIMEOUT in this process; the
+    # child starts without it, as from a user's shell
+    inherited = {k: v for k, v in os.environ.items() if k != "OPENBLAS_THREAD_TIMEOUT"}
+    env = {**inherited, **env, "PYTHONPATH": os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=60)
+    return subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=60,
+                          stdout=subprocess.PIPE, text=True).stdout
 
 
 def test_import_does_not_load_the_assignment_solver():
@@ -1008,3 +1013,62 @@ def test_files_are_utf8_whatever_the_locale(trips_file, tmp_path):
     chains = read(tmp_path / "ascii" / "chains.csv")
     assert "café-".encode() in chains
     assert chains == read(tmp_path / "utf8" / "chains.csv")
+
+
+#: Records OPENBLAS_THREAD_TIMEOUT as it reads when numpy, and when scipy, is
+#: first imported: each loads its own OpenBLAS then, which reads it once.
+RECORD_BLAS_TIMEOUT = (
+    "import os, sys\n"
+    "seen = {}\n"
+    "class Record:\n"
+    "    def find_spec(self, name, path=None, target=None):\n"
+    "        if name in ('numpy', 'scipy'):\n"
+    "            seen.setdefault(name, os.environ.get('OPENBLAS_THREAD_TIMEOUT'))\n"
+    "sys.meta_path.insert(0, Record())\n")
+
+
+@pytest.mark.parametrize("env, expected", [
+    ({}, cli.BLAS_THREAD_TIMEOUT),
+    ({"OPENBLAS_THREAD_TIMEOUT": "7"}, "7"),
+], ids=["default", "user-value"])
+def test_blas_thread_timeout_is_set_before_numpy_and_scipy_load(trips_file, tmp_path,
+                                                                 env, expected):
+    # stats fits its gamma with scipy.special, which loads scipy's OpenBLAS
+    _run_python(RECORD_BLAS_TIMEOUT +
+                "from tripmatch.cli import main\n"
+                f"assert main(['stats', '--trips', {str(trips_file)!r}, "
+                f"'--out', {str(tmp_path / 'st')!r}]) == 0\n"
+                "assert 'scipy.special' in sys.modules\n"
+                f"assert seen == {{'numpy': {expected!r}, 'scipy': {expected!r}}}, seen", **env)
+
+
+def test_library_modules_leave_the_blas_thread_timeout_alone():
+    _run_python(RECORD_BLAS_TIMEOUT +
+                "import tripmatch.model, tripmatch.metrics\n"
+                "assert seen == {'numpy': None}, seen\n"
+                "assert 'OPENBLAS_THREAD_TIMEOUT' not in os.environ")
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux") or (os.cpu_count() or 1) < 2,
+                    reason="reads per-thread CPU time from /proc; needs a second core")
+def test_idle_blas_worker_sleeps_soon_after_a_product():
+    # OpenBLAS's own default spins an idle worker 2^28 cycles, which cost 0.17-0.19 s
+    # of worker CPU after this product on a 2-core 2.1 GHz box; the CLI's sleeps it
+    out = _run_python(
+        "import glob, os, time\n"
+        "import tripmatch.cli\n"
+        "import numpy as np\n"
+        "a = np.ones((300, 300))\n"
+        "a @ a\n"
+        "time.sleep(0.3)\n"
+        "ticks, main = 0, str(os.getpid())\n"
+        "for stat in glob.glob('/proc/self/task/*/stat'):\n"
+        "    if stat.split('/')[-2] != main:\n"
+        "        fields = open(stat).read().rsplit(')', 1)[1].split()\n"
+        "        ticks += int(fields[11]) + int(fields[12])\n"
+        "blas = 'openblas' in open('/proc/self/maps').read()\n"
+        "print(blas, ticks / os.sysconf('SC_CLK_TCK'))")
+    blas, worker_cpu_s = out.split()
+    if blas != "True":
+        pytest.skip("numpy is not linked to OpenBLAS")
+    assert float(worker_cpu_s) < 0.05
