@@ -11,6 +11,8 @@ import numpy as np
 class DegenerateInputError(ValueError):
     """Raised when input carries no usable structure (zero rows/variance)."""
 
+    category = "degenerate-input"
+
 
 Scorer = Callable[[np.ndarray, np.ndarray], float]
 

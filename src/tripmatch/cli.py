@@ -11,16 +11,19 @@ Importing this module sets OPENBLAS_THREAD_TIMEOUT if unset; see BLAS_THREAD_TIM
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import dataclasses
 import hashlib
 import io
 import json
 import math
+import mmap
 import os
 import sys
+import threading
 from pathlib import Path
-from typing import Callable, Iterable, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Sequence
 
 #: OPENBLAS_THREAD_TIMEOUT, set before numpy and scipy load OpenBLAS unless the
 #: user set it: an idle BLAS worker spins 2^20 cycles (0.5 ms at 2.1 GHz) before
@@ -34,7 +37,11 @@ os.environ.setdefault("OPENBLAS_THREAD_TIMEOUT", BLAS_THREAD_TIMEOUT)
 
 import numpy as np
 
-from . import __version__, affinity, carshare, ingest, matching, metrics, model, stats
+# each handler imports the pipeline modules only it runs
+from . import __version__, ingest, metrics, model
+
+if TYPE_CHECKING:
+    from . import matching
 
 DEFAULT_SEED = 7
 _OUTDIR_ENV = "TRIPMATCH_OUTDIR"
@@ -44,6 +51,8 @@ _INPUT_KEYS = ("input", "trips", "requests", "rides")
 
 class ReplayMismatchError(ValueError):
     """Raised when an input of a replayed run no longer has its recorded digest."""
+
+    category = "replay-mismatch"
 
 
 # ---------------------------------------------------------------------------
@@ -79,10 +88,36 @@ def _sec(seconds: float) -> str:
 
 def _sha256(path: str) -> str:
     digest = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for block in iter(lambda: fh.read(1 << 16), b""):
-            digest.update(block)
+    # a worker thread takes the GIL back twice a read, so reads are large: 1 MB
+    # reads cut match's handler by about 10 ms against 64 kB ones; the buffer
+    # is mapped, off the Python heap
+    with open(path, "rb", buffering=0) as fh, mmap.mmap(-1, 1 << 20) as buffer, \
+            memoryview(buffer) as block:
+        while size := fh.readinto(block):
+            digest.update(block[:size])
     return digest.hexdigest()
+
+
+def _hash_inputs(paths: list[str]) -> Callable[[str], str]:
+    """A lookup of each path's SHA-256, hashed by a worker thread beside the handler.
+
+    hashlib and file reads release the GIL. A lookup waits for the worker,
+    and hashes a path the worker could not hash again, to raise its error.
+    """
+    digests: dict[str, str] = {}
+
+    def work() -> None:
+        with contextlib.suppress(OSError, ValueError):  # a lookup raises it again
+            for path in paths:
+                digests[path] = _sha256(path)
+
+    worker = threading.Thread(target=work, daemon=True)
+    worker.start()
+
+    def lookup(path: str) -> str:
+        worker.join()
+        return digests[path] if path in digests else _sha256(path)
+    return lookup
 
 
 def _load_trips(path: str) -> list[model.Trip]:
@@ -136,6 +171,7 @@ def _check_thresholds(cfg: dict) -> None:
 
 
 def _scenario(cfg: dict) -> matching.MatchScenario:
+    from . import matching
     _check_thresholds(cfg)
     return matching.MatchScenario(
         mode=cfg["mode"],
@@ -146,12 +182,8 @@ def _scenario(cfg: dict) -> matching.MatchScenario:
     )
 
 
-def _manifest(cfg: dict, outdir: Path) -> None:
-    inputs = {}
-    for key in _INPUT_KEYS:
-        value = cfg.get(key)
-        if value:
-            inputs[value] = _sha256(value)
+def _manifest(cfg: dict, outdir: Path, digest: Callable[[str], str]) -> None:
+    inputs = {cfg[key]: digest(cfg[key]) for key in _INPUT_KEYS if cfg.get(key)}
     _write_json(outdir / "run_manifest.json", {
         "command": cfg["command"],
         "config": {k: v for k, v in cfg.items() if k not in ("config", "from_manifest")},
@@ -230,6 +262,7 @@ def cmd_synth(cfg: dict, outdir: Path) -> dict:
 
 
 def cmd_stats(cfg: dict, outdir: Path) -> dict:
+    from . import stats
     if not cfg.get("trips"):
         raise ValueError("--trips is required")
     trips = _load_trips(cfg["trips"])
@@ -323,6 +356,7 @@ def cmd_affinity(cfg: dict, outdir: Path) -> dict:
 
 
 def cmd_cluster(cfg: dict, outdir: Path) -> dict:
+    from . import affinity
     if not cfg.get("trips"):
         raise ValueError("--trips is required")
     gamma = cfg.get("kernel_gamma")
@@ -385,6 +419,7 @@ def cmd_cluster(cfg: dict, outdir: Path) -> dict:
 
 
 def cmd_match(cfg: dict, outdir: Path) -> dict:
+    from . import matching
     match_counts = (_parse_list(cfg["sweep_l"], "--sweep-L", "counts must be at least 1",
                                 lambda v: v >= 1, int) if cfg.get("sweep_l") else [1])
     # an infinite threshold means no limit
@@ -418,15 +453,16 @@ def cmd_match(cfg: dict, outdir: Path) -> dict:
 
 
 def cmd_compare(cfg: dict, outdir: Path) -> dict:
+    from . import matching
     names = [m.strip() for m in cfg["metrics"].split(",") if m.strip()]
     if not names:
         raise ValueError("--metrics must name at least one metric")
     if len(set(names)) < len(names):
         raise ValueError(f"--metrics names a metric more than once: {cfg['metrics']}")
-    unknown = [name for name in names if name not in matching.METRIC_NAMES]
+    unknown = [name for name in names if name not in metrics.METRIC_NAMES]
     if unknown:
         raise ValueError(f"--metrics: unknown metric {unknown[0]!r}; "
-                         f"known metrics are {', '.join(matching.METRIC_NAMES)}")
+                         f"known metrics are {', '.join(metrics.METRIC_NAMES)}")
     if cfg["rep_len"] < 2:
         raise ValueError(f"--rep-len must be at least 2, got {cfg['rep_len']}")
     sweep = (_parse_list(cfg["wt_sweep"], "--wt-sweep", "weights must lie in [0, 1]",
@@ -454,6 +490,7 @@ def cmd_compare(cfg: dict, outdir: Path) -> dict:
 
 
 def cmd_carshare(cfg: dict, outdir: Path) -> dict:
+    from . import carshare
     if not cfg.get("trips"):
         raise ValueError("--trips is required")
     _check_thresholds(cfg)
@@ -542,74 +579,82 @@ def _add_split_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--n-rides", dest="n_rides", type=int, default=0)
 
 
-def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
-    """The top-level parser and the parser of each subcommand."""
+def build_parser(command: str | None = None
+                 ) -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The top-level parser and the parser of each subcommand.
+
+    Given a command, only its parser gets flags; bare others keep the top-level usage.
+    """
     parser = argparse.ArgumentParser(prog="tripmatch", description=__doc__)
     subs = parser.add_subparsers(dest="command", required=True)
 
-    p = subs.add_parser("ingest", help="parse a trace file and cut a time window")
-    p.add_argument("--input", default=None)
-    p.add_argument("--window-start", dest="window_start", type=float, default=0.0)
-    p.add_argument("--window-end", dest="window_end", type=float, default=3600.0)
-    p.add_argument("--format", default="t id x y speed")
-    _add_common(p)
+    def sub(name: str, text: str) -> argparse.ArgumentParser | None:
+        p = subs.add_parser(name, help=text)
+        return p if command in (None, name) else None
 
-    p = subs.add_parser("synth", help="generate a synthetic trip set")
-    p.add_argument("--n", type=int, default=200)
-    p.add_argument("--bbox", default="0,20000,0,20000,0,86400")
-    p.add_argument("--gamma-shape", dest="gamma_shape", type=float, default=2.0)
-    p.add_argument("--gamma-scale", dest="gamma_scale", type=float, default=300.0)
-    p.add_argument("--lognorm-mu", dest="lognorm_mu", type=float, default=8.0)
-    p.add_argument("--lognorm-sigma", dest="lognorm_sigma", type=float, default=0.6)
-    p.add_argument("--waypoints", type=int, default=10)
-    _add_common(p)
+    if p := sub("ingest", "parse a trace file and cut a time window"):
+        p.add_argument("--input", default=None)
+        p.add_argument("--window-start", dest="window_start", type=float, default=0.0)
+        p.add_argument("--window-end", dest="window_end", type=float, default=3600.0)
+        p.add_argument("--format", default="t id x y speed")
+        _add_common(p)
 
-    p = subs.add_parser("stats", help="distribution fits, CDFs, and grid aggregates")
-    p.add_argument("--trips", default=None)
-    p.add_argument("--grid-rows", dest="grid_rows", type=int, default=10)
-    p.add_argument("--grid-cols", dest="grid_cols", type=int, default=10)
-    _add_common(p)
+    if p := sub("synth", "generate a synthetic trip set"):
+        p.add_argument("--n", type=int, default=200)
+        p.add_argument("--bbox", default="0,20000,0,20000,0,86400")
+        p.add_argument("--gamma-shape", dest="gamma_shape", type=float, default=2.0)
+        p.add_argument("--gamma-scale", dest="gamma_scale", type=float, default=300.0)
+        p.add_argument("--lognorm-mu", dest="lognorm_mu", type=float, default=8.0)
+        p.add_argument("--lognorm-sigma", dest="lognorm_sigma", type=float, default=0.6)
+        p.add_argument("--waypoints", type=int, default=10)
+        _add_common(p)
 
-    p = subs.add_parser("affinity", help="pairwise similarity matrix")
-    p.add_argument("--trips", default=None)
-    p.add_argument("--scorer", choices=["wgm", "car", "cp"], default="wgm")
-    _add_weight_flags(p)
-    _add_common(p)
+    if p := sub("stats", "distribution fits, CDFs, and grid aggregates"):
+        p.add_argument("--trips", default=None)
+        p.add_argument("--grid-rows", dest="grid_rows", type=int, default=10)
+        p.add_argument("--grid-cols", dest="grid_cols", type=int, default=10)
+        _add_common(p)
 
-    p = subs.add_parser("cluster", help="spectral clustering plus 2-D embeddings")
-    p.add_argument("--trips", default=None)
-    p.add_argument("--k", type=int, default=8)
-    p.add_argument("--scorer", choices=["wgm", "car", "cp"], default="wgm")
-    p.add_argument("--kernel-gamma", dest="kernel_gamma", type=float, default=None)
-    _add_weight_flags(p)
-    _add_common(p)
+    if p := sub("affinity", "pairwise similarity matrix"):
+        p.add_argument("--trips", default=None)
+        p.add_argument("--scorer", choices=["wgm", "car", "cp"], default="wgm")
+        _add_weight_flags(p)
+        _add_common(p)
 
-    p = subs.add_parser("match", help="greedy rider-to-ride matching")
-    _add_split_flags(p)
-    _add_scenario_flags(p)
-    p.add_argument("--metric", choices=list(matching.METRIC_NAMES), default="wgm")
-    p.add_argument("--sweep-dist", dest="sweep_dist", default=None,
-                   help="comma list of distance thresholds for curve.csv")
-    p.add_argument("--sweep-time", dest="sweep_time", default=None,
-                   help="comma list of time thresholds for curve.csv")
-    p.add_argument("--sweep-L", dest="sweep_l", default=None,
-                   help="comma list of least-match counts")
-    _add_common(p)
+    if p := sub("cluster", "spectral clustering plus 2-D embeddings"):
+        p.add_argument("--trips", default=None)
+        p.add_argument("--k", type=int, default=8)
+        p.add_argument("--scorer", choices=["wgm", "car", "cp"], default="wgm")
+        p.add_argument("--kernel-gamma", dest="kernel_gamma", type=float, default=None)
+        _add_weight_flags(p)
+        _add_common(p)
 
-    p = subs.add_parser("compare", help="one scenario under several metrics")
-    _add_split_flags(p)
-    _add_scenario_flags(p)
-    p.add_argument("--metrics", default="wgm,lcss,frechet,dtw,dtw_time,wgm_time")
-    p.add_argument("--rep-len", dest="rep_len", type=int, default=50)
-    p.add_argument("--wt-sweep", dest="wt_sweep", default=None,
-                   help="comma list of temporal weights for wt_sweep.csv")
-    _add_common(p)
+    if p := sub("match", "greedy rider-to-ride matching"):
+        _add_split_flags(p)
+        _add_scenario_flags(p)
+        p.add_argument("--metric", choices=list(metrics.METRIC_NAMES), default="wgm")
+        p.add_argument("--sweep-dist", dest="sweep_dist", default=None,
+                       help="comma list of distance thresholds for curve.csv")
+        p.add_argument("--sweep-time", dest="sweep_time", default=None,
+                       help="comma list of time thresholds for curve.csv")
+        p.add_argument("--sweep-L", dest="sweep_l", default=None,
+                       help="comma list of least-match counts")
+        _add_common(p)
 
-    p = subs.add_parser("carshare", help="minimum-fleet chain scheduling")
-    p.add_argument("--trips", default=None)
-    _add_threshold_flags(p)
-    _add_weight_flags(p)
-    _add_common(p)
+    if p := sub("compare", "one scenario under several metrics"):
+        _add_split_flags(p)
+        _add_scenario_flags(p)
+        p.add_argument("--metrics", default="wgm,lcss,frechet,dtw,dtw_time,wgm_time")
+        p.add_argument("--rep-len", dest="rep_len", type=int, default=50)
+        p.add_argument("--wt-sweep", dest="wt_sweep", default=None,
+                       help="comma list of temporal weights for wt_sweep.csv")
+        _add_common(p)
+
+    if p := sub("carshare", "minimum-fleet chain scheduling"):
+        p.add_argument("--trips", default=None)
+        _add_threshold_flags(p)
+        _add_weight_flags(p)
+        _add_common(p)
 
     return parser, subs.choices
 
@@ -677,13 +722,14 @@ def _parse_values(sub: argparse.ArgumentParser, ns: argparse.Namespace, source: 
 
 
 def resolve_config(args: argparse.Namespace, sub: argparse.ArgumentParser,
-                   argv: list[str]) -> dict:
+                   argv: list[str]) -> tuple[dict, Callable[[str], str]]:
     """Merge defaults, config file, manifest, and argv flags (in that order).
 
     args is the parsed command line and argv its part after the subcommand.
     Config-file and manifest values are parsed by the subcommand's parser,
     sub, into the namespace that argv is then parsed into, so argv wins even
-    where it repeats a flag's default.
+    where it repeats a flag's default. Returns the config and the lookup of
+    its inputs' digests, hashed once for the replay check and the manifest.
     """
     # main has parsed argv already, so a bad value here is a file's and raises
     sub.exit_on_error = False
@@ -703,38 +749,32 @@ def resolve_config(args: argparse.Namespace, sub: argparse.ArgumentParser,
     # a replay trusts only the recorded inputs it reads, not those argv names
     # anew (every input flag defaults to None)
     replayed = {cfg[key] for key in _INPUT_KEYS if cfg.get(key) and getattr(args, key) is None}
-    for path, digest in recorded.items():
-        if path in replayed and _sha256(path) != digest:
+    digest = _hash_inputs(list(dict.fromkeys(cfg[key] for key in _INPUT_KEYS if cfg.get(key))))
+    for path, recorded_digest in recorded.items():
+        if path in replayed and digest(path) != recorded_digest:
             raise ReplayMismatchError(f"input {path} changed since the manifest was written")
     if not cfg.get("out"):
         cfg["out"] = os.environ.get(_OUTDIR_ENV, "out")
     cfg["command"] = args.command
-    return cfg
-
-
-_ERROR_CATEGORIES: tuple[tuple[type, str], ...] = (
-    (ingest.TraceFormatError, "format"),
-    (stats.DegenerateFitError, "degenerate-fit"),
-    (affinity.DegenerateInputError, "degenerate-input"),
-    (matching.UndefinedReportError, "undefined-report"),
-    (ReplayMismatchError, "replay-mismatch"),
-    (ValueError, "invalid-argument"),
-    (OSError, "io"),
-)
+    return cfg, digest
 
 
 def main(argv: Sequence[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    parser, commands = build_parser()
+    parser, commands = build_parser(argv[0] if argv and argv[0] in HANDLERS else None)
     args = parser.parse_args(argv)
     try:
-        cfg = resolve_config(args, commands[args.command], argv[argv.index(args.command) + 1:])
+        cfg, digest = resolve_config(args, commands[args.command],
+                                     argv[argv.index(args.command) + 1:])
         outdir = Path(cfg["out"])
         outdir.mkdir(parents=True, exist_ok=True)
         summary = HANDLERS[args.command](cfg, outdir)
-        _manifest(cfg, outdir)
-    except tuple(cat for cat, _ in _ERROR_CATEGORIES) as exc:
-        category = next(name for cls, name in _ERROR_CATEGORIES if isinstance(exc, cls))
+        _manifest(cfg, outdir, digest)
+    except (ValueError, OSError) as exc:
+        # the program's error classes name their category; an error that is both
+        # a ValueError and an OSError stays invalid-argument
+        category = getattr(exc, "category",
+                           "invalid-argument" if isinstance(exc, ValueError) else "io")
         print(json.dumps({"status": "error", "category": category, "message": str(exc)},
                          sort_keys=True))
         return 1

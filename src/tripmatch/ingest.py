@@ -17,6 +17,8 @@ from .model import ScaleContext, Trip, check_points
 class TraceFormatError(ValueError):
     """Raised when a trace stream is too malformed to trust."""
 
+    category = "format"
+
 
 #: Fields a trace format string may name. `id` is the only non-numeric one.
 _KNOWN_FIELDS = ("t", "id", "x", "y", "speed")
@@ -266,23 +268,37 @@ _ESCAPED = re.compile(r'[\x00-\x1f\\]')
 _NUMBER_BYTES = b"0123456789.,eE+-[]"
 
 
-def _json_reads_otherwise(raw: bytes, b: np.ndarray) -> bool:
+#: Each byte's roles in a pair, bits 0-3 as its left byte and 4-7 as its
+#: right: pair bit k is set where the left byte has bit k and the right
+#: bit k + 4. Bit 0 pairs a "0" with a digit, 1 a non-digit with a ".", 2 a
+#: "." with a non-digit, 3 an opener ("," or "[") with a "0". A byte no
+#: number holds reads 0. "-" is deleted first: it only signs a number, so
+#: a number then starts right after its opener, or its "e".
+_BYTE_CLASSES = bytes(
+    (b == 48) | (not 48 <= b <= 57) << 1 | (b == 46) << 2 | (b in b",[") << 3
+    | (48 <= b <= 57) << 4 | (b == 46) << 5 | (not 48 <= b <= 57) << 6 | (b == 48) << 7
+    if b in _NUMBER_BYTES and b != 45 else 0 for b in range(256))
+
+
+def _json_reads_otherwise(raw: bytearray, b: np.ndarray, classes: bytearray) -> bool:
     """Whether json.loads would reject or read apart some number of raw.
 
     raw is a block's points, "[[t,x,y],...]", whose numbers float() has
-    accepted, and b its uint8 view. float() also takes a mantissa sign "+",
-    a point with no digit on one side (".5", "5.") and leading zeros ("01"),
-    which JSON rejects. The tests compare shifted slices; | 0x20 lower-cases "E".
+    accepted, b its uint8 view and classes raw less "-" by _BYTE_CLASSES.
+    float() also takes a mantissa sign "+", a point with no digit on one
+    side (".5", "5.") and leading zeros ("01"), which JSON rejects.
     """
     if b"+" in raw and ((b[1:] == ord("+")) & (b[:-1] | 0x20 != ord("e"))).any():
         return True
-    digit = b - ord("0") < 10  # uint8 wraps below "0"
-    if ((b[1:-1] == ord(".")) & ~(digit[:-2] & digit[2:])).any():
-        return True
-    # a number opens after "," or "[", or after a "-" that does
-    opens = (b == ord(",")) | (b == ord("["))
-    opens = opens[1:-2] | ((b[1:-2] == ord("-")) & opens[:-3])
-    return bool((opens & (b[2:-1] == ord("0")) & digit[3:]).any())
+    c = np.frombuffer(classes, dtype=np.uint8)
+    pairs = c[1:] >> 4
+    pairs &= c[:-1]
+    # a "." beside a non-digit (bits 1, 2), or an opener, "0", digit (bits 3
+    # then 0); classes is a bytearray no one else reads, so it takes the result
+    found = np.right_shift(pairs[:-1], 3, out=c[:-2])
+    found |= 0b110
+    found &= pairs[1:]
+    return bool(found.any())
 
 
 def _compact_block(
@@ -308,20 +324,26 @@ def _compact_block(
     if (_ESCAPED.search("".join(ids)) or len(set(ids)) < len(ids)
             or not first_seen.keys().isdisjoint(ids)):
         return None
-    # any other character leaves a byte over 127; loadtxt would skip an empty point
-    raw = f'[[{"],[".join(bodies)}]]'.encode(errors="surrogatepass")
-    if b"[]" in raw or raw.translate(None, _NUMBER_BYTES):
+    # one copy of the points' text; any other character leaves a byte over 127
+    texts = ["[[" + bodies[0], *bodies[1:]]
+    texts[-1] += "]]"
+    raw = bytearray("],[".join(texts), "utf-8", "surrogatepass")
+    classes = raw.translate(_BYTE_CLASSES, b"-")
+    if 0 in classes:
+        return None
+    # each "]" closes one point, and trip k's last where its body ends; an
+    # empty point would leave loadtxt a line it skips
+    b = np.frombuffer(raw, dtype=np.uint8)
+    closes = np.flatnonzero(b == ord("]"))
+    if (b[closes - 1] == ord("[")).any():
         return None
     try:  # a line per point, split a trip at a time to keep few lines alive
         tx = np.loadtxt(itertools.chain.from_iterable(body.split("],[") for body in bodies),
                         delimiter=",", ndmin=2, comments=None)
     except ValueError:  # a field that is no number, as a stray bracket leaves
         return None
-    # each "]" closes one point; trip k's last point closes where its body ends
-    b = np.frombuffer(raw, dtype=np.uint8)
-    last = np.flatnonzero(b == ord("]")).searchsorted(
-        np.cumsum([len(body) + 3 for body in bodies]) - 1)
-    if tx.shape != (last[-1] + 1, 3) or _json_reads_otherwise(raw, b):
+    last = closes.searchsorted(np.cumsum([len(body) + 3 for body in bodies]) - 1)
+    if tx.shape != (last[-1] + 1, 3) or _json_reads_otherwise(raw, b, classes):
         return None
     # JSON reads the integer -0 as +0.0; past 2**53 the reader compares times exactly
     if not np.abs(tx).max() < _EXACT_FLOAT_LIMIT or np.signbit(tx[tx == 0]).any():

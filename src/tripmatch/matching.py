@@ -16,21 +16,21 @@ from typing import Sequence
 import numpy as np
 
 from . import metrics
-from .metrics import MetricParams, WgmWeights
+from .metrics import METRIC_NAMES, MetricParams, WgmWeights
 from .model import (
-    ScaleContext, Trip, od_points, path_lengths, sample_points, scale_points, window_pairs,
+    ScaleContext, Trip, od_points, path_lengths, sample_points, scale_points, stack_points,
+    window_pairs,
 )
 
 #: -1 when the best ride maximises the metric (a similarity), 1 when it
 #: minimises it (a distance).
 _SIGN = {"wgm": -1, "wgm_time": -1, "lcss": -1, "dtw": 1, "dtw_time": 1, "frechet": 1}
 
-#: Metric names accepted by greedy_match and compare_metrics.
-METRIC_NAMES = tuple(_SIGN)
-
 
 class UndefinedReportError(ValueError):
     """Raised when savings accounting divides by an empty scenario."""
+
+    category = "undefined-report"
 
 
 @dataclass(frozen=True, slots=True)
@@ -189,8 +189,9 @@ def _match(
     only for the chosen pairs.
     """
     trips = list(requests) + list(rides)
-    ctx = ScaleContext.from_trips(trips)
-    raw = sample_points(trips, rep_len)
+    stacked = stack_points(trips)
+    ctx, raw = ScaleContext.from_trips(trips, stacked[0]), sample_points(trips, rep_len, stacked)
+    del stacked  # every waypoint of both populations; scoring needs only the samples
     n = len(requests)
     od, scaled = raw[:, [0, -1]], scale_points(raw, ctx)
     req_od, ride_od, reps_req, reps_ride = od[:n], od[n:], scaled[:n], scaled[n:]

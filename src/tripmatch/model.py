@@ -176,38 +176,49 @@ class ScaleContext:
         return math.hypot(self.x_span, self.y_span)
 
     @classmethod
-    def from_trips(cls, trips: Iterable[Trip]) -> "ScaleContext":
-        """Tight bounds over every waypoint; an axis with one value gets a unit span."""
-        points = [trip.xyt() for trip in trips]
-        if not points:
+    def from_trips(cls, trips: Iterable[Trip], points: np.ndarray | None = None
+                   ) -> "ScaleContext":
+        """Tight bounds over every waypoint; an axis with one value gets a unit span.
+
+        points, if given, is stack_points(trips)[0], which is then not built again.
+        """
+        points = stack_points(trips)[0] if points is None else points
+        if not len(points):
             raise ValueError("cannot derive scale context from an empty trip set")
         # a column at a time: numpy reduces a tall (N, 3) array along axis 0 slowly
-        columns = np.concatenate(points).T
+        columns = points.T
         lo, hi = [float(c.min()) for c in columns], [float(c.max()) for c in columns]
         (x_min, y_min, t_min), (x_max, y_max, t_max) = lo, [
             b if b > a else a + 1.0 for a, b in zip(lo, hi)]
         return cls(x_min, x_max, y_min, y_max, t_min, t_max)
 
 
-def sample_points(trips: Iterable[Trip], k: int) -> np.ndarray:
+def stack_points(trips: Iterable[Trip]) -> tuple[np.ndarray, np.ndarray]:
+    """Every waypoint of trips as one (N, 3) array of x, y, t rows, and each trip's row count."""
+    xyts = [trip.xyt() for trip in trips]
+    return (np.concatenate(xyts) if xyts else np.empty((0, 3)),
+            np.array([len(xyt) for xyt in xyts], dtype=np.intp))
+
+
+def sample_points(trips: Iterable[Trip], k: int,
+                  stacked: tuple[np.ndarray, np.ndarray] | None = None) -> np.ndarray:
     """Every trip's waypoints at indices round(i (m-1) / (k-1)), i = 0..k-1.
 
     Returns the raw x, y, t rows stacked as shape (n, k, 3), gathered by one
-    concatenate-and-index over the population. Row 0 and row k - 1 are
-    always the trip's first and last waypoints. A trip with fewer than k
-    waypoints repeats some of them.
+    index into stack_points(trips), or into stacked if it is given. Row 0
+    and row k - 1 are always the trip's first and last waypoints. A trip
+    with fewer than k waypoints repeats some of them.
     """
     if k < 2:
         raise ValueError(f"sample size must be >= 2, got {k}")
-    xyts = [trip.xyt() for trip in trips]
-    if not xyts:
+    points, m = stack_points(trips) if stacked is None else stacked
+    if not len(m):
         return np.empty((0, k, 3))
-    m = np.array([len(xyt) for xyt in xyts])
     index = np.arange(k) * ((m - 1) / (k - 1))[:, None]
     index += 0.5
     index = np.floor(index, out=index).astype(np.intp)
     index += (np.cumsum(m) - m)[:, None]
-    return np.concatenate(xyts)[index]
+    return points[index]
 
 
 def od_points(trips: Iterable[Trip]) -> np.ndarray:

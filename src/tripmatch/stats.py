@@ -8,11 +8,13 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .model import ScaleContext, Trip, od_points
+from .model import ScaleContext, Trip, od_points, stack_points
 
 
 class DegenerateFitError(ValueError):
     """Raised when samples carry no usable variation for a fit."""
+
+    category = "degenerate-fit"
 
 
 @dataclass(frozen=True, slots=True)
@@ -165,9 +167,8 @@ def grid_unique_counts(
     """(rows, cols) counts of the distinct trips touching each cell; revisits count once."""
     if rows < 1 or cols < 1:
         raise ValueError("grid must have at least one row and column")
-    points = [trip.xyt() for trip in trips]
-    xyt = np.concatenate(points) if points else np.empty((0, 3))
-    owner = np.repeat(np.arange(len(points)), [len(p) for p in points])
+    xyt, m = stack_points(trips)
+    owner = np.repeat(np.arange(len(m)), m)
     visits = _distinct(owner * (rows * cols) + _cells_of(xyt[:, 0], xyt[:, 1], ctx, rows, cols))
     counts = np.bincount(visits % (rows * cols), minlength=rows * cols)
     return counts.reshape(rows, cols)

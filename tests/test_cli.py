@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import ast
 import csv
+import hashlib
 import io
 import json
 import os
@@ -10,6 +12,7 @@ import re
 import subprocess
 import sys
 import tempfile
+import threading
 import tracemalloc
 from pathlib import Path
 from unittest import mock
@@ -939,6 +942,133 @@ def _run_python(code: str, **env: str) -> str:
         filter(None, [src, os.environ.get("PYTHONPATH")]))}
     return subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=60,
                           stdout=subprocess.PIPE, text=True).stdout
+
+
+#: The pipeline modules a run of each subcommand loads besides those that
+#: importing tripmatch.cli loads.
+RUN_MODULES = {"cluster": ["affinity"], "carshare": ["carshare"], "match": ["matching"],
+               "compare": ["matching"]}
+CLI_MODULES = ["cli", "ingest", "metrics", "model"]
+
+
+def _loaded(code: str) -> list[str]:
+    """The tripmatch modules loaded after code, run in a fresh interpreter."""
+    out = _run_python(code + "\nimport sys\n"
+                      "print(sorted(m for m in sys.modules if m.startswith('tripmatch.')))")
+    return ast.literal_eval(out.splitlines()[-1])
+
+
+def test_import_leaves_the_pipeline_modules_unloaded():
+    assert _loaded("import tripmatch.cli") == [f"tripmatch.{m}" for m in CLI_MODULES]
+
+
+@pytest.mark.parametrize("name", sorted(RUN_MODULES))
+def test_a_run_loads_only_the_pipeline_modules_it_runs(name, trips_file, tmp_path):
+    flags = {"cluster": ["--k", "3"], "carshare": []}.get(name, ["--n-riders", "15",
+                                                                 "--n-rides", "45"])
+    argv = [name, "--trips", str(trips_file), *flags, "--out", str(tmp_path / name)]
+    loaded = _loaded(f"from tripmatch.cli import main\nassert main({argv!r}) == 0")
+    assert loaded == sorted(f"tripmatch.{m}" for m in CLI_MODULES + RUN_MODULES[name])
+
+
+def _exit(capsys, parse, argv: list[str]) -> tuple[object, str, str]:
+    with pytest.raises(SystemExit) as exc:
+        parse(argv)
+    out = capsys.readouterr()
+    return exc.value.code, out.out, out.err
+
+
+@pytest.mark.parametrize("argv", [
+    ["-h"], *[[name, "--help"] for name in cli.HANDLERS], [], ["frobnicate"],
+    ["match", "--bogus"], ["cluster", "--k"], ["compare", "--mode", "bus"]])
+def test_usage_output_is_the_full_parsers(argv, capsys):
+    """A run builds only its subcommand's flags, and prints what all eight print."""
+    code, out, err = _exit(capsys, main, argv)
+    assert (code, out, err) == _exit(capsys, build_parser()[0].parse_args, argv)
+    assert code == (0 if argv[-1:] in (["-h"], ["--help"]) else 2)
+    if argv == ["frobnicate"]:
+        assert "invalid choice: 'frobnicate'" in err
+
+
+def _split_trips(trips_file: Path, tmp_path: Path) -> tuple[Path, Path]:
+    lines = trips_file.read_text().splitlines(keepends=True)
+    requests, rides = tmp_path / "requests.jsonl", tmp_path / "rides.jsonl"
+    requests.write_text("".join(lines[:15]))
+    rides.write_text("".join(lines[15:]))
+    return requests, rides
+
+
+def _threads_done() -> None:
+    for thread in threading.enumerate():
+        if thread is not threading.current_thread() and thread.daemon:
+            thread.join(10)
+            assert not thread.is_alive()
+
+
+class TestInputDigests:
+    def test_manifest_digests_are_the_files_sha256(self, trips_file, tmp_path, capsys):
+        requests, rides = _split_trips(trips_file, tmp_path)
+        for argv in (["carshare", "--trips", str(trips_file)],
+                     ["match", "--requests", str(requests), "--rides", str(rides)]):
+            out = tmp_path / argv[0]
+            code, _ = run(capsys, *argv, "--out", str(out))
+            inputs = json.loads((out / "run_manifest.json").read_text())["inputs"]
+            assert code == 0 and inputs == {
+                str(path): hashlib.sha256(Path(path).read_bytes()).hexdigest()
+                for path in argv[2::2]}
+
+    def test_a_replay_hashes_each_input_once(self, trips_file, tmp_path, capsys, monkeypatch):
+        requests, rides = _split_trips(trips_file, tmp_path)
+        code, _ = run(capsys, "match", "--requests", str(requests), "--rides", str(rides),
+                      "--out", str(tmp_path / "first"))
+        assert code == 0
+        hashed, sha256 = [], cli._sha256
+        monkeypatch.setattr(cli, "_sha256", lambda path: hashed.append(path) or sha256(path))
+        code, _ = run(capsys, "match", "--from-manifest",
+                      str(tmp_path / "first" / "run_manifest.json"), "--out",
+                      str(tmp_path / "replay"))
+        assert code == 0 and sorted(hashed) == sorted([str(requests), str(rides)])
+        first, replay = (json.loads((tmp_path / d / "run_manifest.json").read_text())["inputs"]
+                         for d in ("first", "replay"))
+        assert first == replay
+
+    def test_digests_under_frequent_thread_switches(self, tmp_path):
+        paths = []
+        for k in range(5):  # an empty file, then up to 2.3 MB, past one 1 MB read
+            paths.append(str(tmp_path / f"input{k}"))
+            Path(paths[-1]).write_bytes(bytes(range(256)) * (3000 * k - 2999) if k else b"")
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(5):
+                digest = cli._hash_inputs(paths)
+                busy = sum(i * i for i in range(20_000))  # Python work beside the worker
+                assert busy and [digest(p) for p in paths] == [
+                    hashlib.sha256(Path(p).read_bytes()).hexdigest() for p in paths]
+        finally:
+            sys.setswitchinterval(interval)
+        _threads_done()
+
+    def test_errors_keep_their_category_and_message(self, trips_file, tmp_path, capsys):
+        missing = tmp_path / "missing.jsonl"
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text(trips_file.read_text().splitlines()[0] + "\n{\"id\": 1}\n")
+        code, summary = run(capsys, "match", "--requests", str(trips_file),
+                            "--rides", str(missing), "--out", str(tmp_path / "m"))
+        assert (code, summary["category"]) == (1, "io")
+        assert summary["message"] == f"[Errno 2] No such file or directory: {str(missing)!r}"
+        code, summary = run(capsys, "carshare", "--trips", str(bad), "--out", str(tmp_path / "c"))
+        assert (code, summary["category"]) == (1, "format")
+        assert summary["message"] == "line 2: KeyError('points')"
+        # a replay of an input since deleted reads it once, to report it
+        code, _ = run(capsys, "carshare", "--trips", str(trips_file), "--out", str(tmp_path / "r"))
+        trips_file.unlink()
+        code, summary = run(capsys, "carshare", "--from-manifest",
+                            str(tmp_path / "r" / "run_manifest.json"), "--out", str(tmp_path / "x"))
+        assert (code, summary["category"]) == (1, "io")
+        assert summary["message"] == f"[Errno 2] No such file or directory: {str(trips_file)!r}"
+        _threads_done()
+        assert capsys.readouterr().err == ""
 
 
 def test_import_does_not_load_the_assignment_solver():

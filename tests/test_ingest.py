@@ -514,3 +514,50 @@ def test_text_parse_rounds_like_float(tokens):
     parsed = np.loadtxt(points.split("],["), delimiter=",", ndmin=2, comments=None)
     assert parsed.shape == (len(tokens) // 3, 3)
     assert parsed.ravel().tobytes() == floats * 3
+
+
+#: Where a token goes to sit at the end of a compact line's points: its last number.
+LAST_NUMBER = r'[^,]*(?=\]\]\}$)'
+
+#: Lines of a file two blocks long, the second short: the first, a middle and
+#: the last line of the full block, and a middle and the last line of the short one.
+BLOCK_EDGES = (0, 100, ingest._BLOCK_LINES - 1, BAD, BAD + 19)
+
+
+class TestCompactByteRules:
+    """Each byte test of the compact path, at the block's ends and at its "],[" splits."""
+
+    @pytest.mark.parametrize("at", BLOCK_EDGES)
+    @pytest.mark.parametrize("point", [0, 2, 4])
+    def test_empty_point(self, at, point):
+        lines = [compact_line(i) for i in range(BAD + 20)]
+        points = [[100.0 * at + k, 0.25 * k, 1.0] for k in range(4)]
+        text = ",".join(json.dumps(p, separators=(",", ":")) for p in points[:point])
+        rest = ",".join(json.dumps(p, separators=(",", ":")) for p in points[point:])
+        lines[at] = f'{{"id":"t{at}","points":[{",".join(filter(None, [text, "[]", rest]))}]}}'
+        assert_reads_like_oracle(lines)
+        assert _message(read_trips_jsonl(lines)).startswith(f"line {at + 1}: ")
+
+    def test_empty_point_alone_in_the_final_short_block(self):
+        lines = [compact_line(i) for i in range(ingest._BLOCK_LINES)] + ['{"id":"x","points":[[]]}']
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # loadtxt warns when it reads no line at all
+            assert_reads_like_oracle(lines)
+
+    @pytest.mark.parametrize("at", BLOCK_EDGES)
+    @pytest.mark.parametrize("token", ["+5", ".5", "5.", "01", "-01", "-.5", "5.e3", "1_0", "0x10",
+                                       " 1", "NaN", "1e+05", "1e-05", "0.5", "-0.5", "10.05"])
+    def test_number_forms(self, at, token):
+        lines = [compact_line(i) for i in range(BAD + 20)]
+        for place in (*TOKEN_PLACES, LAST_NUMBER):
+            lines[at] = compact_line(at, token, place)
+            assert token in lines[at]
+            assert_reads_like_oracle(lines)
+            if _message(read_trips_jsonl(lines)) is None:
+                # a plain number that JSON reads as float() does keeps the block
+                # on the compact path; text around a number sends it to json.loads
+                first = at - at % ingest._BLOCK_LINES
+                block = list(read_trips_jsonl(lines))[first:first + ingest._BLOCK_LINES]
+                bases = {id(t.xyt().base) for t in block}
+                compact = len(bases) == 1 and block[0].xyt().base is not None
+                assert compact == bool(NUMBER.fullmatch(token))

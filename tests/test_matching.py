@@ -700,7 +700,7 @@ class TestCompareMetrics:
         base = MatchScenario(mode=mode, dist_threshold=dist, time_threshold=span)
         scenarios = by_metric(METRIC_NAMES, base)
         # tiles of two pairs, so the batched DP metrics cross tile boundaries
-        monkeypatch.setattr(metrics, "TILE_POINTS", 2 * 20 * 20)
+        monkeypatch.setattr(metrics, "DP_TILE_CELLS", 2 * 20 * 20)
         reports = compare_metrics(requests, rides, scenarios, rep_len=20)
         assert sum(r.matched for r in reports[0].rows) >= 3
         for scenario, report in zip(scenarios, reports):

@@ -492,7 +492,7 @@ class TestDpBatch:
         whole = dp_batch(a, b, i, j, params)
         assert np.array_equal(np.array(list(whole.values())), scalar_dp(a[i], b[j], params))
         for tile in (1, 6 * 4 * 2, 6 * 4 * 3 - 1):  # tiles of 1, 2 and 2 pairs
-            monkeypatch.setattr(metrics, "TILE_POINTS", tile)
+            monkeypatch.setattr(metrics, "DP_TILE_CELLS", tile)
             tiled = dp_batch(a, b, i, j, params)
             assert all(np.array_equal(tiled[name], whole[name]) for name in DP_METRICS)
 
