@@ -19,7 +19,8 @@ import numpy as np
 
 from . import metrics
 from .metrics import WgmWeights
-from .model import ScaleContext, Trip, od_points, path_lengths, scale_points, window_pairs
+from .model import (Trip, od_points, path_lengths, samples_and_context, scale_points,
+                    window_pairs, within_distance)
 
 
 @dataclass(frozen=True, slots=True, eq=False)
@@ -87,7 +88,7 @@ def build_trip_dag(
             if tid in seen:
                 raise ValueError(f"duplicate trip id {tid!r}")
             seen.add(tid)
-    od = od_points(trips)
+    od, ctx = samples_and_context(trips, 2)
     origin, start, dest, end = od[:, 0, :2], od[:, 0, 2], od[:, 1, :2], od[:, 1, 2]
     # each trip's successors start in [end, end + T]; the upper bound is
     # widened by a relative slack because start <= end + T and
@@ -96,12 +97,12 @@ def build_trip_dag(
     for src, dst in window_pairs(start, end, (end + time_threshold) * (1 + 1e-12)):
         gap = start[dst] - end[src]
         keep = (gap > 0) & (gap <= time_threshold)
-        keep &= np.hypot(*(dest[src] - origin[dst]).T) <= dist_threshold
+        keep &= within_distance(*(dest[src] - origin[dst]).T, dist_threshold)
         kept.append((src[keep], dst[keep]))
     src, dst = map(np.concatenate, zip(*kept))
     by_pair = np.lexsort((dst, src))
     src, dst = src[by_pair], dst[by_pair]
-    reps = scale_points(od, ScaleContext.from_trips(trips))
+    reps = scale_points(od, ctx)
     # a's destination against b's origin, as one-point sequences
     weight = metrics.wgm_batch(reps[src, 1:], reps[dst, :1], weights)
     return TripDag(ids, np.stack([src, dst], axis=1), weight)

@@ -6,6 +6,8 @@ effective configuration and input digests; re-running with
 one-line JSON summary on stdout and exits 0, or prints a JSON error with a
 machine-readable category and exits 1 (2 for usage errors).
 Importing this module sets OPENBLAS_THREAD_TIMEOUT if unset; see BLAS_THREAD_TIMEOUT.
+main starts with gc.freeze(), so no collection walks the heap it finds; an
+embedding caller may call gc.unfreeze() after it returns.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ import argparse
 import contextlib
 import csv
 import dataclasses
+import gc
 import hashlib
 import io
 import json
@@ -343,8 +346,7 @@ def cmd_affinity(cfg: dict, outdir: Path) -> dict:
     if not cfg.get("trips"):
         raise ValueError("--trips is required")
     trips = _load_trips(cfg["trips"])
-    reps = model.scale_points(model.od_points(trips), model.ScaleContext.from_trips(trips))
-    values = _affinity(cfg, reps)
+    values = _affinity(cfg, model.scale_points(*model.samples_and_context(trips, 2)))
     rows = values.T if cfg["scorer"] == "cp" else values
     ids = [_csv_field(t.id) for t in trips]
     with open(outdir / "affinity.csv", "w", encoding="utf-8", newline="") as fh:
@@ -367,8 +369,8 @@ def cmd_cluster(cfg: dict, outdir: Path) -> dict:
         raise ValueError(f"cluster needs at least 3 trips for its 2-D embeddings, got {len(trips)}")
     if not 2 <= cfg["k"] <= len(trips):
         raise ValueError(f"--k must be in [2, {len(trips)}], got {cfg['k']}")
-    od = model.od_points(trips)
-    reps = model.scale_points(od, model.ScaleContext.from_trips(trips))
+    od, ctx = model.samples_and_context(trips, 2)
+    reps = model.scale_points(od, ctx)
     sym = _affinity(cfg, reps)
     ratio = _symmetric_ratio(sym)
     # S = (A + A^T) / 2 in A's own buffer; numpy copies the overlapping A^T first
@@ -760,6 +762,7 @@ def resolve_config(args: argparse.Namespace, sub: argparse.ArgumentParser,
 
 
 def main(argv: Sequence[str] | None = None) -> int:
+    gc.freeze()  # the import-time heap, nearly all numpy's, goes where no collection walks
     argv = sys.argv[1:] if argv is None else list(argv)
     parser, commands = build_parser(argv[0] if argv and argv[0] in HANDLERS else None)
     args = parser.parse_args(argv)

@@ -18,8 +18,8 @@ import numpy as np
 from . import metrics
 from .metrics import METRIC_NAMES, MetricParams, WgmWeights
 from .model import (
-    ScaleContext, Trip, od_points, path_lengths, sample_points, scale_points, stack_points,
-    window_pairs,
+    Trip, od_points, path_lengths, samples_and_context, scale_points, window_pairs,
+    within_distance,
 )
 
 #: -1 when the best ride maximises the metric (a similarity), 1 when it
@@ -158,10 +158,10 @@ def _candidate_indices(
         late = dt[j] - rdt[i]
         keep = np.flatnonzero((late >= late_lo) & (late <= late_hi))
         i, j = i[keep], j[keep]
-        keep = np.flatnonzero(np.hypot(ox[j] - rox[i], oy[j] - roy[i]) <= dist)
+        keep = np.flatnonzero(within_distance(ox[j] - rox[i], oy[j] - roy[i], dist))
         i, j = i[keep], j[keep]
         # inside its window, a pair fails the origin-time gate only in the pad
-        keep = np.flatnonzero((np.hypot(dx[j] - rdx[i], dy[j] - rdy[i]) <= dist)
+        keep = np.flatnonzero(within_distance(dx[j] - rdx[i], dy[j] - rdy[i], dist)
                               & (np.abs(ot[j] - rot[i]) <= span))
         kept.append((i[keep], j[keep]))
     i, j = map(np.concatenate, zip(*kept))
@@ -188,10 +188,7 @@ def _match(
     ride first in its run of pairs. Offsets and path lengths are computed
     only for the chosen pairs.
     """
-    trips = list(requests) + list(rides)
-    stacked = stack_points(trips)
-    ctx, raw = ScaleContext.from_trips(trips, stacked[0]), sample_points(trips, rep_len, stacked)
-    del stacked  # every waypoint of both populations; scoring needs only the samples
+    raw, ctx = samples_and_context(list(requests) + list(rides), rep_len)
     n = len(requests)
     od, scaled = raw[:, [0, -1]], scale_points(raw, ctx)
     req_od, ride_od, reps_req, reps_ride = od[:n], od[n:], scaled[:n], scaled[n:]

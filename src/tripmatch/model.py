@@ -221,6 +221,12 @@ def sample_points(trips: Iterable[Trip], k: int,
     return points[index]
 
 
+def samples_and_context(trips: Sequence[Trip], k: int) -> tuple[np.ndarray, ScaleContext]:
+    """sample_points(trips, k) and ScaleContext.from_trips(trips), from one stack_points(trips)."""
+    stacked = stack_points(trips)
+    return sample_points(trips, k, stacked), ScaleContext.from_trips(trips, stacked[0])
+
+
 def od_points(trips: Iterable[Trip]) -> np.ndarray:
     """Raw origin and destination points, stacked: shape (n, 2, 3), columns x, y, t."""
     return sample_points(trips, 2)
@@ -236,6 +242,18 @@ def scale_points(points: np.ndarray, ctx: ScaleContext) -> np.ndarray:
 def od_rep(trip: Trip, ctx: ScaleContext) -> np.ndarray:
     """Scaled origin-destination representation of one trip: a (2, 3) array."""
     return scale_points(od_points([trip]), ctx)[0]
+
+
+def within_distance(dx: np.ndarray, dy: np.ndarray, d: float) -> np.ndarray:
+    """np.hypot(dx, dy) <= d, with hypot run only where dx^2 + dy^2 <= d^2 (1 + 1e-9) + tiny.
+
+    tiny is the smallest normal float. The margin exceeds the rounding of hypot
+    and of the squares, subnormal ones too, so no pair that hypot keeps is dropped.
+    """
+    with np.errstate(over="ignore"):  # an overflowing square is inf, which the test reads right
+        near = dx * dx + dy * dy <= d * d * (1 + 1e-9) + np.finfo(float).tiny
+    near[near] = np.hypot(dx[near], dy[near]) <= d
+    return near
 
 
 #: Pairs window_pairs expands at a time, unless one window alone holds more.

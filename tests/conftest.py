@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import gc
+
 import numpy as np
 import pytest
 
@@ -27,6 +29,13 @@ def straight_trip(
     ys = np.linspace(start[1], end[1], n)
     ts = np.linspace(t0, t1, n)
     return make_trip(trip_id, list(zip(xs, ys, ts)))
+
+
+@pytest.fixture(autouse=True)
+def _unfreeze_heap():
+    """Give the collector back the heap that a test's tripmatch.cli.main froze."""
+    yield
+    gc.unfreeze()
 
 
 @pytest.fixture

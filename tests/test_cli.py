@@ -28,7 +28,7 @@ from tripmatch.cli import build_parser, main
 from tripmatch.ingest import read_trips_jsonl, write_trips_jsonl
 from tripmatch.model import ScaleContext, Trip, od_rep
 
-from test_golden import RUNS
+from test_golden import RUNS, _artifacts, _write_inputs, assert_golden
 
 
 def run(capsys, *argv) -> tuple[int, dict]:
@@ -932,16 +932,54 @@ class TestUsageErrors:
         assert err.startswith("usage: tripmatch affinity") and "invalid choice" in err
 
 
-def _run_python(code: str, **env: str) -> str:
-    """The stdout of code run in a fresh interpreter with env added to this one's."""
+def _child_env(**env: str) -> dict[str, str]:
+    """This process's environment with env added, as a fresh interpreter of this tripmatch needs."""
     src = str(Path(tripmatch.__file__).resolve().parents[1])
     # importing tripmatch.cli set OPENBLAS_THREAD_TIMEOUT in this process; the
     # child starts without it, as from a user's shell
     inherited = {k: v for k, v in os.environ.items() if k != "OPENBLAS_THREAD_TIMEOUT"}
-    env = {**inherited, **env, "PYTHONPATH": os.pathsep.join(
+    return {**inherited, **env, "PYTHONPATH": os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    return subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=60,
-                          stdout=subprocess.PIPE, text=True).stdout
+
+
+def _run_python(code: str, **env: str) -> str:
+    """The stdout of code run in a fresh interpreter with env added to this one's."""
+    return subprocess.run([sys.executable, "-c", code], env=_child_env(**env), check=True,
+                          timeout=60, stdout=subprocess.PIPE, text=True).stdout
+
+
+@pytest.fixture(scope="module")
+def golden_run(tmp_path_factory) -> Path:
+    """A directory holding the golden runs' inputs, the synth population included."""
+    run = tmp_path_factory.mktemp("golden")
+    _write_inputs(run)
+    synth = [*RUNS["synth"], "--out", str(run / "synth")]
+    _run_python(f"from tripmatch.cli import main\nassert main({synth!r}) == 0")
+    return run
+
+
+#: Runs main on argv in a fresh interpreter, then reports on stderr what the
+#: collector looks like after it: (exit code, frozen objects, collector enabled).
+FROZEN_RUN = """\
+import gc, sys
+from tripmatch.cli import main
+code = main(sys.argv[1:])
+sys.stderr.write(repr((code, gc.get_freeze_count(), gc.isenabled())))
+"""
+
+
+@pytest.mark.parametrize("name", ["cluster", "carshare"])
+def test_a_run_on_a_frozen_heap_flushes_its_line_and_artifacts(name, golden_run):
+    out = golden_run / name
+    argv = [a.format(run=golden_run) for a in RUNS[name]] + ["--out", str(out)]
+    proc = subprocess.run([sys.executable, "-c", FROZEN_RUN, *argv], env=_child_env(),
+                          timeout=60, capture_output=True, text=True)
+    code, frozen, enabled = ast.literal_eval(proc.stderr)
+    assert code == 0 and frozen > 0 and enabled
+    # one whole line, written out only as the interpreter exits
+    assert proc.stdout.endswith("}\n") and proc.stdout.count("\n") == 1
+    assert json.loads(proc.stdout)["status"] == "ok"
+    assert_golden(name, _artifacts(golden_run, out))
 
 
 #: The pipeline modules a run of each subcommand loads besides those that

@@ -128,9 +128,9 @@ def produced(tmp_path_factory) -> dict[str, dict]:
     return run_all(tmp_path_factory.mktemp("golden"))
 
 
-@pytest.mark.parametrize("name", list(RUNS))
-def test_artifacts_match_golden(name, produced):
-    want, got = json.loads(GOLDEN.read_text())[name], produced[name]
+def assert_golden(name: str, got: dict) -> None:
+    """got, the _artifacts of run name, equals its entry in golden.json."""
+    want = json.loads(GOLDEN.read_text())[name]
     assert sorted(got) == sorted(want)
     for file, digest in want.items():
         if file.startswith("coords_"):
@@ -139,6 +139,11 @@ def test_artifacts_match_golden(name, produced):
                                        [row[1:] for row in digest], rtol=0, atol=COORDS_TOL)
         else:
             assert got[file] == digest, f"{name}/{file} changed"
+
+
+@pytest.mark.parametrize("name", list(RUNS))
+def test_artifacts_match_golden(name, produced):
+    assert_golden(name, produced[name])
 
 
 if __name__ == "__main__":

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import re
 from unittest import mock
 
@@ -24,6 +25,7 @@ from tripmatch.model import (
     scale_points,
     spatial_distance,
     window_pairs,
+    within_distance,
 )
 
 from conftest import make_trip
@@ -319,6 +321,64 @@ class TestWindowPairs:
         assert all(a.isdisjoint(b) for a, b in zip(groups, groups[1:]))
         for got, want in zip(map(np.concatenate, zip(*blocks)), whole):
             assert got.tolist() == want.tolist()
+
+
+class TestWithinDistance:
+    """within_distance is np.hypot(dx, dy) <= d, pair for pair."""
+
+    @staticmethod
+    def check(dx, dy, d):
+        dx, dy = np.array(dx, dtype=float), np.array(dy, dtype=float)
+        copies = dx.copy(), dy.copy()
+        with np.errstate(over="ignore"):  # hypot overflows past about 1.3e308
+            got, want = within_distance(dx, dy, d), np.hypot(dx, dy) <= d
+        assert got.dtype == bool
+        assert got.tolist() == want.tolist()
+        assert np.array_equal(dx, copies[0]) and np.array_equal(dy, copies[1])
+
+    @staticmethod
+    def near(h: float) -> list[float]:
+        """h and its neighbours, those of them that are positive, or else inf."""
+        with np.errstate(over="ignore"):
+            values = [h, np.nextafter(h, math.inf), np.nextafter(h, -math.inf)]
+        return [float(v) for v in values if v > 0] or [math.inf]
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.tuples(st.floats(allow_nan=False), st.floats(allow_nan=False)),
+                    min_size=1, max_size=8), st.data())
+    def test_equals_hypot(self, offsets, data):
+        # d sits at, just above or just below one pair's distance, or anywhere
+        with np.errstate(over="ignore"):
+            h = float(np.hypot(*data.draw(st.sampled_from(offsets))))
+        d = data.draw(st.sampled_from(self.near(h)) | st.floats(5e-324, allow_nan=False))
+        self.check(*zip(*offsets), d)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from([(-545, -505), (505, 520), (-545, 520)]), st.integers(0, 2**32 - 1))
+    def test_equals_hypot_where_squares_are_subnormal_or_overflow(self, exponents, seed):
+        # offsets of 2^-545 to 2^-505 have squares below the smallest normal
+        # float, where they round coarsely; those above 2^512 overflow
+        rng = np.random.default_rng(seed)
+        dx, dy = rng.uniform(-1, 1, (2, 64)) * 2.0 ** rng.integers(*exponents, (2, 64))
+        for h in np.hypot(dx, dy)[:8].tolist():
+            for d in self.near(h):
+                self.check(dx, dy, d)
+
+    @pytest.mark.parametrize("dx, dy, d", [
+        ([3.0, 0.0, -5.0], [-4.0, 5.0, 0.0], 5.0),  # exactly at d
+        ([3.0], [4.0], float(np.nextafter(5.0, -math.inf))),
+        ([3.0], [4.0], float(np.nextafter(5.0, math.inf))),
+        # squares in the subnormal range, where d^2 rounds coarsely
+        ([2.9971189053738477e-162], [3.5614482571417294e-162], 4.654743324958659e-162),
+        ([5e-324, 0.0, 1e-320], [5e-324, 5e-324, 0.0], 5e-324),
+        # squares that overflow, against finite and overflowing d^2
+        ([1e154, 2e154, 1e200, -1e300], [1e154, 0.0, 0.0, 1e300], 1.5e154),
+        ([1e200, 1e300, 1e308], [1e200, 1e300, 1e308], 1e300),
+        ([1e308, math.inf, -math.inf, 0.0], [1e308, 0.0, 1.0, 0.0], math.inf),
+        ([], [], 1.0),
+    ])
+    def test_edge_cases(self, dx, dy, d):
+        self.check(dx, dy, d)
 
 
 class TestCheckPoints:
