@@ -7,6 +7,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from .model import check_param
+
 
 class DegenerateInputError(ValueError):
     """Raised when input carries no usable structure (zero rows/variance)."""
@@ -151,8 +153,7 @@ def _lloyd(points: np.ndarray, centers: np.ndarray) -> tuple[np.ndarray, float]:
 
 def kmeans(points: np.ndarray, k: int, seed: int) -> np.ndarray:
     """Seeded k-means with KMEANS_RESTARTS k-means++ restarts; keeps the lowest-inertia run."""
-    if not 1 <= k <= points.shape[0]:
-        raise ValueError(f"k must be in [1, {points.shape[0]}], got {k}")
+    check_param("k", k, 1 <= k <= points.shape[0], f"must be in [1, {points.shape[0]}]")
     if not np.isfinite(points).all():
         raise ValueError("k-means points must be finite")
     # the broadcast point-center distances run about 3x faster on column-major points
@@ -204,6 +205,12 @@ def _top_eigenpairs(a: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     return eigvals[top], np.column_stack([_fix_sign(v) for v in eigvecs[:, top].T])
 
 
+def check_k(k: int, n: int | None = None) -> None:
+    """Raise ValueError unless 2 <= k <= n, spectral_cluster's k on n points (None: unknown yet)."""
+    bound = "n" if n is None else n
+    check_param("k", k, 2 <= k and (n is None or k <= n), f"must be in [2, {bound}]")
+
+
 def spectral_cluster(s: np.ndarray, k: int, seed: int) -> np.ndarray:
     """Normalized spectral clustering of a symmetric affinity matrix.
 
@@ -214,8 +221,7 @@ def spectral_cluster(s: np.ndarray, k: int, seed: int) -> np.ndarray:
     """
     s = _check_square_symmetric(s, "affinity")
     n = s.shape[0]
-    if not 2 <= k <= n:
-        raise ValueError(f"k must be in [2, {n}], got {k}")
+    check_k(k, n)
     degrees = s.sum(axis=1)
     if np.any(degrees <= 0):
         raise DegenerateInputError("affinity has a zero-degree row")

@@ -80,7 +80,7 @@ def build_trip_dag(
     Raises ValueError naming a trip id that repeats: chains and their
     statistics key trips by id.
     """
-    metrics.check_thresholds(dist_threshold, time_threshold)
+    metrics.check_thresholds(dist_threshold=dist_threshold, time_threshold=time_threshold)
     ids = tuple(t.id for t in trips)
     if len(set(ids)) < len(ids):
         seen: set[str] = set()
@@ -145,7 +145,7 @@ def max_card_max_weight_matching(dag: TripDag) -> dict[int, int]:
     if not np.diff(np.sort(rows * n + cols, kind="stable")).all():
         raise ValueError("edge rows must be distinct")
     if not (np.isfinite(dag.weights).all() and dag.weights.min() >= 0):
-        raise ValueError("edge weights must be finite and nonnegative")
+        raise ValueError("edge weights must be nonnegative and finite")
     top = float(dag.weights.max())
     solve = _shortest_paths if len(dag.edges) <= MAX_IN_PROCESS_EDGES else _lapjvsp
     return solve(n, rows, cols, 1 + top - dag.weights, n * (top + 1) + 1)

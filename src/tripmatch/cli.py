@@ -15,12 +15,10 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
-import dataclasses
 import gc
 import hashlib
 import io
 import json
-import math
 import mmap
 import os
 import sys
@@ -131,56 +129,26 @@ def _load_trips(path: str) -> list[model.Trip]:
     return trips
 
 
-def _parse_bbox(text: str) -> model.ScaleContext:
-    parts = [float(p) for p in text.split(",")]
-    if len(parts) != 6:
-        raise ValueError("bbox must be x_min,x_max,y_min,y_max,t_min,t_max")
-    return model.ScaleContext(*parts)
-
-
-def _parse_list(text: str, flag: str, rule: str, ok: Callable[[float], bool],
-                kind: type = float) -> list:
-    """The numbers of a comma list, each ok by rule; else a ValueError naming flag."""
+def _parse_list(cfg: dict, key: str, kind: Callable = float) -> list:
+    """The values of the comma list cfg[key], or [] if it is unset; a ValueError names key."""
+    if not cfg.get(key):
+        return []
     try:
-        values = [kind(p) for p in text.split(",") if p.strip()]
+        values = [kind(p) for p in cfg[key].split(",") if p.strip()]
     except ValueError as exc:
-        raise ValueError(f"{flag}: {exc}") from None
+        raise ValueError(f"{key}: {exc}") from None
     if not values:
-        raise ValueError(f"{flag}: needs at least one value, got {text!r}")
-    return [_checked(v, flag, rule, ok) for v in values]
-
-
-def _checked(value: float, flag: str, rule: str, ok: Callable[[float], bool]) -> float:
-    """value if it is ok by rule; else a ValueError naming flag."""
-    if not ok(value):  # NaN fails every rule
-        raise ValueError(f"{flag}: {rule}, got {value:g}")
-    return value
-
-
-def _weights(cfg: dict) -> metrics.WgmWeights:
-    for flag, key in (("--w-space", "w_space"), ("--w-time", "w_time")):
-        _checked(cfg[key], flag, "weights must be finite and nonnegative",
-                 lambda v: 0 <= v < math.inf)
-    if cfg["w_space"] + cfg["w_time"] <= 0:
-        raise ValueError("--w-space, --w-time: weights must not both be zero")
-    return metrics.WgmWeights(cfg["w_space"], cfg["w_time"])
-
-
-def _check_thresholds(cfg: dict) -> None:
-    # an infinite threshold means no limit
-    for flag, key in (("--dist-threshold", "dist_threshold"),
-                      ("--time-threshold", "time_threshold")):
-        _checked(cfg[key], flag, "thresholds must be positive", lambda v: v > 0)
+        raise ValueError(f"{key}: needs at least one value, got {cfg[key]!r}")
+    return values
 
 
 def _scenario(cfg: dict) -> matching.MatchScenario:
     from . import matching
-    _check_thresholds(cfg)
     return matching.MatchScenario(
         mode=cfg["mode"],
         dist_threshold=cfg["dist_threshold"],
         time_threshold=cfg["time_threshold"],
-        weights=_weights(cfg),
+        weights=metrics.WgmWeights(cfg["w_space"], cfg["w_time"]),
         metric=cfg.get("metric", "wgm"),
     )
 
@@ -196,22 +164,21 @@ def _manifest(cfg: dict, outdir: Path, digest: Callable[[str], str]) -> None:
 
 
 def _split_riders_rides(cfg: dict) -> tuple[list[model.Trip], list[model.Trip]]:
-    """Requests/rides from explicit files, or a seeded split of one trip set."""
+    """Requests/rides from explicit files, or a seeded split of one trip set.
+
+    The split sizes are checked before --trips is read.
+    """
     if cfg.get("requests") and cfg.get("rides"):
         return _load_trips(cfg["requests"]), _load_trips(cfg["rides"])
     if cfg.get("requests") or cfg.get("rides"):
         missing = "--rides" if cfg.get("requests") else "--requests"
         raise ValueError(f"--requests and --rides go together: {missing} is missing")
-    if not cfg.get("trips"):
-        raise ValueError("need --requests/--rides or --trips with --n-riders/--n-rides")
-    trips = _load_trips(cfg["trips"])
     n_riders, n_rides = cfg["n_riders"], cfg["n_rides"]
-    if n_riders < 1 or n_rides < 1:
-        raise ValueError("--n-riders and --n-rides must be positive with --trips")
-    if n_riders + n_rides > len(trips):
-        raise ValueError(
-            f"split {n_riders}+{n_rides} exceeds the {len(trips)} available trips"
-        )
+    for name in ("n_riders", "n_rides"):
+        model.check_param(name, cfg[name], cfg[name] >= 1, "must be at least 1 with --trips")
+    trips = _load_trips(cfg["trips"])
+    model.check_param("n_riders, n_rides", (n_riders, n_rides), n_riders + n_rides <= len(trips),
+                      f"must together be at most the {len(trips)} trips of --trips")
     order = np.random.default_rng(cfg["seed"]).permutation(len(trips))
     riders = [trips[i] for i in order[:n_riders]]
     rides = [trips[i] for i in order[n_riders:n_riders + n_rides]]
@@ -236,11 +203,10 @@ def _write_matches_csv(path: Path, report: matching.MatchReport) -> None:
 # subcommand handlers: cfg dict in, summary dict out
 
 def cmd_ingest(cfg: dict, outdir: Path) -> dict:
-    if not cfg.get("input"):
-        raise ValueError("--input is required")
+    window = ingest.TimeWindow(cfg["window_start"], cfg["window_end"])
+    ingest.trace_columns(cfg["format"])
     with open(cfg["input"], encoding="utf-8") as fh:
         records, skipped = ingest.parse_trace(fh, cfg["format"])
-    window = ingest.TimeWindow(cfg["window_start"], cfg["window_end"])
     trips = ingest.build_trips(records, window)
     with open(outdir / "trips.jsonl", "w", encoding="utf-8") as fh:
         ingest.write_trips_jsonl(trips, fh)
@@ -248,14 +214,17 @@ def cmd_ingest(cfg: dict, outdir: Path) -> dict:
 
 
 def cmd_synth(cfg: dict, outdir: Path) -> dict:
+    bbox = _parse_list(cfg, "bbox")
+    model.check_param("bbox", cfg["bbox"], len(bbox) == 6,
+                      "must be x_min,x_max,y_min,y_max,t_min,t_max")
     synth_cfg = ingest.SynthConfig(
-        n_trips=cfg["n"],
-        bbox=_parse_bbox(cfg["bbox"]),
+        n=cfg["n"],
+        bbox=model.ScaleContext(*bbox),
         gamma_shape=cfg["gamma_shape"],
         gamma_scale=cfg["gamma_scale"],
         lognorm_mu=cfg["lognorm_mu"],
         lognorm_sigma=cfg["lognorm_sigma"],
-        waypoints_per_trip=cfg["waypoints"],
+        waypoints=cfg["waypoints"],
         seed=cfg["seed"],
     )
     trips = ingest.generate_synthetic(synth_cfg)
@@ -266,8 +235,8 @@ def cmd_synth(cfg: dict, outdir: Path) -> dict:
 
 def cmd_stats(cfg: dict, outdir: Path) -> dict:
     from . import stats
-    if not cfg.get("trips"):
-        raise ValueError("--trips is required")
+    rows, cols = cfg["grid_rows"], cfg["grid_cols"]
+    stats.check_grid(rows, cols)
     trips = _load_trips(cfg["trips"])
     ctx = model.ScaleContext.from_trips(trips)
     durations = [t.duration for t in trips if t.duration > 0]
@@ -281,7 +250,6 @@ def cmd_stats(cfg: dict, outdir: Path) -> dict:
             fit = fitter(samples)
             fit_rows.append([name, fit.family, f"{fit.params[0]:.6f}",
                              f"{fit.params[1]:.6f}", f"{fit.log_likelihood:.6f}", fit.n])
-    rows, cols = cfg["grid_rows"], cfg["grid_cols"]
     unique = stats.grid_unique_counts(trips, ctx, rows, cols)
     quart = stats.grid_duration_stats(trips, ctx, rows, cols)
     _write_csv(outdir / "fits.csv",
@@ -324,7 +292,7 @@ def cmd_stats(cfg: dict, outdir: Path) -> dict:
     }
 
 
-def _affinity(cfg: dict, reps: np.ndarray) -> np.ndarray:
+def _affinity(scorer: str, reps: np.ndarray, weights: metrics.WgmWeights) -> np.ndarray:
     """Score matrix A[i, j] = wgm or car score of reps[i] against reps[j], in one kernel call.
 
     The cp scorer is car with the trips swapped, so its matrix is this
@@ -332,8 +300,8 @@ def _affinity(cfg: dict, reps: np.ndarray) -> np.ndarray:
     """
     if len(reps) < 2:
         raise ValueError("affinity needs at least two trips")
-    mode = metrics.TimeMode.ABSOLUTE if cfg["scorer"] == "wgm" else metrics.TimeMode.SIGNED_CAR
-    return metrics.wgm_batch(reps[:, None], reps[None, :], _weights(cfg), mode)
+    mode = metrics.TimeMode.ABSOLUTE if scorer == "wgm" else metrics.TimeMode.SIGNED_CAR
+    return metrics.wgm_batch(reps[:, None], reps[None, :], weights, mode)
 
 
 def _symmetric_ratio(a: np.ndarray) -> float:
@@ -343,10 +311,10 @@ def _symmetric_ratio(a: np.ndarray) -> float:
 
 
 def cmd_affinity(cfg: dict, outdir: Path) -> dict:
-    if not cfg.get("trips"):
-        raise ValueError("--trips is required")
+    weights = metrics.WgmWeights(cfg["w_space"], cfg["w_time"])
     trips = _load_trips(cfg["trips"])
-    values = _affinity(cfg, model.scale_points(*model.samples_and_context(trips, 2)))
+    values = _affinity(cfg["scorer"], model.scale_points(*model.samples_and_context(trips, 2)),
+                       weights)
     rows = values.T if cfg["scorer"] == "cp" else values
     ids = [_csv_field(t.id) for t in trips]
     with open(outdir / "affinity.csv", "w", encoding="utf-8", newline="") as fh:
@@ -359,19 +327,18 @@ def cmd_affinity(cfg: dict, outdir: Path) -> dict:
 
 def cmd_cluster(cfg: dict, outdir: Path) -> dict:
     from . import affinity
-    if not cfg.get("trips"):
-        raise ValueError("--trips is required")
     gamma = cfg.get("kernel_gamma")
-    if gamma is not None and not 0 < gamma < math.inf:
-        raise ValueError(f"--kernel-gamma must be positive and finite, got {gamma}")
+    if gamma is not None:
+        metrics.check_kernel_gamma(gamma)
+    affinity.check_k(cfg["k"])
+    weights = metrics.WgmWeights(cfg["w_space"], cfg["w_time"])
     trips = _load_trips(cfg["trips"])
     if len(trips) < 3:
         raise ValueError(f"cluster needs at least 3 trips for its 2-D embeddings, got {len(trips)}")
-    if not 2 <= cfg["k"] <= len(trips):
-        raise ValueError(f"--k must be in [2, {len(trips)}], got {cfg['k']}")
+    affinity.check_k(cfg["k"], len(trips))
     od, ctx = model.samples_and_context(trips, 2)
     reps = model.scale_points(od, ctx)
-    sym = _affinity(cfg, reps)
+    sym = _affinity(cfg["scorer"], reps, weights)
     ratio = _symmetric_ratio(sym)
     # S = (A + A^T) / 2 in A's own buffer; numpy copies the overlapping A^T first
     sym += sym.T
@@ -422,21 +389,15 @@ def cmd_cluster(cfg: dict, outdir: Path) -> dict:
 
 def cmd_match(cfg: dict, outdir: Path) -> dict:
     from . import matching
-    match_counts = (_parse_list(cfg["sweep_l"], "--sweep-L", "counts must be at least 1",
-                                lambda v: v >= 1, int) if cfg.get("sweep_l") else [1])
-    # an infinite threshold means no limit
-    sweeps = {vary: _parse_list(cfg[f"sweep_{vary}"], f"--sweep-{vary}",
-                                "thresholds must be positive", lambda v: v > 0)
-              for vary in ("dist", "time") if cfg.get(f"sweep_{vary}")}
-    if cfg.get("sweep_l") and not sweeps:
+    sweeps = {key: _parse_list(cfg, key) for key in ("sweep_dist", "sweep_time")}
+    sweep_l = _parse_list(cfg, "sweep_l", int) or [1]
+    if cfg.get("sweep_l") and not any(sweeps.values()):
         raise ValueError("--sweep-L needs --sweep-dist or --sweep-time")
+    matching.check_sweeps(**sweeps, sweep_l=sweep_l)
     scenario = _scenario(cfg)
     requests, rides = _split_riders_rides(cfg)
     report = matching.greedy_match(requests, rides, scenario)
-    curve_rows = []
-    for vary, sweep in sweeps.items():
-        curve_rows += matching.match_counts_curve(
-            requests, rides, scenario, sweep, match_counts, vary)
+    curve_rows = matching.match_counts_curve(requests, rides, scenario, **sweeps, sweep_l=sweep_l)
 
     # the accounting may raise, so it runs before any file is written
     table = report.to_table_dict()
@@ -456,24 +417,10 @@ def cmd_match(cfg: dict, outdir: Path) -> dict:
 
 def cmd_compare(cfg: dict, outdir: Path) -> dict:
     from . import matching
-    names = [m.strip() for m in cfg["metrics"].split(",") if m.strip()]
-    if not names:
-        raise ValueError("--metrics must name at least one metric")
-    if len(set(names)) < len(names):
-        raise ValueError(f"--metrics names a metric more than once: {cfg['metrics']}")
-    unknown = [name for name in names if name not in metrics.METRIC_NAMES]
-    if unknown:
-        raise ValueError(f"--metrics: unknown metric {unknown[0]!r}; "
-                         f"known metrics are {', '.join(metrics.METRIC_NAMES)}")
-    if cfg["rep_len"] < 2:
-        raise ValueError(f"--rep-len must be at least 2, got {cfg['rep_len']}")
-    sweep = (_parse_list(cfg["wt_sweep"], "--wt-sweep", "weights must lie in [0, 1]",
-                         lambda v: 0 <= v <= 1) if cfg.get("wt_sweep") else [])
-    scenario = _scenario(cfg)
-    scenarios = [dataclasses.replace(scenario, metric=name) for name in names]
-    scenarios += [dataclasses.replace(scenario, metric="wgm",
-                                      weights=metrics.WgmWeights(1.0 - wt, wt))
-                  for wt in sweep]
+    names = _parse_list(cfg, "metrics", str.strip)
+    sweep = _parse_list(cfg, "wt_sweep")
+    model.check_rep_len(cfg["rep_len"])
+    scenarios = matching.compare_scenarios(_scenario(cfg), names, sweep)
     requests, rides = _split_riders_rides(cfg)
     reports = matching.compare_metrics(requests, rides, scenarios, cfg["rep_len"])
     tables = {name: rep.to_table_dict() for name, rep in zip(names, reports)}
@@ -493,10 +440,9 @@ def cmd_compare(cfg: dict, outdir: Path) -> dict:
 
 def cmd_carshare(cfg: dict, outdir: Path) -> dict:
     from . import carshare
-    if not cfg.get("trips"):
-        raise ValueError("--trips is required")
-    _check_thresholds(cfg)
-    weights = _weights(cfg)
+    metrics.check_thresholds(dist_threshold=cfg["dist_threshold"],
+                             time_threshold=cfg["time_threshold"])
+    weights = metrics.WgmWeights(cfg["w_space"], cfg["w_time"])
     trips = _load_trips(cfg["trips"])
     dag, schedule = carshare.schedule_trips(
         trips,
@@ -743,6 +689,9 @@ def resolve_config(args: argparse.Namespace, sub: argparse.ArgumentParser,
         config, recorded = _read_manifest(args.from_manifest, args.command)
         _parse_values(sub, ns, f"manifest {args.from_manifest}", config)
     cfg = vars(sub.parse_args(argv, ns))
+    inputs = [a.option_strings[0] for a in sub._actions if a.dest in _INPUT_KEYS]
+    if inputs and not any(cfg.get(key) for key in _INPUT_KEYS):
+        raise ValueError(f"{' or '.join(inputs)} is required")
 
     # manifests must replay from anywhere, so inputs are pinned absolute
     for key in _INPUT_KEYS:
@@ -778,7 +727,15 @@ def main(argv: Sequence[str] | None = None) -> int:
         # a ValueError and an OSError stays invalid-argument
         category = getattr(exc, "category",
                            "invalid-argument" if isinstance(exc, ValueError) else "io")
-        print(json.dumps({"status": "error", "category": category, "message": str(exc)},
+        # the library names a parameter as "{name}: {rule}, got {value}" (or
+        # "{a}, {b}: ..."); each name that is a destination of the subcommand's
+        # parser is spelled as that destination's flag
+        message = str(exc)
+        head, colon, rule = message.partition(": ")
+        flags = {a.dest: a.option_strings[0] for a in commands[args.command]._actions}
+        if category == "invalid-argument" and colon and all(n in flags for n in head.split(", ")):
+            message = ", ".join(flags[n] for n in head.split(", ")) + colon + rule
+        print(json.dumps({"status": "error", "category": category, "message": message},
                          sort_keys=True))
         return 1
     summary = {"command": args.command, "out": str(outdir), **summary, "status": "ok"}

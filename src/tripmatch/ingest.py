@@ -11,7 +11,7 @@ from typing import IO, Iterable, Iterator
 
 import numpy as np
 
-from .model import ScaleContext, Trip, check_points
+from .model import ScaleContext, Trip, check_param, check_points, check_positive
 
 
 class TraceFormatError(ValueError):
@@ -44,17 +44,28 @@ class TraceRecord:
 
 @dataclass(frozen=True, slots=True)
 class TimeWindow:
-    """Half-open analysis window [start, end) in trace seconds."""
+    """Half-open analysis window [window_start, window_end) in trace seconds."""
 
-    start: float
-    end: float
+    window_start: float
+    window_end: float
 
     def __post_init__(self) -> None:
-        if not self.end > self.start:
-            raise ValueError(f"window end must exceed start, got [{self.start}, {self.end})")
+        check_param("window_end", self.window_end, self.window_end > self.window_start,
+                    f"must exceed the window start {self.window_start!r}")
 
     def contains(self, t: float) -> bool:
-        return self.start <= t < self.end
+        return self.window_start <= t < self.window_end
+
+
+def trace_columns(format: str) -> dict[str, int]:
+    """The column of each field a trace format names, as parse_trace reads its fmt."""
+    fields = format.split()
+    check_param("format", format, set(fields) <= set(_KNOWN_FIELDS),
+                f"may name only the fields {', '.join(_KNOWN_FIELDS)}")
+    check_param("format", format, len(set(fields)) == len(fields), "must not name a field twice")
+    check_param("format", format, {"t", "id", "x", "y"} <= set(fields),
+                "must include t, id, x and y")
+    return {name: i for i, name in enumerate(fields)}
 
 
 def parse_trace(
@@ -74,17 +85,7 @@ def parse_trace(
     Raises:
         TraceFormatError: if more than 10% of non-blank lines are malformed.
     """
-    fields = fmt.split()
-    unknown = set(fields) - set(_KNOWN_FIELDS)
-    if unknown:
-        raise ValueError(f"unknown trace fields: {sorted(unknown)}")
-    if len(set(fields)) != len(fields):
-        raise ValueError(f"duplicate trace fields in {fmt!r}")
-    for required in ("t", "id", "x", "y"):
-        if required not in fields:
-            raise ValueError(f"trace format must include {required!r}")
-    pos = {name: i for i, name in enumerate(fields)}
-
+    pos = trace_columns(fmt)
     records: list[TraceRecord] = []
     skipped = 0
     total = 0
@@ -93,7 +94,7 @@ def parse_trace(
         if not parts:
             continue
         total += 1
-        if len(parts) != len(fields):
+        if len(parts) != len(pos):
             skipped += 1
             continue
         try:
@@ -119,7 +120,7 @@ def parse_trace(
 def build_trips(records: Iterable[TraceRecord], window: TimeWindow) -> list[Trip]:
     """Group in-window records by vehicle id into time-sorted trips.
 
-    The window is half-open: a record at exactly window.end is dropped.
+    The window is half-open: a record at exactly window.window_end is dropped.
     Records with equal timestamps keep their input order (stable sort).
     Trips are returned in order of first appearance of their id.
     """
@@ -143,25 +144,21 @@ class SynthConfig:
     marginals of real urban trip data.
     """
 
-    n_trips: int
+    n: int
     bbox: ScaleContext
     gamma_shape: float = 2.0
     gamma_scale: float = 300.0
     lognorm_mu: float = 8.0
     lognorm_sigma: float = 0.6
-    waypoints_per_trip: int = 10
+    waypoints: int = 10
     seed: int = 7
 
     def __post_init__(self) -> None:
-        if self.n_trips < 1:
-            raise ValueError("n_trips must be >= 1")
-        params = (self.gamma_shape, self.gamma_scale, self.lognorm_mu, self.lognorm_sigma)
-        if not all(map(math.isfinite, params)):
-            raise ValueError("distribution parameters must be finite")
-        if min(self.gamma_shape, self.gamma_scale, self.lognorm_sigma) <= 0:
-            raise ValueError("distribution parameters must be strictly positive")
-        if self.waypoints_per_trip < 2:
-            raise ValueError("waypoints_per_trip must be >= 2")
+        check_param("n", self.n, self.n >= 1, "must be at least 1")
+        for name in ("gamma_shape", "gamma_scale", "lognorm_sigma"):
+            check_positive(name, getattr(self, name))
+        check_param("lognorm_mu", self.lognorm_mu, math.isfinite(self.lognorm_mu), "must be finite")
+        check_param("waypoints", self.waypoints, self.waypoints >= 2, "must be at least 2")
 
 
 def generate_synthetic(cfg: SynthConfig) -> list[Trip]:
@@ -179,7 +176,7 @@ def generate_synthetic(cfg: SynthConfig) -> list[Trip]:
     rng = np.random.default_rng(cfg.seed)
     box = cfg.bbox
     trips: list[Trip] = []
-    for i in range(cfg.n_trips):
+    for i in range(cfg.n):
         duration = float(rng.gamma(cfg.gamma_shape, cfg.gamma_scale))
         if duration > box.t_span:
             raise ValueError(
@@ -203,7 +200,7 @@ def generate_synthetic(cfg: SynthConfig) -> list[Trip]:
         else:
             raise ValueError("could not place trip endpoints inside the bbox")
 
-        m = cfg.waypoints_per_trip
+        m = cfg.waypoints
         ts = np.linspace(start, start + duration, m)
         frac = np.linspace(0.0, 1.0, m)
         xs = ox + frac * (dx - ox)

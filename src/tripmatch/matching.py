@@ -16,9 +16,9 @@ from typing import Sequence
 import numpy as np
 
 from . import metrics
-from .metrics import METRIC_NAMES, MetricParams, WgmWeights
+from .metrics import MetricParams, WgmWeights, check_metric
 from .model import (
-    Trip, od_points, path_lengths, samples_and_context, scale_points, window_pairs,
+    Trip, check_param, od_points, path_lengths, samples_and_context, scale_points, window_pairs,
     within_distance,
 )
 
@@ -44,11 +44,10 @@ class MatchScenario:
     metric: str = "wgm"
 
     def __post_init__(self) -> None:
-        if self.mode not in ("car", "carpool"):
-            raise ValueError(f"unknown mode {self.mode!r}")
-        metrics.check_thresholds(self.dist_threshold, self.time_threshold)
-        if self.metric not in METRIC_NAMES:
-            raise ValueError(f"unknown metric {self.metric!r}")
+        check_param("mode", self.mode, self.mode in ("car", "carpool"), "must be car or carpool")
+        metrics.check_thresholds(dist_threshold=self.dist_threshold,
+                                 time_threshold=self.time_threshold)
+        check_metric("metric", self.metric)
 
 
 @dataclass(frozen=True, slots=True)
@@ -275,10 +274,8 @@ def savings_accounting(report: MatchReport) -> dict[str, float]:
     if report.mode == "car":
         unmatched = report.req_travels_km - report.req_travels_matched_km
         with_sharing = unmatched + report.match_travels_km
-    elif report.mode == "carpool":
+    else:  # carpool, the one other mode a MatchScenario takes
         with_sharing = report.req_travels_km + report.oo_dist_km + report.dd_dist_km
-    else:
-        raise ValueError(f"unknown mode {report.mode!r}")
     return {
         "with_sharing_km": with_sharing,
         "without_sharing_km": without,
@@ -286,37 +283,58 @@ def savings_accounting(report: MatchReport) -> dict[str, float]:
     }
 
 
+def check_sweeps(sweep_dist: Sequence[float] = (), sweep_time: Sequence[float] = (),
+                 sweep_l: Sequence[int] = (1,)) -> None:
+    """Raise ValueError unless every swept threshold is positive and every count L is at least 1."""
+    for name, sweep in (("sweep_dist", sweep_dist), ("sweep_time", sweep_time)):
+        for value in sweep:
+            metrics.check_thresholds(**{name: value})
+    for least in sweep_l:
+        check_param("sweep_l", least, least >= 1, "counts must be at least 1")
+
+
 def match_counts_curve(
     requests: Sequence[Trip],
     rides: Sequence[Trip],
     scenario: MatchScenario,
-    sweep: Sequence[float],
-    match_counts: Sequence[int],
-    vary: str = "dist",
+    sweep_dist: Sequence[float] = (),
+    sweep_time: Sequence[float] = (),
+    sweep_l: Sequence[int] = (1,),
 ) -> list[dict[str, float]]:
-    """Requests having at least L candidates, per swept threshold value.
+    """Requests having at least L candidates, for each L of sweep_l, per swept threshold value.
 
-    vary selects which threshold the sweep replaces ("dist" or "time");
-    the other stays at its scenario value.
+    The distance threshold takes each value of sweep_dist, then the time
+    threshold each value of sweep_time; the other stays at its scenario value.
     """
-    if vary not in ("dist", "time"):
-        raise ValueError(f"vary must be 'dist' or 'time', got {vary!r}")
+    check_sweeps(sweep_dist, sweep_time, sweep_l)
     req_od, ride_od = od_points(requests), od_points(rides)
     out = []
-    for value in sweep:
-        if vary == "dist":
-            swept = dataclasses.replace(scenario, dist_threshold=value)
-        else:
-            swept = dataclasses.replace(scenario, time_threshold=value)
-        sizes = [len(c) for c in _candidate_indices(req_od, ride_od, swept)]
-        for least in match_counts:
-            out.append({
-                "vary": vary,
-                "threshold": float(value),
-                "L": int(least),
-                "count": sum(1 for s in sizes if s >= least),
-            })
+    for vary, sweep in (("dist", sweep_dist), ("time", sweep_time)):
+        for value in sweep:
+            swept = dataclasses.replace(scenario, **{f"{vary}_threshold": value})
+            sizes = [len(c) for c in _candidate_indices(req_od, ride_od, swept)]
+            for least in sweep_l:
+                out.append({
+                    "vary": vary,
+                    "threshold": float(value),
+                    "L": int(least),
+                    "count": sum(1 for s in sizes if s >= least),
+                })
     return out
+
+
+def compare_scenarios(scenario: MatchScenario, metrics: Sequence[str],
+                      wt_sweep: Sequence[float] = ()) -> list[MatchScenario]:
+    """scenario under each metric, then under wgm at weights (1 - wt, wt) per wt of wt_sweep."""
+    check_param("metrics", ",".join(metrics), 0 < len(metrics) == len(set(metrics)),
+                "must name at least one metric, each once")
+    for wt in wt_sweep:
+        check_param("wt_sweep", wt, 0 <= wt <= 1, "weights must lie in [0, 1]")
+    for name in metrics:
+        check_metric("metrics", name)
+    return ([dataclasses.replace(scenario, metric=name) for name in metrics]
+            + [dataclasses.replace(scenario, metric="wgm", weights=WgmWeights(1.0 - wt, wt))
+               for wt in wt_sweep])
 
 
 def compare_metrics(

@@ -17,7 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .model import ScaleContext
+from .model import ScaleContext, check_param, check_positive
 
 
 class TimeMode(Enum):
@@ -51,10 +51,10 @@ class WgmWeights:
     w_time: float
 
     def __post_init__(self) -> None:
-        if not (0 <= self.w_space < math.inf and 0 <= self.w_time < math.inf):
-            raise ValueError("weights must be finite and nonnegative")
-        if self.w_space + self.w_time <= 0:
-            raise ValueError("weights must not both be zero")
+        for name, w in (("w_space", self.w_space), ("w_time", self.w_time)):
+            check_param(name, w, 0 <= w < math.inf, "weights must be finite and nonnegative")
+        check_param("w_space, w_time", (self.w_space, self.w_time),
+                    self.w_space + self.w_time > 0, "weights must not both be zero")
 
 
 DEFAULT_WEIGHTS = WgmWeights(0.6, 0.4)
@@ -66,11 +66,11 @@ DEFAULT_DIST_THRESHOLD = 1800.0
 DEFAULT_TIME_THRESHOLD = 900.0
 
 
-def check_thresholds(dist_threshold: float, time_threshold: float) -> None:
-    """Reject a distance or time gate that is not positive."""
-    # an infinite threshold means no limit; NaN fails both comparisons
-    if not (dist_threshold > 0 and time_threshold > 0):
-        raise ValueError("thresholds must be positive")
+def check_thresholds(**gates: float) -> None:
+    """Reject a distance or time gate, named by its keyword, that is not positive."""
+    for name, value in gates.items():
+        # an infinite threshold means no limit; NaN fails the comparison
+        check_param(name, value, value > 0, "thresholds must be positive")
 
 
 @dataclass(frozen=True, slots=True)
@@ -81,8 +81,7 @@ class MetricParams:
     eps_time: float
 
     def __post_init__(self) -> None:
-        if self.eps_space <= 0 or self.eps_time <= 0:
-            raise ValueError("matching thresholds must be positive")
+        check_thresholds(eps_space=self.eps_space, eps_time=self.eps_time)
 
     @classmethod
     def for_context(cls, ctx: ScaleContext, dist_threshold: float, time_threshold: float
@@ -314,6 +313,11 @@ DP_METRICS = ("lcss", "dtw", "dtw_time", "frechet")
 METRIC_NAMES = ("wgm", "wgm_time", "lcss", "dtw", "dtw_time", "frechet")
 
 
+def check_metric(name: str, metric: str) -> None:
+    """Reject a metric, the parameter name, that is not one of METRIC_NAMES."""
+    check_param(name, metric, metric in METRIC_NAMES, f"must be one of {', '.join(METRIC_NAMES)}")
+
+
 def dp_batch(
     a: np.ndarray, b: np.ndarray, i: Sequence[int], j: Sequence[int], params: MetricParams
 ) -> dict[str, np.ndarray]:
@@ -374,10 +378,15 @@ def _dp_tile(a: np.ndarray, b: np.ndarray, params: MetricParams) -> np.ndarray:
     return prev1[:, :, m]
 
 
-def laplacian_kernel(score: float | np.ndarray, gamma: float = 3.0, out: np.ndarray | None = None):
-    """exp(-gamma * (1 - score)), as the same float exp(gamma * (score - 1)), into out if given."""
-    if not 0 < gamma < math.inf:
-        raise ValueError(f"kernel gamma must be positive and finite, got {gamma}")
+def check_kernel_gamma(kernel_gamma: float) -> None:
+    """Raise ValueError unless laplacian_kernel's kernel_gamma is positive and finite."""
+    check_positive("kernel_gamma", kernel_gamma)
+
+
+def laplacian_kernel(score: float | np.ndarray, kernel_gamma: float = 3.0,
+                     out: np.ndarray | None = None):
+    """exp(-kernel_gamma (1 - score)), taken as exp(kernel_gamma (score - 1)), into out if given."""
+    check_kernel_gamma(kernel_gamma)
     kernel = np.subtract(score, 1.0, out=out)
-    kernel *= gamma
+    kernel *= kernel_gamma
     return np.exp(kernel, out=out)

@@ -10,6 +10,23 @@ import numpy as np
 from numpy.typing import ArrayLike
 
 
+def check_param(name: str, value: object, ok: bool, rule: str) -> None:
+    """Raise ValueError("{name}: {rule}, got {value}") unless ok.
+
+    Every rule on a parameter raises through here with the parameter's name,
+    which the CLI spells as the flag that sets it. A string value shows
+    quoted, a whole float without its ".0", as the flag's text would give it.
+    """
+    if not ok:
+        shown = repr(value) if isinstance(value, str) else str(value).removesuffix(".0")
+        raise ValueError(f"{name}: {rule}, got {shown}")
+
+
+def check_positive(name: str, value: float) -> None:
+    """Raise ValueError unless value, the parameter name, is positive and finite."""
+    check_param(name, value, 0 < value < math.inf, "must be positive and finite")
+
+
 @dataclass(frozen=True, slots=True)
 class Waypoint:
     """One (x, y, t) point of a trip: planar meters and seconds."""
@@ -155,8 +172,9 @@ class ScaleContext:
     t_max: float
 
     def __post_init__(self) -> None:
-        if not all(0 < span < math.inf for span in (self.x_span, self.y_span, self.t_span)):
-            raise ValueError("scale context spans must be strictly positive and finite")
+        spans = (self.x_span, self.y_span, self.t_span)
+        check_param("bbox", spans, all(0 < span < math.inf for span in spans),
+                    "spans must be strictly positive and finite")
 
     @property
     def x_span(self) -> float:
@@ -200,21 +218,25 @@ def stack_points(trips: Iterable[Trip]) -> tuple[np.ndarray, np.ndarray]:
             np.array([len(xyt) for xyt in xyts], dtype=np.intp))
 
 
-def sample_points(trips: Iterable[Trip], k: int,
+def check_rep_len(rep_len: int) -> None:
+    """Raise ValueError unless rep_len, the waypoints sampled from each trip, is at least 2."""
+    check_param("rep_len", rep_len, rep_len >= 2, "must be at least 2")
+
+
+def sample_points(trips: Iterable[Trip], rep_len: int,
                   stacked: tuple[np.ndarray, np.ndarray] | None = None) -> np.ndarray:
-    """Every trip's waypoints at indices round(i (m-1) / (k-1)), i = 0..k-1.
+    """Every trip's waypoints at indices round(i (m-1) / (k-1)), i = 0..k-1, for k = rep_len.
 
     Returns the raw x, y, t rows stacked as shape (n, k, 3), gathered by one
     index into stack_points(trips), or into stacked if it is given. Row 0
     and row k - 1 are always the trip's first and last waypoints. A trip
     with fewer than k waypoints repeats some of them.
     """
-    if k < 2:
-        raise ValueError(f"sample size must be >= 2, got {k}")
+    check_rep_len(rep_len)
     points, m = stack_points(trips) if stacked is None else stacked
     if not len(m):
-        return np.empty((0, k, 3))
-    index = np.arange(k) * ((m - 1) / (k - 1))[:, None]
+        return np.empty((0, rep_len, 3))
+    index = np.arange(rep_len) * ((m - 1) / (rep_len - 1))[:, None]
     index += 0.5
     index = np.floor(index, out=index).astype(np.intp)
     index += (np.cumsum(m) - m)[:, None]
@@ -302,11 +324,6 @@ def path_lengths(trips: Sequence[Trip]) -> np.ndarray:
         step = np.diff(np.stack([xys[i] for i in members.tolist()]), axis=1)
         out[members] = np.hypot(step[..., 0], step[..., 1]).sum(axis=1)
     return out
-
-
-def path_length(trip: Trip) -> float:
-    """Total traveled distance in meters: sum of consecutive segment lengths."""
-    return float(path_lengths([trip])[0])
 
 
 def spatial_distance(a: Waypoint, b: Waypoint) -> float:

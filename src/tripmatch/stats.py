@@ -8,7 +8,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .model import ScaleContext, Trip, od_points, stack_points
+from .model import ScaleContext, Trip, check_param, od_points, stack_points
 
 
 class DegenerateFitError(ValueError):
@@ -134,39 +134,17 @@ def _distinct(keys: np.ndarray) -> np.ndarray:
     return keys[np.flatnonzero(np.diff(keys, prepend=-1))]
 
 
-#: The five quantiles of a grid cell's durations: min, q1, median, q3 and max.
-_QUANTILES = np.array([0.0, 0.25, 0.5, 0.75, 1.0])
-
-
-def _cell_quantiles(cells: np.ndarray, values: np.ndarray, n_cells: int) -> np.ndarray:
-    """(n_cells, 5) np.percentile(values[cells == c], [0, 25, 50, 75, 100]) per cell c.
-
-    The arithmetic is np.percentile's default linear method, so the results
-    are bit-equal to it, without the numpy.ma import it makes; NaN rows mark
-    empty cells.
-    """
-    order = np.lexsort((values, cells))
-    cells, values = cells[order], values[order]
-    first = np.flatnonzero(np.diff(cells, prepend=-1))
-    size = np.diff(first, append=len(cells))[:, None]
-    at = (size - 1) * _QUANTILES  # virtual index into each cell's sorted run
-    lo = np.floor(at)
-    # at a run's last value np.percentile measures t from index -1, which
-    # only the sign of a zero result shows
-    t = np.where(at < size - 1, at - lo, at + 1)
-    below = first[:, None] + lo.astype(np.intp)
-    a, b = values[below], values[np.minimum(below + 1, first[:, None] + size - 1)]
-    out = np.full((n_cells, len(_QUANTILES)), np.nan)
-    out[cells[first]] = np.where(t >= 0.5, b - (b - a) * (1 - t), a + (b - a) * t)
-    return out
+def check_grid(grid_rows: int, grid_cols: int) -> None:
+    """Raise ValueError unless the grid has at least one row and one column."""
+    for name, size in (("grid_rows", grid_rows), ("grid_cols", grid_cols)):
+        check_param(name, size, size >= 1, "must be at least 1")
 
 
 def grid_unique_counts(
     trips: Iterable[Trip], ctx: ScaleContext, rows: int, cols: int
 ) -> np.ndarray:
     """(rows, cols) counts of the distinct trips touching each cell; revisits count once."""
-    if rows < 1 or cols < 1:
-        raise ValueError("grid must have at least one row and column")
+    check_grid(rows, cols)
     xyt, m = stack_points(trips)
     owner = np.repeat(np.arange(len(m)), m)
     visits = _distinct(owner * (rows * cols) + _cells_of(xyt[:, 0], xyt[:, 1], ctx, rows, cols))
@@ -178,9 +156,11 @@ def grid_duration_stats(
     trips: Iterable[Trip], ctx: ScaleContext, rows: int, cols: int
 ) -> np.ndarray:
     """(rows, cols, 5) duration (min, q1, median, q3, max) per origin cell; NaN when empty."""
-    if rows < 1 or cols < 1:
-        raise ValueError("grid must have at least one row and column")
+    check_grid(rows, cols)
     od = od_points(trips)
     cells = _cells_of(od[:, 0, 0], od[:, 0, 1], ctx, rows, cols)
     durations = od[:, 1, 2] - od[:, 0, 2]
-    return _cell_quantiles(cells, durations, rows * cols).reshape(rows, cols, 5)
+    out = np.full((rows * cols, 5), np.nan)
+    for cell in _distinct(cells).tolist():
+        out[cell] = np.percentile(durations[cells == cell], [0, 25, 50, 75, 100])
+    return out.reshape(rows, cols, 5)

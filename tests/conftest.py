@@ -48,8 +48,8 @@ def ctx() -> ScaleContext:
 def synth_trips() -> list[Trip]:
     """A small deterministic synthetic trip set."""
     box = ScaleContext(0.0, 20_000.0, 0.0, 20_000.0, 0.0, 86_400.0)
-    cfg = SynthConfig(n_trips=40, bbox=box, lognorm_mu=7.5, lognorm_sigma=0.5,
-                      waypoints_per_trip=6, seed=11)
+    cfg = SynthConfig(n=40, bbox=box, lognorm_mu=7.5, lognorm_sigma=0.5,
+                      waypoints=6, seed=11)
     return generate_synthetic(cfg)
 
 

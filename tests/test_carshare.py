@@ -380,7 +380,7 @@ class TestMatching:
     def test_non_finite_weights_rejected(self, bad):
         # NaN would pass a "min() < 0" test and mis-order the solver's heap
         dag = dag_of(("a", "b", "c"), {(0, 1): 0.5, (1, 2): bad})
-        with pytest.raises(ValueError, match="edge weights must be finite and nonnegative"):
+        with pytest.raises(ValueError, match="edge weights must be nonnegative and finite"):
             max_card_max_weight_matching(dag)
 
     def test_paths_agree_on_untied_weights(self):

@@ -302,10 +302,10 @@ class TestAffinityAndCluster:
         assert list(out.iterdir()) == []
 
     @pytest.mark.parametrize("flags, message", [
-        (["--k", "0"], "--k must be in [2, 60], got 0"),
-        (["--k", "61"], "--k must be in [2, 60], got 61"),
-        (["--kernel-gamma", "-1"], "--kernel-gamma must be positive and finite, got -1.0"),
-        (["--kernel-gamma", "nan"], "--kernel-gamma must be positive and finite, got nan"),
+        (["--k", "0"], "--k: must be in [2, n], got 0"),
+        (["--k", "61"], "--k: must be in [2, 60], got 61"),
+        (["--kernel-gamma", "-1"], "--kernel-gamma: must be positive and finite, got -1"),
+        (["--kernel-gamma", "nan"], "--kernel-gamma: must be positive and finite, got nan"),
     ])
     def test_bad_k_or_gamma_scores_nothing(self, flags, message, trips_file, tmp_path,
                                            capsys):
@@ -428,9 +428,8 @@ class TestMatch:
             rows = list(csv.reader(fh))
         trips = list(read_trips_jsonl(trips_file.read_text().splitlines()))
         scenario = matching.MatchScenario(mode="carpool")
-        want = (matching.match_counts_curve(trips, trips, scenario, [600, 1800], [1, 3], "dist")
-                + matching.match_counts_curve(trips, trips, scenario, [300, 900, 1800], [1, 3],
-                                              "time"))
+        want = matching.match_counts_curve(trips, trips, scenario, sweep_dist=[600, 1800],
+                                           sweep_time=[300, 900, 1800], sweep_l=[1, 3])
         assert rows[0] == ["vary", "threshold", "L", "count"]
         assert [r[:3] for r in rows[1:]] == [
             ["dist", "600.0", "1"], ["dist", "600.0", "3"],
@@ -522,7 +521,8 @@ class TestCompare:
                             "--n-riders", "10", "--n-rides", "50",
                             "--metrics", "wgm,dtw,wgm", "--out", str(out))
         assert code == 1 and summary["category"] == "invalid-argument"
-        assert "more than once: wgm,dtw,wgm" in summary["message"]
+        assert summary["message"] == ("--metrics: must name at least one metric, each once, "
+                                      "got 'wgm,dtw,wgm'")
         assert not (out / "comparison.csv").exists()
 
     def test_empty_wt_sweep_writes_nothing(self, trips_file, tmp_path, capsys):
@@ -535,12 +535,12 @@ class TestCompare:
         assert list(out.iterdir()) == []
 
     @pytest.mark.parametrize("flag, value, message", [
-        ("--rep-len", "1", "--rep-len must be at least 2, got 1"),
+        ("--rep-len", "1", "--rep-len: must be at least 2, got 1"),
         ("--wt-sweep", "0.5,2", "--wt-sweep: weights must lie in [0, 1], got 2"),
         ("--wt-sweep", "-0.1", "--wt-sweep: weights must lie in [0, 1], got -0.1"),
         ("--wt-sweep", "nan", "--wt-sweep: weights must lie in [0, 1], got nan"),
-        ("--metrics", "wgm,bogus", "--metrics: unknown metric 'bogus'; known metrics are "
-                                   "wgm, wgm_time, lcss, dtw, dtw_time, frechet"),
+        ("--metrics", "wgm,bogus", "--metrics: must be one of wgm, wgm_time, lcss, dtw, "
+                                   "dtw_time, frechet, got 'bogus'"),
         ("--dist-threshold", "-5", "--dist-threshold: thresholds must be positive, got -5"),
         ("--w-space", "-1", "--w-space: weights must be finite and nonnegative, got -1"),
         ("--w-time", "-0.5", "--w-time: weights must be finite and nonnegative, got -0.5"),
@@ -652,7 +652,7 @@ class TestCarshare:
         (("--w-space", "-1"), "--w-space: weights must be finite and nonnegative, got -1"),
         (("--w-time", "nan"), "--w-time: weights must be finite and nonnegative, got nan"),
         (("--w-space", "0", "--w-time", "0"),
-         "--w-space, --w-time: weights must not both be zero"),
+         "--w-space, --w-time: weights must not both be zero, got (0.0, 0.0)"),
     ])
     def test_bad_flag_value_writes_nothing(self, flags, message, tmp_path, capsys):
         # the trips file does not exist: the flag is checked before any input is read
@@ -694,6 +694,98 @@ class TestNonFiniteParameters:
                       "--dist-threshold", "inf", "--time-threshold", "inf",
                       "--out", str(tmp_path / "o"))
         assert code == 0
+
+
+#: One bad flag value for each case, over all eight subcommands: the command
+#: line after the subcommand's inputs, and the error message. The match,
+#: compare and carshare tables above hold their other scenario flags' cases.
+BAD_FLAGS = [
+    (("ingest", "--window-end", "-1"), "--window-end: must exceed the window start 0.0, got -1"),
+    (("ingest", "--format", "t id x"), "--format: must include t, id, x and y, got 't id x'"),
+    (("ingest", "--format", "t id x y y"),
+     "--format: must not name a field twice, got 't id x y y'"),
+    (("synth", "--n", "0"), "--n: must be at least 1, got 0"),
+    (("synth", "--bbox", "0,0,0,1,0,1"),
+     "--bbox: spans must be strictly positive and finite, got (0.0, 1.0, 1.0)"),
+    (("synth", "--bbox", "0,1,0,1"),
+     "--bbox: must be x_min,x_max,y_min,y_max,t_min,t_max, got '0,1,0,1'"),
+    (("synth", "--bbox", "0,x,0,1,0,1"), "--bbox: could not convert string to float: 'x'"),
+    (("synth", "--waypoints", "1"), "--waypoints: must be at least 2, got 1"),
+    (("synth", "--gamma-scale", "0"), "--gamma-scale: must be positive and finite, got 0"),
+    (("synth", "--lognorm-mu", "inf"), "--lognorm-mu: must be finite, got inf"),
+    (("stats", "--grid-rows", "0"), "--grid-rows: must be at least 1, got 0"),
+    (("stats", "--grid-cols", "-2"), "--grid-cols: must be at least 1, got -2"),
+    (("affinity", "--w-space", "-1"), "--w-space: weights must be finite and nonnegative, got -1"),
+    (("affinity", "--w-space", "0", "--w-time", "0"),
+     "--w-space, --w-time: weights must not both be zero, got (0.0, 0.0)"),
+    (("cluster", "--k", "1"), "--k: must be in [2, n], got 1"),
+    (("cluster", "--kernel-gamma", "0"), "--kernel-gamma: must be positive and finite, got 0"),
+    (("cluster", "--w-time", "nan"), "--w-time: weights must be finite and nonnegative, got nan"),
+    (("match", "--n-riders", "0"), "--n-riders: must be at least 1 with --trips, got 0"),
+    (("match", "--sweep-dist", "600", "--sweep-L", "0"),
+     "--sweep-L: counts must be at least 1, got 0"),
+    (("compare", "--n-rides", "-3"), "--n-rides: must be at least 1 with --trips, got -3"),
+    (("carshare", "--w-time", "inf"), "--w-time: weights must be finite and nonnegative, got inf"),
+]
+
+
+def _absent_inputs(command: str, absent: Path) -> list[str]:
+    """Input flags of command that name a file that does not exist, with a valid split."""
+    if command in ("match", "compare"):
+        return ["--trips", str(absent), "--n-riders", "15", "--n-rides", "45"]
+    return {"ingest": ["--input", str(absent)], "synth": []}.get(command, ["--trips", str(absent)])
+
+
+def _wrote_nothing(out: Path) -> bool:
+    return not out.exists() or not any(out.iterdir())
+
+
+@pytest.mark.parametrize("args, message", BAD_FLAGS, ids=[" ".join(a) for a, _ in BAD_FLAGS])
+def test_bad_flag_value_is_named_before_any_input_is_read(args, message, tmp_path, capsys):
+    # the input does not exist, so a check made only once it is read would report io
+    command, *flags = args
+    out = tmp_path / "o"
+    code, summary = run(capsys, command, *_absent_inputs(command, tmp_path / "absent.jsonl"),
+                        *flags, "--out", str(out))
+    assert (code, summary["category"]) == (1, "invalid-argument")
+    # the message starts with the flags it is about, the one last given among them
+    assert summary["message"] == message and flags[-2] in message.split(": ")[0].split(", ")
+    assert _wrote_nothing(out)
+
+
+@pytest.mark.parametrize("source", ["config", "manifest"])
+def test_bad_value_from_a_file_names_its_flag(source, trips_file, tmp_path, capsys):
+    out = tmp_path / "o"
+    if source == "config":
+        path = tmp_path / "run.cfg"
+        path.write_text("k = 0\n")
+        argv = ["cluster", "--trips", str(tmp_path / "absent.jsonl"), "--config", str(path)]
+        message = "--k: must be in [2, n], got 0"
+    else:
+        assert run(capsys, "carshare", "--trips", str(trips_file),
+                   "--out", str(tmp_path / "first"))[0] == 0
+        path = tmp_path / "first" / "run_manifest.json"
+        manifest = json.loads(path.read_text())
+        manifest["config"]["w_space"] = -0.5
+        path.write_text(json.dumps(manifest))
+        argv = ["carshare", "--from-manifest", str(path)]
+        message = "--w-space: weights must be finite and nonnegative, got -0.5"
+    code, summary = run(capsys, *argv, "--out", str(out))
+    assert (code, summary["category"], summary["message"]) == (1, "invalid-argument", message)
+    assert _wrote_nothing(out)
+
+
+@pytest.mark.parametrize("command, named", [
+    ("ingest", "--input"), ("stats", "--trips"), ("affinity", "--trips"),
+    ("cluster", "--trips"), ("carshare", "--trips"),
+    ("match", "--requests or --rides or --trips"), ("compare", "--requests or --rides or --trips"),
+])
+def test_a_run_without_input_names_its_input_flags(command, named, tmp_path, capsys):
+    out = tmp_path / "o"
+    code, summary = run(capsys, command, "--out", str(out))
+    assert (code, summary["category"]) == (1, "invalid-argument")
+    assert summary["message"] == f"{named} is required"
+    assert _wrote_nothing(out)
 
 
 class TestConfigAndManifest:
@@ -1151,15 +1243,15 @@ def test_cluster_never_loads_numpy_ma(tmp_path, capsys):
 
 
 def test_stats_grids_and_cdfs_never_load_numpy_ma(trips_file):
-    # np.unique without return_counts, and np.percentile, would import
-    # numpy.ma; the stats subcommand still loads it with scipy.special
+    # np.unique without return_counts would import numpy.ma; grid_duration_stats
+    # takes np.percentile, which does, as the stats subcommand loads it with
+    # scipy.special anyway
     _run_python("import sys\n"
                 "from tripmatch import model, stats\n"
                 "from tripmatch.cli import _load_trips\n"
                 f"trips = _load_trips({str(trips_file)!r})\n"
                 "ctx = model.ScaleContext.from_trips(trips)\n"
                 "stats.grid_unique_counts(trips, ctx, 4, 5)\n"
-                "stats.grid_duration_stats(trips, ctx, 4, 5)\n"
                 "stats.empirical_cdf([t.duration for t in trips])\n"
                 "assert 'numpy.ma' not in sys.modules")
 

@@ -5,6 +5,7 @@ from __future__ import annotations
 import dataclasses
 import itertools
 import math
+import re
 import tracemalloc
 from unittest import mock
 
@@ -16,7 +17,6 @@ from hypothesis import strategies as st
 import tripmatch.metrics as metrics
 from tripmatch import model
 from tripmatch.matching import (
-    METRIC_NAMES,
     MatchReport,
     MatchRow,
     MatchScenario,
@@ -24,11 +24,13 @@ from tripmatch.matching import (
     _candidate_indices,
     _match,
     compare_metrics,
+    compare_scenarios,
     greedy_match,
     match_counts_curve,
     savings_accounting,
 )
 from tripmatch.metrics import (
+    METRIC_NAMES,
     TIME_HEAVY_WEIGHTS,
     MetricParams,
     WgmWeights,
@@ -38,7 +40,7 @@ from tripmatch.metrics import (
     lcss,
 )
 from tripmatch.model import (
-    ScaleContext, Trip, od_points, od_rep, path_length, path_lengths, sample_points,
+    ScaleContext, Trip, od_points, od_rep, path_lengths, sample_points,
     scale_points, spatial_distance,
 )
 
@@ -364,7 +366,7 @@ class TestMatchCountsCurve:
         requests, rides = rider_ride_population(seed=21)
         scen = MatchScenario()
         rows = match_counts_curve(requests, rides, scen,
-                                  sweep=[300, 900, 1800, 3600], match_counts=[1, 3, 5])
+                                  sweep_dist=[300, 900, 1800, 3600], sweep_l=[1, 3, 5])
         by = {(r["threshold"], r["L"]): r["count"] for r in rows}
         for thr in (300, 900, 1800, 3600):
             assert by[(thr, 1)] >= by[(thr, 3)] >= by[(thr, 5)]
@@ -376,8 +378,17 @@ class TestMatchCountsCurve:
         req = straight_trip("r", (1000, 1000), (5000, 5000), 100, 700)
         ride = straight_trip("s", (1100, 1000), (5000, 5100), 150, 650)
         rows = match_counts_curve([req], [ride], MatchScenario(),
-                                  sweep=[1800], match_counts=[1, 2])
+                                  sweep_dist=[1800], sweep_l=[1, 2])
         assert rows[0]["count"] == 1 and rows[1]["count"] == 0
+
+    @pytest.mark.parametrize("sweeps, message", [
+        ({"sweep_dist": [600, 0.0]}, "sweep_dist: thresholds must be positive, got 0"),
+        ({"sweep_time": [math.nan]}, "sweep_time: thresholds must be positive, got nan"),
+        ({"sweep_dist": [600], "sweep_l": [1, 0]}, "sweep_l: counts must be at least 1, got 0"),
+    ])
+    def test_bad_sweep_names_its_parameter(self, sweeps, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            match_counts_curve([], [], MatchScenario(), **sweeps)
 
     @pytest.mark.parametrize("mode", ["car", "carpool"])
     @settings(max_examples=100, deadline=None)
@@ -390,14 +401,15 @@ class TestMatchCountsCurve:
         gaps = np.abs(req_od[:, None, :, 2] - ride_od[None, :, :, 2]).ravel().tolist()
         steps = data.draw(st.lists(st.one_of(st.sampled_from([g for g in gaps if g > 0] or [1.0]),
                                              st.floats(0.25, 4000.0)), min_size=1, max_size=6))
-        levels = data.draw(st.lists(st.integers(0, 4), min_size=1, max_size=3))
+        levels = data.draw(st.lists(st.integers(1, 4), min_size=1, max_size=3))
         expected = []
         for step in steps:
             swept = dataclasses.replace(scenario, time_threshold=step)
             sizes = [len(c) for c in _candidate_indices(req_od, ride_od, swept)]
             expected += [{"vary": "time", "threshold": step, "L": least,
                           "count": sum(1 for n in sizes if n >= least)} for least in levels]
-        assert match_counts_curve(requests, rides, scenario, steps, levels, "time") == expected
+        assert match_counts_curve(requests, rides, scenario, sweep_time=steps,
+                                  sweep_l=levels) == expected
 
 
 class TestGreedyMatch:
@@ -474,11 +486,11 @@ class TestGreedyMatch:
         matched = [r for r in report.rows if r.matched]
         assert report.n_matched == len(matched)
         assert math.isclose(report.match_travels_km,
-                            sum(path_length(rides_by_id[r.ride_id]) for r in matched) / 1000)
+                            path_lengths([rides_by_id[r.ride_id] for r in matched]).sum() / 1000)
         assert math.isclose(report.req_travels_km,
-                            sum(path_length(t) for t in requests) / 1000)
+                            path_lengths(requests).sum() / 1000)
         assert math.isclose(report.req_travels_matched_km,
-                            sum(path_length(reqs_by_id[r.request_id]) for r in matched) / 1000)
+                            path_lengths([reqs_by_id[r.request_id] for r in matched]).sum() / 1000)
         assert math.isclose(report.oo_dist_km, sum(r.oo_dist_m for r in matched) / 1000)
         assert math.isclose(report.dd_dist_km, sum(r.dd_dist_m for r in matched) / 1000)
         assert math.isclose(report.oo_time_s, sum(r.oo_time_s for r in matched))
@@ -588,7 +600,7 @@ class TestChoiceOnPairArrays:
             (report,) = _match([req], rides, scenarios, 2)
             assert report == per_request_match([req], rides, scenarios, 2)[0]
             assert report.rows[0].ride_id == "s"
-            assert report.match_travels_km == path_length(rides[0]) / 1000.0
+            assert report.match_travels_km == path_lengths(rides[:1])[0] / 1000.0
 
 
 class TestSavingsAccounting:
@@ -716,6 +728,27 @@ class TestCompareMetrics:
                 compare_metrics([req], [ride], [MatchScenario(), other])
         with pytest.raises(ValueError, match="one or more scenarios"):
             compare_metrics([req], [ride], [])
+
+    @pytest.mark.parametrize("names, wt_sweep, message", [
+        ([], [], "metrics: must name at least one metric, each once, got ''"),
+        (["wgm", "dtw", "wgm"], [], "metrics: must name at least one metric, each once, "
+                                    "got 'wgm,dtw,wgm'"),
+        (["wgm", "cosine"], [], "metrics: must be one of wgm, wgm_time, lcss, dtw, dtw_time, "
+                                "frechet, got 'cosine'"),
+        (["wgm"], [0.5, 1.5], "wt_sweep: weights must lie in [0, 1], got 1.5"),
+    ])
+    def test_compare_scenarios_name_the_bad_parameter(self, names, wt_sweep, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            compare_scenarios(MatchScenario(), names, wt_sweep)
+
+    def test_compare_scenarios_in_order(self):
+        base = MatchScenario(mode="carpool", dist_threshold=900.0)
+        got = compare_scenarios(base, ["dtw", "wgm"], [0.0, 0.25])
+        assert [(s.metric, s.weights) for s in got] == [
+            ("dtw", base.weights), ("wgm", base.weights),
+            ("wgm", WgmWeights(1.0, 0.0)), ("wgm", WgmWeights(0.75, 0.25))]
+        assert {(s.mode, s.dist_threshold, s.time_threshold) for s in got} == {
+            ("carpool", 900.0, base.time_threshold)}
 
     def test_scenario_validation(self):
         with pytest.raises(ValueError, match="mode"):

@@ -19,7 +19,6 @@ from tripmatch.model import (
     check_points,
     od_points,
     od_rep,
-    path_length,
     path_lengths,
     sample_points,
     scale_points,
@@ -142,7 +141,7 @@ class TestSampleWaypoints:
 
     def test_rejects_small_k(self):
         trip = make_trip("t", [(0, 0, 0.0), (1, 0, 1.0)])
-        with pytest.raises(ValueError, match="sample size"):
+        with pytest.raises(ValueError, match=r"^rep_len: must be at least 2, got 1$"):
             sample_points([trip], 1)
 
     def test_empty_population(self):
@@ -257,18 +256,18 @@ class TestScaling:
 class TestPathLength:
     def test_three_four_five(self):
         trip = make_trip("t", [(0, 0, 0.0), (3, 4, 1.0)])
-        assert path_length(trip) == 5.0
+        assert path_lengths([trip]).tolist() == [5.0]
 
     def test_single_point(self):
-        assert path_length(make_trip("t", [(2, 2, 0.0)])) == 0.0
+        assert path_lengths([make_trip("t", [(2, 2, 0.0)])]).tolist() == [0.0]
 
     def test_unit_steps(self):
         trip = make_trip("t", [(0, 0, 0.0), (1, 0, 1.0), (1, 1, 2.0)])
-        assert path_length(trip) == 2.0
+        assert path_lengths([trip]).tolist() == [2.0]
 
     def test_at_least_displacement(self, synth_trips):
-        for trip in synth_trips:
-            assert path_length(trip) >= od_displacement(trip) - 1e-9
+        for trip, length in zip(synth_trips, path_lengths(synth_trips).tolist()):
+            assert length >= od_displacement(trip) - 1e-9
 
     @settings(max_examples=60, deadline=None)
     @given(st.lists(st.one_of(st.sampled_from([1, 2, 7]), st.integers(1, 400)), max_size=16),

@@ -239,27 +239,10 @@ class TestGridsMatchScalarOracle:
 
 
 class TestGridHelpersMatchNumpy:
-    """The grids' sort-based helpers against np.unique and np.percentile."""
+    """The grids' sort-based helper against np.unique."""
 
     @settings(max_examples=200, deadline=None)
     @given(st.lists(st.integers(0, 40), max_size=60))
     def test_distinct_is_np_unique(self, keys):
         keys = np.array(keys, dtype=np.intp)
         assert stats._distinct(keys).tolist() == np.unique(keys).tolist()
-
-    @settings(max_examples=300, deadline=None)
-    @given(st.lists(st.tuples(st.integers(0, 6),
-                              st.one_of(st.integers(0, 4).map(float), st.floats(0, 1e4))),
-                    max_size=40))
-    def test_cell_quantiles_are_np_percentile(self, members):
-        """Ties, one-member cells and empty cells (7 cells, some never drawn)."""
-        cells = np.array([c for c, _ in members], dtype=np.intp)
-        # a cell's zeros share one sign: np.percentile's partition leaves ties
-        # of +0.0 and -0.0 in no set order
-        values = np.array([v or (-0.0 if c % 2 else 0.0) for c, v in members])
-        got = stats._cell_quantiles(cells, values, 7)
-        for cell in range(7):
-            inside = values[cells == cell]
-            expected = (np.percentile(inside, [0, 25, 50, 75, 100]) if inside.size
-                        else np.full(5, np.nan))
-            assert got[cell].tobytes() == expected.tobytes()
