@@ -7,7 +7,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .model import check_param
+from .model import check_param, check_seed
 
 
 class DegenerateInputError(ValueError):
@@ -23,6 +23,12 @@ KMEANS_RESTARTS = 100
 KMEANS_MAX_ITER = 300
 #: Rows per block when checking a square matrix for finiteness and symmetry.
 CHECK_ROWS = 256
+
+
+def check_trip_count(n: int) -> None:
+    """Raise ValueError unless an affinity matrix over n trips has at least two."""
+    if n < 2:
+        raise ValueError("affinity needs at least two trips")
 
 
 @dataclass(frozen=True, slots=True)
@@ -42,8 +48,7 @@ def build_affinity(
     all n^2 entries are computed.
     """
     n = len(reps)
-    if n < 2:
-        raise ValueError("affinity needs at least two trips")
+    check_trip_count(n)
     values = np.empty((n, n), dtype=float)
     for i in range(n):
         for j in range(i if symmetric_scorer else 0, n):
@@ -154,6 +159,7 @@ def _lloyd(points: np.ndarray, centers: np.ndarray) -> tuple[np.ndarray, float]:
 def kmeans(points: np.ndarray, k: int, seed: int) -> np.ndarray:
     """Seeded k-means with KMEANS_RESTARTS k-means++ restarts; keeps the lowest-inertia run."""
     check_param("k", k, 1 <= k <= points.shape[0], f"must be in [1, {points.shape[0]}]")
+    check_seed(seed)
     if not np.isfinite(points).all():
         raise ValueError("k-means points must be finite")
     # the broadcast point-center distances run about 3x faster on column-major points

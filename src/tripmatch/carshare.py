@@ -13,13 +13,13 @@ import math
 from dataclasses import dataclass
 from heapq import heappop, heappush
 from operator import itemgetter
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping
 
 import numpy as np
 
 from . import metrics
 from .metrics import WgmWeights
-from .model import (Trip, od_points, path_lengths, samples_and_context, scale_points,
+from .model import (ScaleContext, Trip, TripSet, od_points, path_lengths, scale_points,
                     window_pairs, within_distance)
 
 
@@ -59,7 +59,7 @@ class ChainStat:
 
 
 def build_trip_dag(
-    trips: Sequence[Trip],
+    trips: Iterable[Trip] | TripSet,
     dist_threshold: float = metrics.DEFAULT_DIST_THRESHOLD,
     time_threshold: float = metrics.DEFAULT_TIME_THRESHOLD,
     weights: WgmWeights = metrics.DEFAULT_WEIGHTS,
@@ -81,14 +81,15 @@ def build_trip_dag(
     statistics key trips by id.
     """
     metrics.check_thresholds(dist_threshold=dist_threshold, time_threshold=time_threshold)
-    ids = tuple(t.id for t in trips)
+    trips = TripSet.of(trips)
+    ids = trips.ids
     if len(set(ids)) < len(ids):
         seen: set[str] = set()
         for tid in ids:
             if tid in seen:
                 raise ValueError(f"duplicate trip id {tid!r}")
             seen.add(tid)
-    od, ctx = samples_and_context(trips, 2)
+    od, ctx = od_points(trips), ScaleContext.from_trips(trips)
     origin, start, dest, end = od[:, 0, :2], od[:, 0, 2], od[:, 1, :2], od[:, 1, 2]
     # each trip's successors start in [end, end + T]; the upper bound is
     # widened by a relative slack because start <= end + T and
@@ -275,9 +276,10 @@ def extract_chains(dag: TripDag, matching: Mapping[int, int]) -> ChainSchedule:
     return schedule
 
 
-def chain_stats(schedule: ChainSchedule, trips: Sequence[Trip]) -> list[ChainStat]:
+def chain_stats(schedule: ChainSchedule, trips: Iterable[Trip] | TripSet) -> list[ChainStat]:
     """Per-chain travel, hand-off distance, and hand-off wait totals."""
-    index = {t.id: i for i, t in enumerate(trips)}
+    trips = TripSet.of(trips)
+    index = {tid: i for i, tid in enumerate(trips.ids)}
     od = od_points(trips).tolist()
     lengths = path_lengths(trips).tolist()
     out = []
@@ -301,7 +303,7 @@ def chain_stats(schedule: ChainSchedule, trips: Sequence[Trip]) -> list[ChainSta
 
 
 def schedule_trips(
-    trips: Sequence[Trip],
+    trips: Iterable[Trip] | TripSet,
     dist_threshold: float = metrics.DEFAULT_DIST_THRESHOLD,
     time_threshold: float = metrics.DEFAULT_TIME_THRESHOLD,
     weights: WgmWeights = metrics.DEFAULT_WEIGHTS,

@@ -163,26 +163,26 @@ def _manifest(cfg: dict, outdir: Path, digest: Callable[[str], str]) -> None:
     })
 
 
-def _split_riders_rides(cfg: dict) -> tuple[list[model.Trip], list[model.Trip]]:
-    """Requests/rides from explicit files, or a seeded split of one trip set.
+def _split_riders_rides(cfg: dict) -> tuple[model.TripSet, model.TripSet]:
+    """Requests/rides from explicit files, or a seeded split of one trip set, each stacked once.
 
-    The split sizes are checked before --trips is read.
+    The split sizes and the seed are checked before --trips is read.
     """
     if cfg.get("requests") and cfg.get("rides"):
-        return _load_trips(cfg["requests"]), _load_trips(cfg["rides"])
+        return tuple(model.TripSet.of(_load_trips(cfg[key])) for key in ("requests", "rides"))
     if cfg.get("requests") or cfg.get("rides"):
         missing = "--rides" if cfg.get("requests") else "--requests"
         raise ValueError(f"--requests and --rides go together: {missing} is missing")
     n_riders, n_rides = cfg["n_riders"], cfg["n_rides"]
     for name in ("n_riders", "n_rides"):
         model.check_param(name, cfg[name], cfg[name] >= 1, "must be at least 1 with --trips")
+    model.check_seed(cfg["seed"])
     trips = _load_trips(cfg["trips"])
     model.check_param("n_riders, n_rides", (n_riders, n_rides), n_riders + n_rides <= len(trips),
                       f"must together be at most the {len(trips)} trips of --trips")
     order = np.random.default_rng(cfg["seed"]).permutation(len(trips))
-    riders = [trips[i] for i in order[:n_riders]]
-    rides = [trips[i] for i in order[n_riders:n_riders + n_rides]]
-    return riders, rides
+    return (model.TripSet.of(trips[i] for i in order[:n_riders]),
+            model.TripSet.of(trips[i] for i in order[n_riders:n_riders + n_rides]))
 
 
 def _write_matches_csv(path: Path, report: matching.MatchReport) -> None:
@@ -237,11 +237,12 @@ def cmd_stats(cfg: dict, outdir: Path) -> dict:
     from . import stats
     rows, cols = cfg["grid_rows"], cfg["grid_cols"]
     stats.check_grid(rows, cols)
-    trips = _load_trips(cfg["trips"])
+    trips = model.TripSet.of(_load_trips(cfg["trips"]))
     ctx = model.ScaleContext.from_trips(trips)
-    durations = [t.duration for t in trips if t.duration > 0]
+    start, end = model.od_points(trips)[:, :, 2].T
+    durations = [d for d in (end - start).tolist() if d > 0]
     lengths = model.path_lengths(trips).tolist()
-    n_points = [len(t.xyt()) for t in trips]
+    n_points = trips.counts.tolist()
     distances = [d for d in lengths if d > 0]
 
     fit_rows = []
@@ -259,8 +260,8 @@ def cmd_stats(cfg: dict, outdir: Path) -> dict:
         "duration": durations,
         "distance": distances,
         "waypoints": n_points,
-        "start_time": [t.start_time for t in trips],
-        "end_time": [t.end_time for t in trips],
+        "start_time": start.tolist(),
+        "end_time": end.tolist(),
     }
     for name, samples in cdf_exports.items():
         steps = stats.empirical_cdf(samples)
@@ -298,8 +299,8 @@ def _affinity(scorer: str, reps: np.ndarray, weights: metrics.WgmWeights) -> np.
     The cp scorer is car with the trips swapped, so its matrix is this
     car matrix transposed; cluster's symmetric part is the same for both.
     """
-    if len(reps) < 2:
-        raise ValueError("affinity needs at least two trips")
+    from . import affinity
+    affinity.check_trip_count(len(reps))
     mode = metrics.TimeMode.ABSOLUTE if scorer == "wgm" else metrics.TimeMode.SIGNED_CAR
     return metrics.wgm_batch(reps[:, None], reps[None, :], weights, mode)
 
@@ -312,11 +313,11 @@ def _symmetric_ratio(a: np.ndarray) -> float:
 
 def cmd_affinity(cfg: dict, outdir: Path) -> dict:
     weights = metrics.WgmWeights(cfg["w_space"], cfg["w_time"])
-    trips = _load_trips(cfg["trips"])
-    values = _affinity(cfg["scorer"], model.scale_points(*model.samples_and_context(trips, 2)),
-                       weights)
+    trips = model.TripSet.of(_load_trips(cfg["trips"]))
+    reps = model.scale_points(model.od_points(trips), model.ScaleContext.from_trips(trips))
+    values = _affinity(cfg["scorer"], reps, weights)
     rows = values.T if cfg["scorer"] == "cp" else values
-    ids = [_csv_field(t.id) for t in trips]
+    ids = [_csv_field(i) for i in trips.ids]
     with open(outdir / "affinity.csv", "w", encoding="utf-8", newline="") as fh:
         fh.write("i,j,score\n")
         for a, row in zip(ids, rows):
@@ -331,13 +332,14 @@ def cmd_cluster(cfg: dict, outdir: Path) -> dict:
     if gamma is not None:
         metrics.check_kernel_gamma(gamma)
     affinity.check_k(cfg["k"])
+    model.check_seed(cfg["seed"])
     weights = metrics.WgmWeights(cfg["w_space"], cfg["w_time"])
-    trips = _load_trips(cfg["trips"])
+    trips = model.TripSet.of(_load_trips(cfg["trips"]))
     if len(trips) < 3:
         raise ValueError(f"cluster needs at least 3 trips for its 2-D embeddings, got {len(trips)}")
     affinity.check_k(cfg["k"], len(trips))
-    od, ctx = model.samples_and_context(trips, 2)
-    reps = model.scale_points(od, ctx)
+    od = model.od_points(trips)
+    reps = model.scale_points(od, model.ScaleContext.from_trips(trips))
     sym = _affinity(cfg["scorer"], reps, weights)
     ratio = _symmetric_ratio(sym)
     # S = (A + A^T) / 2 in A's own buffer; numpy copies the overlapping A^T first
@@ -350,7 +352,7 @@ def cmd_cluster(cfg: dict, outdir: Path) -> dict:
     # the affinity is not needed past here, so its buffer becomes the distances
     coords_mds = affinity.mds_2d(np.subtract(1.0, sym, out=sym))
 
-    ids = [t.id for t in trips]
+    ids = trips.ids
     _write_csv(outdir / "labels.csv", ["trip_id", "cluster"],
                [[i, int(c)] for i, c in zip(ids, labels)])
     _write_csv(outdir / "coords_pca.csv", ["trip_id", "x", "y"],
@@ -443,7 +445,7 @@ def cmd_carshare(cfg: dict, outdir: Path) -> dict:
     metrics.check_thresholds(dist_threshold=cfg["dist_threshold"],
                              time_threshold=cfg["time_threshold"])
     weights = metrics.WgmWeights(cfg["w_space"], cfg["w_time"])
-    trips = _load_trips(cfg["trips"])
+    trips = model.TripSet.of(_load_trips(cfg["trips"]))
     dag, schedule = carshare.schedule_trips(
         trips,
         dist_threshold=cfg["dist_threshold"],

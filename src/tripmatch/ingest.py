@@ -11,7 +11,8 @@ from typing import IO, Iterable, Iterator
 
 import numpy as np
 
-from .model import ScaleContext, Trip, check_param, check_points, check_positive
+from .model import (UNSORTED, ScaleContext, Trip, check_param, check_points, check_positive,
+                    check_seed)
 
 
 class TraceFormatError(ValueError):
@@ -159,6 +160,7 @@ class SynthConfig:
             check_positive(name, getattr(self, name))
         check_param("lognorm_mu", self.lognorm_mu, math.isfinite(self.lognorm_mu), "must be finite")
         check_param("waypoints", self.waypoints, self.waypoints >= 2, "must be at least 2")
+        check_seed(self.seed)
 
 
 def generate_synthetic(cfg: SynthConfig) -> list[Trip]:
@@ -247,7 +249,7 @@ def _points_xyt(points: object) -> np.ndarray:
     # the last time is the largest unless the Trip rejects their order anyway
     ts = [p[0] for p in points] if xyt[-1, 2] >= _EXACT_FLOAT_LIMIT else []
     if any(b < a for a, b in zip(ts, ts[1:])):
-        raise ValueError("waypoints are not sorted by time")
+        raise ValueError(UNSORTED)
     return xyt
 
 

@@ -11,15 +11,15 @@ from __future__ import annotations
 import dataclasses
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
 from . import metrics
 from .metrics import MetricParams, WgmWeights, check_metric
 from .model import (
-    Trip, check_param, od_points, path_lengths, samples_and_context, scale_points, window_pairs,
-    within_distance,
+    ScaleContext, Trip, TripSet, check_param, od_points, path_lengths, sample_points, scale_points,
+    window_pairs, within_distance,
 )
 
 #: -1 when the best ride maximises the metric (a similarity), 1 when it
@@ -170,8 +170,8 @@ def _candidate_indices(
 
 
 def _match(
-    requests: Sequence[Trip],
-    rides: Sequence[Trip],
+    requests: Iterable[Trip] | TripSet,
+    rides: Iterable[Trip] | TripSet,
     scenarios: Sequence[MatchScenario],
     rep_len: int,
 ) -> list[MatchReport]:
@@ -187,21 +187,23 @@ def _match(
     ride first in its run of pairs. Offsets and path lengths are computed
     only for the chosen pairs.
     """
-    raw, ctx = samples_and_context(list(requests) + list(rides), rep_len)
-    n = len(requests)
-    od, scaled = raw[:, [0, -1]], scale_points(raw, ctx)
-    req_od, ride_od, reps_req, reps_ride = od[:n], od[n:], scaled[:n], scaled[n:]
+    requests, rides = TripSet.of(requests), TripSet.of(rides)
+    ctx = ScaleContext.from_trips(requests, rides)
+    raw_req, raw_ride = sample_points(requests, rep_len), sample_points(rides, rep_len)
+    req_od, ride_od = raw_req[:, [0, -1]], raw_ride[:, [0, -1]]
+    reps_req, reps_ride = scale_points(raw_req, ctx), scale_points(raw_ride, ctx)
     candidates = _candidate_indices(req_od, ride_od, scenarios[0])
+    n = len(requests)
     counts = np.array([len(c) for c in candidates], dtype=np.intp)
     pair_req = np.repeat(np.arange(n), counts)
     pair_ride = np.array([j for cands in candidates for j in cands], dtype=np.intp)
     matched = np.flatnonzero(counts).tolist()
     firsts = (np.cumsum(counts) - counts)[matched]
-    ride_ids = [t.id for t in rides]
+    ride_ids = rides.ids
     id_rank = np.empty(len(rides), dtype=np.intp)
     id_rank[sorted(range(len(rides)), key=ride_ids.__getitem__)] = np.arange(len(rides))
     req_len = path_lengths(requests).tolist()
-    unmatched = [MatchRow(t.id, None, 0.0, 0.0, 0.0, 0.0, 0.0) for t in requests]
+    unmatched = [MatchRow(i, None, 0.0, 0.0, 0.0, 0.0, 0.0) for i in requests.ids]
     dp = None
     reports = []
     for scenario in scenarios:
@@ -225,7 +227,7 @@ def _match(
         for i, j, score, ((ox, oy, ot), (dx, dy, dt)) in zip(
                 matched, chosen, scores[best].tolist(),
                 (req_od[matched] - ride_od[chosen]).tolist()):
-            rows[i] = MatchRow(requests[i].id, ride_ids[j], math.hypot(ox, oy),
+            rows[i] = MatchRow(requests.ids[i], ride_ids[j], math.hypot(ox, oy),
                                math.hypot(dx, dy), abs(ot), abs(dt), score)
         hits = [rows[i] for i in matched]
         distinct = list(dict.fromkeys(chosen))
@@ -249,7 +251,7 @@ def _match(
 
 
 def greedy_match(
-    requests: Sequence[Trip], rides: Sequence[Trip], scenario: MatchScenario
+    requests: Iterable[Trip] | TripSet, rides: Iterable[Trip] | TripSet, scenario: MatchScenario
 ) -> MatchReport:
     """Match every request to its best feasible ride, independently.
 
@@ -294,8 +296,8 @@ def check_sweeps(sweep_dist: Sequence[float] = (), sweep_time: Sequence[float] =
 
 
 def match_counts_curve(
-    requests: Sequence[Trip],
-    rides: Sequence[Trip],
+    requests: Iterable[Trip] | TripSet,
+    rides: Iterable[Trip] | TripSet,
     scenario: MatchScenario,
     sweep_dist: Sequence[float] = (),
     sweep_time: Sequence[float] = (),
@@ -338,8 +340,8 @@ def compare_scenarios(scenario: MatchScenario, metrics: Sequence[str],
 
 
 def compare_metrics(
-    requests: Sequence[Trip],
-    rides: Sequence[Trip],
+    requests: Iterable[Trip] | TripSet,
+    rides: Iterable[Trip] | TripSet,
     scenarios: Sequence[MatchScenario],
     rep_len: int = 50,
 ) -> list[MatchReport]:
@@ -353,9 +355,11 @@ def compare_metrics(
     """
     if len({(s.mode, s.dist_threshold, s.time_threshold) for s in scenarios}) != 1:
         raise ValueError("compare needs one or more scenarios that share mode and thresholds")
-    for trip in list(requests) + list(rides):
-        if len(trip.xyt()) < rep_len:
+    requests, rides = TripSet.of(requests), TripSet.of(rides)
+    for trips in (requests, rides):
+        short = np.flatnonzero(trips.counts < rep_len)
+        if len(short):
+            i = short[0]
             raise ValueError(
-                f"trip {trip.id!r} has only {len(trip.xyt())} waypoints; need {rep_len}"
-            )
+                f"trip {trips.ids[i]!r} has only {trips.counts[i]} waypoints; need {rep_len}")
     return _match(requests, rides, scenarios, rep_len)

@@ -27,6 +27,11 @@ def check_positive(name: str, value: float) -> None:
     check_param(name, value, 0 < value < math.inf, "must be positive and finite")
 
 
+def check_seed(seed: int) -> None:
+    """Raise ValueError unless seed, a random generator's seed, is at least 0."""
+    check_param("seed", seed, seed >= 0, "must be at least 0")
+
+
 @dataclass(frozen=True, slots=True)
 class Waypoint:
     """One (x, y, t) point of a trip: planar meters and seconds."""
@@ -124,6 +129,9 @@ class Trip:
 #: The offsets of check_points for a single trip.
 _ONE_TRIP = np.zeros(1, dtype=np.intp)
 
+#: The rule that a trip's waypoint times never fall, as its error states it.
+UNSORTED = "waypoints are not sorted by time"
+
 
 def check_points(xyt: np.ndarray, starts: np.ndarray, ids: Sequence[str]) -> None:
     """Raise ValueError unless xyt stacks valid trips' x, y, t rows.
@@ -157,7 +165,7 @@ def check_points(xyt: np.ndarray, starts: np.ndarray, ids: Sequence[str]) -> Non
     if down.any():
         down[starts[1:] - 1] = False  # a trip may start before the previous one ends
         if down.any():
-            raise ValueError(f"trip {owner(down)!r} waypoints are not sorted by time")
+            raise ValueError(f"trip {owner(down)!r} {UNSORTED}")
 
 
 @dataclass(frozen=True, slots=True)
@@ -194,28 +202,50 @@ class ScaleContext:
         return math.hypot(self.x_span, self.y_span)
 
     @classmethod
-    def from_trips(cls, trips: Iterable[Trip], points: np.ndarray | None = None
-                   ) -> "ScaleContext":
-        """Tight bounds over every waypoint; an axis with one value gets a unit span.
-
-        points, if given, is stack_points(trips)[0], which is then not built again.
-        """
-        points = stack_points(trips)[0] if points is None else points
-        if not len(points):
+    def from_trips(cls, *populations: Iterable[Trip] | TripSet) -> ScaleContext:
+        """Tight bounds over all the populations' waypoints; a one-valued axis gets a unit span."""
+        stacks = [s.xyt for s in map(TripSet.of, populations) if len(s)]
+        if not stacks:
             raise ValueError("cannot derive scale context from an empty trip set")
-        # a column at a time: numpy reduces a tall (N, 3) array along axis 0 slowly
-        columns = points.T
-        lo, hi = [float(c.min()) for c in columns], [float(c.max()) for c in columns]
+        # a column at a time, as numpy reduces a tall (N, 3) array along axis 0 slowly, and a
+        # population at a time, as the union's bound is the bound of the populations' bounds
+        lo = [min(float(xyt[:, k].min()) for xyt in stacks) for k in range(3)]
+        hi = [max(float(xyt[:, k].max()) for xyt in stacks) for k in range(3)]
         (x_min, y_min, t_min), (x_max, y_max, t_max) = lo, [
             b if b > a else a + 1.0 for a, b in zip(lo, hi)]
         return cls(x_min, x_max, y_min, y_max, t_min, t_max)
 
 
-def stack_points(trips: Iterable[Trip]) -> tuple[np.ndarray, np.ndarray]:
-    """Every waypoint of trips as one (N, 3) array of x, y, t rows, and each trip's row count."""
-    xyts = [trip.xyt() for trip in trips]
-    return (np.concatenate(xyts) if xyts else np.empty((0, 3)),
-            np.array([len(xyt) for xyt in xyts], dtype=np.intp))
+@dataclass(frozen=True, slots=True, eq=False)
+class TripSet:
+    """A trip population stacked once: ids, read-only (N, 3) x, y, t rows, first rows, row counts.
+
+    Trip i is rows starts[i] up to starts[i] + counts[i], the layout
+    check_points takes. TripSet.of builds one.
+    """
+
+    ids: tuple[str, ...]
+    xyt: np.ndarray
+    starts: np.ndarray
+    counts: np.ndarray
+
+    @classmethod
+    def of(cls, trips: Iterable[Trip] | TripSet) -> TripSet:
+        """trips itself if it is a TripSet, else its trips' waypoints in one concatenation."""
+        if isinstance(trips, TripSet):
+            return trips
+        trips = list(trips)
+        counts = np.array([len(trip.xyt()) for trip in trips], dtype=np.intp)
+        xyt = np.concatenate([trip.xyt() for trip in trips]) if trips else np.empty((0, 3))
+        xyt.flags.writeable = False
+        return cls(tuple(trip.id for trip in trips), xyt, np.cumsum(counts) - counts, counts)
+
+    def __len__(self) -> int:
+        return len(self.ids)
+
+    def __getitem__(self, i: int) -> Trip:
+        """Trip i, holding a read-only view of its rows."""
+        return Trip._wrap(self.ids[i], self.xyt[self.starts[i]:self.starts[i] + self.counts[i]])
 
 
 def check_rep_len(rep_len: int) -> None:
@@ -223,33 +253,24 @@ def check_rep_len(rep_len: int) -> None:
     check_param("rep_len", rep_len, rep_len >= 2, "must be at least 2")
 
 
-def sample_points(trips: Iterable[Trip], rep_len: int,
-                  stacked: tuple[np.ndarray, np.ndarray] | None = None) -> np.ndarray:
+def sample_points(trips: Iterable[Trip] | TripSet, rep_len: int) -> np.ndarray:
     """Every trip's waypoints at indices round(i (m-1) / (k-1)), i = 0..k-1, for k = rep_len.
 
     Returns the raw x, y, t rows stacked as shape (n, k, 3), gathered by one
-    index into stack_points(trips), or into stacked if it is given. Row 0
-    and row k - 1 are always the trip's first and last waypoints. A trip
-    with fewer than k waypoints repeats some of them.
+    index into TripSet.of(trips). Row 0 and row k - 1 are always the trip's
+    first and last waypoints. A trip with fewer than k waypoints repeats
+    some of them.
     """
     check_rep_len(rep_len)
-    points, m = stack_points(trips) if stacked is None else stacked
-    if not len(m):
-        return np.empty((0, rep_len, 3))
-    index = np.arange(rep_len) * ((m - 1) / (rep_len - 1))[:, None]
+    trips = TripSet.of(trips)
+    index = np.arange(rep_len) * ((trips.counts - 1) / (rep_len - 1))[:, None]
     index += 0.5
     index = np.floor(index, out=index).astype(np.intp)
-    index += (np.cumsum(m) - m)[:, None]
-    return points[index]
+    index += trips.starts[:, None]
+    return trips.xyt[index]
 
 
-def samples_and_context(trips: Sequence[Trip], k: int) -> tuple[np.ndarray, ScaleContext]:
-    """sample_points(trips, k) and ScaleContext.from_trips(trips), from one stack_points(trips)."""
-    stacked = stack_points(trips)
-    return sample_points(trips, k, stacked), ScaleContext.from_trips(trips, stacked[0])
-
-
-def od_points(trips: Iterable[Trip]) -> np.ndarray:
+def od_points(trips: Iterable[Trip] | TripSet) -> np.ndarray:
     """Raw origin and destination points, stacked: shape (n, 2, 3), columns x, y, t."""
     return sample_points(trips, 2)
 
@@ -314,14 +335,15 @@ def window_pairs(
         start, done = stop, int(ends[stop - 1])
 
 
-def path_lengths(trips: Sequence[Trip]) -> np.ndarray:
+def path_lengths(trips: Iterable[Trip] | TripSet) -> np.ndarray:
     """Each trip's path length in meters; equal-size trips are summed as one stack, bit for bit."""
-    xys = [trip.xyt()[:, :2] for trip in trips]
-    m = np.array([len(xy) for xy in xys], dtype=np.intp)
-    out = np.zeros(len(xys))
+    trips = TripSet.of(trips)
+    m = trips.counts
+    out = np.zeros(len(m))
     for size in set(m.tolist()) - {1}:  # np.unique would import numpy.ma, 20 ms cold
         members = np.flatnonzero(m == size)
-        step = np.diff(np.stack([xys[i] for i in members.tolist()]), axis=1)
+        rows = trips.starts[members, None] + np.arange(size)
+        step = np.diff(trips.xyt[rows, :2], axis=1)
         out[members] = np.hypot(step[..., 0], step[..., 1]).sum(axis=1)
     return out
 

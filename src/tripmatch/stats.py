@@ -8,7 +8,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .model import ScaleContext, Trip, check_param, od_points, stack_points
+from .model import ScaleContext, Trip, TripSet, check_param, od_points
 
 
 class DegenerateFitError(ValueError):
@@ -141,19 +141,20 @@ def check_grid(grid_rows: int, grid_cols: int) -> None:
 
 
 def grid_unique_counts(
-    trips: Iterable[Trip], ctx: ScaleContext, rows: int, cols: int
+    trips: Iterable[Trip] | TripSet, ctx: ScaleContext, rows: int, cols: int
 ) -> np.ndarray:
     """(rows, cols) counts of the distinct trips touching each cell; revisits count once."""
     check_grid(rows, cols)
-    xyt, m = stack_points(trips)
-    owner = np.repeat(np.arange(len(m)), m)
-    visits = _distinct(owner * (rows * cols) + _cells_of(xyt[:, 0], xyt[:, 1], ctx, rows, cols))
+    trips = TripSet.of(trips)
+    owner = np.repeat(np.arange(len(trips)), trips.counts)
+    cells = _cells_of(trips.xyt[:, 0], trips.xyt[:, 1], ctx, rows, cols)
+    visits = _distinct(owner * (rows * cols) + cells)
     counts = np.bincount(visits % (rows * cols), minlength=rows * cols)
     return counts.reshape(rows, cols)
 
 
 def grid_duration_stats(
-    trips: Iterable[Trip], ctx: ScaleContext, rows: int, cols: int
+    trips: Iterable[Trip] | TripSet, ctx: ScaleContext, rows: int, cols: int
 ) -> np.ndarray:
     """(rows, cols, 5) duration (min, q1, median, q3, max) per origin cell; NaN when empty."""
     check_grid(rows, cols)

@@ -6,9 +6,17 @@ import gc
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from tripmatch.ingest import SynthConfig, generate_synthetic
 from tripmatch.model import ScaleContext, Trip
+
+
+# No example has a deadline: the properties run numpy work whose time varies
+# with the machine's load. The profile inherits the one already loaded, such
+# as hypothesis's own "ci" profile.
+settings.register_profile("tripmatch", settings(deadline=None))
+settings.load_profile("tripmatch")
 
 
 def make_trip(trip_id: str, points: list[tuple[float, float, float]]) -> Trip:

@@ -175,7 +175,7 @@ def planted_affinities(draw):
 
 
 class TestSpectralCluster:
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=60)
     @given(planted_affinities(), st.integers(0, 2**16))
     def test_matches_laplacian_formula(self, case, seed):
         s, truth = case
@@ -276,7 +276,7 @@ def lloyd_starts(draw):
 
 class TestLloyd:
     @pytest.mark.parametrize("max_iter", [1, 2, affinity.KMEANS_MAX_ITER])
-    @settings(max_examples=150, deadline=None)
+    @settings(max_examples=150)
     @given(start=lloyd_starts())
     def test_bit_equal_to_oracle(self, max_iter, start):
         points, centers = start
@@ -311,6 +311,10 @@ class TestKmeans:
         pts[2, 1] = value
         with pytest.raises(ValueError, match="finite"):
             kmeans(pts, 2, seed=0)
+
+    def test_negative_seed_names_its_parameter(self):
+        with pytest.raises(ValueError, match=r"^seed: must be at least 0, got -2$"):
+            kmeans(np.eye(3), 2, seed=-2)
 
 
 def oracle_seeds(points: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
@@ -376,7 +380,7 @@ def assert_seeds_match_oracle(points: np.ndarray, k: int, seed: int, restarts: i
 
 
 class TestKmeansPPSeeds:
-    @settings(max_examples=150, deadline=None)
+    @settings(max_examples=150)
     @given(case=seeding_cases(), seed=st.integers(0, 2**32 - 1), restarts=st.integers(1, 6))
     def test_bit_equal_to_oracle(self, case, seed, restarts):
         assert_seeds_match_oracle(*case, seed, restarts)
@@ -493,7 +497,7 @@ def torgerson_b(d: np.ndarray) -> np.ndarray:
 
 
 class TestMds2d:
-    @settings(max_examples=200, deadline=None)
+    @settings(max_examples=200)
     @given(st.integers(2, 12).flatmap(
         lambda n: arrays(float, (n, 2), elements=st.floats(0.0, 10.0))))
     def test_matches_centring_matrix_formula(self, pts):

@@ -307,7 +307,7 @@ class TestBuildTripDag:
         with pytest.raises(ValueError, match="duplicate trip id 'a'"):
             schedule_trips([b, straight_trip("c", (0, 0), (9, 9), 0, 60), a])
 
-    @settings(max_examples=300, deadline=None)
+    @settings(max_examples=300)
     @given(handoff_cases())
     def test_sweep_equals_scalar_predicate(self, case):
         trips, dist, span = case
@@ -349,7 +349,7 @@ def dense_oracle(dag: TripDag) -> tuple[int, float]:
 
 
 class TestMatching:
-    @settings(max_examples=300, deadline=None)
+    @settings(max_examples=300)
     @given(st.one_of(dags(tied=True), dags()))
     def test_sparse_solver_equals_oracles(self, dag):
         size, weight = brute_force_best_matching(dag)
@@ -465,7 +465,7 @@ class TestExtractChains:
             assert sorted(covered) == sorted(dag.trip_ids)
             assert schedule.n_cars == dag.n - schedule.cardinality
 
-    @settings(max_examples=200, deadline=None)
+    @settings(max_examples=200)
     @given(dags())
     def test_chains_partition_trips_property(self, dag):
         matching = max_card_max_weight_matching(dag)

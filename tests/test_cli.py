@@ -246,7 +246,7 @@ class TestAffinityAndCluster:
         # added about 0.9 of an n x n matrix to it
         assert peaks[1] < peaks[0] + 0.25 * (8 * n * n)
 
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=40)
     @given(st.lists(st.text(st.sampled_from('ab,"\r\n \t'), max_size=4), min_size=2,
                     max_size=4, unique=True))
     def test_affinity_file_quotes_ids_as_csv_writer_does(self, ids):
@@ -713,6 +713,7 @@ BAD_FLAGS = [
     (("synth", "--waypoints", "1"), "--waypoints: must be at least 2, got 1"),
     (("synth", "--gamma-scale", "0"), "--gamma-scale: must be positive and finite, got 0"),
     (("synth", "--lognorm-mu", "inf"), "--lognorm-mu: must be finite, got inf"),
+    (("synth", "--seed", "-1"), "--seed: must be at least 0, got -1"),
     (("stats", "--grid-rows", "0"), "--grid-rows: must be at least 1, got 0"),
     (("stats", "--grid-cols", "-2"), "--grid-cols: must be at least 1, got -2"),
     (("affinity", "--w-space", "-1"), "--w-space: weights must be finite and nonnegative, got -1"),
@@ -721,10 +722,13 @@ BAD_FLAGS = [
     (("cluster", "--k", "1"), "--k: must be in [2, n], got 1"),
     (("cluster", "--kernel-gamma", "0"), "--kernel-gamma: must be positive and finite, got 0"),
     (("cluster", "--w-time", "nan"), "--w-time: weights must be finite and nonnegative, got nan"),
+    (("cluster", "--seed", "-2"), "--seed: must be at least 0, got -2"),
     (("match", "--n-riders", "0"), "--n-riders: must be at least 1 with --trips, got 0"),
     (("match", "--sweep-dist", "600", "--sweep-L", "0"),
      "--sweep-L: counts must be at least 1, got 0"),
+    (("match", "--seed", "-3"), "--seed: must be at least 0, got -3"),
     (("compare", "--n-rides", "-3"), "--n-rides: must be at least 1 with --trips, got -3"),
+    (("compare", "--seed", "-4"), "--seed: must be at least 0, got -4"),
     (("carshare", "--w-time", "inf"), "--w-time: weights must be finite and nonnegative, got inf"),
 ]
 
@@ -1076,8 +1080,8 @@ def test_a_run_on_a_frozen_heap_flushes_its_line_and_artifacts(name, golden_run)
 
 #: The pipeline modules a run of each subcommand loads besides those that
 #: importing tripmatch.cli loads.
-RUN_MODULES = {"cluster": ["affinity"], "carshare": ["carshare"], "match": ["matching"],
-               "compare": ["matching"]}
+RUN_MODULES = {"affinity": ["affinity"], "cluster": ["affinity"], "carshare": ["carshare"],
+               "match": ["matching"], "compare": ["matching"]}
 CLI_MODULES = ["cli", "ingest", "metrics", "model"]
 
 
@@ -1094,8 +1098,8 @@ def test_import_leaves_the_pipeline_modules_unloaded():
 
 @pytest.mark.parametrize("name", sorted(RUN_MODULES))
 def test_a_run_loads_only_the_pipeline_modules_it_runs(name, trips_file, tmp_path):
-    flags = {"cluster": ["--k", "3"], "carshare": []}.get(name, ["--n-riders", "15",
-                                                                 "--n-rides", "45"])
+    flags = {"cluster": ["--k", "3"], "affinity": [], "carshare": []}.get(
+        name, ["--n-riders", "15", "--n-rides", "45"])
     argv = [name, "--trips", str(trips_file), *flags, "--out", str(tmp_path / name)]
     loaded = _loaded(f"from tripmatch.cli import main\nassert main({argv!r}) == 0")
     assert loaded == sorted(f"tripmatch.{m}" for m in CLI_MODULES + RUN_MODULES[name])

@@ -93,7 +93,7 @@ class TestParseTrace:
         records, _ = parse_trace(stream)
         assert len(records) == 2
 
-    @settings(max_examples=300, deadline=None)
+    @settings(max_examples=300)
     @given(FIELD_ORDERS,
            st.lists(st.one_of(st.text(), st.lists(TOKENS, max_size=7).map(" ".join)),
                     max_size=30))
@@ -200,6 +200,10 @@ class TestGenerateSynthetic:
             SynthConfig(n=1, bbox=self.BOX, gamma_shape=-1.0)
         with pytest.raises(ValueError):
             SynthConfig(n=1, bbox=self.BOX, waypoints=1)
+
+    def test_negative_seed_names_its_parameter(self):
+        with pytest.raises(ValueError, match=r"^seed: must be at least 0, got -1$"):
+            SynthConfig(n=1, bbox=self.BOX, seed=-1)
 
 
 class TestJsonl:
@@ -324,7 +328,7 @@ def record_lines(draw) -> str:
 
 
 class TestReaderMatchesWaypointOracle:
-    @settings(max_examples=500, deadline=None)
+    @settings(max_examples=500)
     @given(st.lists(st.one_of(record_lines(), st.sampled_from(["", "  "])),
                     min_size=1, max_size=6))
     def test_same_decisions_ids_and_bits(self, lines):
@@ -429,7 +433,7 @@ def spaced(line: str) -> str:
 
 
 class TestCompactReaderMatchesWaypointOracle:
-    @settings(max_examples=500, deadline=None)
+    @settings(max_examples=500)
     @given(st.lists(st.one_of(compact_record_lines(), st.sampled_from(["", "  "])),
                     min_size=1, max_size=6))
     def test_same_decisions_ids_and_bits(self, lines):
@@ -500,7 +504,7 @@ def _message(trips) -> str | None:
     return None
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=300)
 @given(st.lists(st.from_regex(r"-?(0|[1-9][0-9]{0,20})(\.[0-9]{1,25})?([eE][+-]?[0-9]{1,3})?",
                               fullmatch=True), min_size=1, max_size=30))
 def test_text_parse_rounds_like_float(tokens):

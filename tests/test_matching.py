@@ -311,7 +311,7 @@ def with_one_gate_examples(test):
 
 class TestCandidateIndices:
     @with_one_gate_examples
-    @settings(max_examples=200, deadline=None)
+    @settings(max_examples=200)
     @given(filter_cases())
     @example(rounding_case("car", 420.07671791192416, 943.2767179119243))
     @example(rounding_case("carpool", 878.2781030127951, 355.078103012795))
@@ -391,7 +391,7 @@ class TestMatchCountsCurve:
             match_counts_curve([], [], MatchScenario(), **sweeps)
 
     @pytest.mark.parametrize("mode", ["car", "carpool"])
-    @settings(max_examples=100, deadline=None)
+    @settings(max_examples=100)
     @given(case=filter_cases(), data=st.data())
     def test_time_sweep_equals_candidates_per_step(self, mode, case, data):
         requests, rides, scenario = case
@@ -502,7 +502,7 @@ class TestGreedyMatch:
         report = greedy_match([req], [twin_b, twin_a], MatchScenario())
         assert report.rows[0].ride_id == "a"
 
-    @settings(max_examples=300, deadline=None)
+    @settings(max_examples=300)
     @given(filter_cases(), st.sampled_from(METRIC_NAMES), st.permutations(range(12)),
            st.sampled_from([(0.6, 0.4), (0.1, 0.9), (1.0, 0.0)]))
     def test_equals_exhaustive_choice(self, case, metric, ids, weights):
@@ -530,7 +530,7 @@ class TestGreedyMatch:
 class TestChoiceOnPairArrays:
     """The lexsort choice against the per-request loop, report field by field with ==."""
 
-    @settings(max_examples=200, deadline=None)
+    @settings(max_examples=200)
     @given(filter_cases(), st.sampled_from(["car", "carpool"]),
            st.lists(st.integers(0, 5), min_size=12, max_size=12), st.integers(2, 4))
     def test_equals_per_request_loop(self, case, mode, id_of, rep_len):
@@ -691,7 +691,7 @@ class TestCompareMetrics:
         assert together == [compare_metrics(requests, rides, [s])[0] for s in scenarios]
 
     @pytest.mark.parametrize("mode", ["car", "carpool"])
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=60)
     @given(filter_cases(), st.integers(2, 6))
     def test_two_point_samples_match_as_greedy_match(self, mode, case, n_points):
         # 2-point samples are the OD reps, so every metric picks as greedy_match

@@ -131,7 +131,7 @@ class TestPsim:
         assert math.isclose(got, 0.5 ** 0.6, rel_tol=1e-12)
         assert math.isclose(got, 0.6597539553864471, rel_tol=1e-12)
 
-    @settings(max_examples=300, deadline=None)
+    @settings(max_examples=300)
     @given(POINTS, POINTS, WEIGHTS, st.floats(1e-3, 1e3), st.sampled_from(TimeMode),
            st.sampled_from(PointRole))
     def test_weight_scaling_invariance(self, p, q, w, c, mode, role):
@@ -151,7 +151,7 @@ class TestPsim:
         scores_t = [psim((0, 0, 0), (0.1, 0, t), W) for t in np.linspace(0, 2, 20)]
         assert scores_t == sorted(scores_t, reverse=True)
 
-    @settings(max_examples=300, deadline=None)
+    @settings(max_examples=300)
     @given(POINTS, POINTS, WEIGHTS, st.sampled_from(TimeMode), st.sampled_from(PointRole))
     def test_in_unit_interval(self, p, q, w, mode, role):
         assert 0.0 < psim(p, q, WgmWeights(*w), mode, role) <= 1.0
@@ -243,7 +243,7 @@ def kernel_cases(draw):
 
 
 class TestWgmBatch:
-    @settings(max_examples=300, deadline=None)
+    @settings(max_examples=300)
     @given(kernel_cases())
     def test_matches_scalar_wgm_sim(self, case):
         a, b, w, mode, tile = case
@@ -256,7 +256,7 @@ class TestWgmBatch:
         np.testing.assert_allclose(pairs, oracle[np.arange(len(a)), np.arange(len(a)) % len(b)],
                                    rtol=0, atol=1e-12)
 
-    @settings(max_examples=100, deadline=None)
+    @settings(max_examples=100)
     @given(kernel_cases())
     def test_exact_identities(self, case):
         a, b, w, _, tile = case
@@ -465,7 +465,7 @@ def dp_cases(draw):
 
 
 class TestDpBatch:
-    @settings(max_examples=150, deadline=None)
+    @settings(max_examples=150)
     @given(dp_cases())
     def test_bit_equal_to_scalar_metrics(self, case):
         a, b, params = case

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import re
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -162,7 +163,7 @@ class TestSampleWaypoints:
                 assert xs[0] == 0 and xs[-1] == n - 1
                 assert len(set(xs)) == min(n, k)
 
-    @settings(max_examples=200, deadline=None)
+    @settings(max_examples=200)
     @given(st.lists(st.integers(1, 40), max_size=6), st.integers(2, 30), st.integers(0, 2**32 - 1))
     def test_equals_per_trip_oracle(self, sizes, k, seed):
         rng = np.random.default_rng(seed)
@@ -213,7 +214,7 @@ class TestScaling:
         scaled = scale_points(od_points([point_trip((x, 0, 0)) for x in xs]), ctx)[:, 0, 0]
         assert all(b > a for a, b in zip(scaled, scaled[1:]))
 
-    @settings(max_examples=200, deadline=None)
+    @settings(max_examples=200)
     @given(st.lists(st.lists(st.tuples(st.floats(-5e4, 5e4), st.floats(-5e4, 5e4),
                                        st.floats(0, 2e5)), min_size=1, max_size=4),
                     max_size=6),
@@ -269,7 +270,7 @@ class TestPathLength:
         for trip, length in zip(synth_trips, path_lengths(synth_trips).tolist()):
             assert length >= od_displacement(trip) - 1e-9
 
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=60)
     @given(st.lists(st.one_of(st.sampled_from([1, 2, 7]), st.integers(1, 400)), max_size=16),
            st.integers(0, 2**32 - 1))
     def test_population_equals_per_trip_sums(self, sizes, seed):
@@ -287,7 +288,7 @@ class TestPathLength:
 
 
 class TestWindowPairs:
-    @settings(max_examples=200, deadline=None)
+    @settings(max_examples=200)
     @given(st.lists(st.integers(0, 20), max_size=30),
            st.lists(st.tuples(st.integers(-2, 22), st.integers(0, 8)), max_size=12))
     def test_equals_scan_of_every_pair(self, keys, windows):
@@ -302,7 +303,7 @@ class TestWindowPairs:
         assert i.dtype == j.dtype == np.intp
         assert list(zip(i.tolist(), j.tolist())) == expected
 
-    @settings(max_examples=200, deadline=None)
+    @settings(max_examples=200)
     @given(st.lists(st.integers(0, 20), max_size=30),
            st.lists(st.tuples(st.integers(-2, 22), st.integers(0, 8)), max_size=12),
            st.integers(1, 12))
@@ -342,7 +343,7 @@ class TestWithinDistance:
             values = [h, np.nextafter(h, math.inf), np.nextafter(h, -math.inf)]
         return [float(v) for v in values if v > 0] or [math.inf]
 
-    @settings(max_examples=300, deadline=None)
+    @settings(max_examples=300)
     @given(st.lists(st.tuples(st.floats(allow_nan=False), st.floats(allow_nan=False)),
                     min_size=1, max_size=8), st.data())
     def test_equals_hypot(self, offsets, data):
@@ -352,7 +353,7 @@ class TestWithinDistance:
         d = data.draw(st.sampled_from(self.near(h)) | st.floats(5e-324, allow_nan=False))
         self.check(*zip(*offsets), d)
 
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=60)
     @given(st.sampled_from([(-545, -505), (505, 520), (-545, 520)]), st.integers(0, 2**32 - 1))
     def test_equals_hypot_where_squares_are_subnormal_or_overflow(self, exponents, seed):
         # offsets of 2^-545 to 2^-505 have squares below the smallest normal
@@ -406,3 +407,10 @@ class TestCheckPoints:
     def test_names_a_trip_with_no_rows(self, starts, empty):
         with pytest.raises(ValueError, match=f"trip '{empty}' has no waypoints"):
             check_points(self.STACK, np.array(starts), "abc")
+
+
+@pytest.mark.parametrize("message", ["affinity needs at least two trips",
+                                     "waypoints are not sorted by time"])
+def test_a_data_rule_message_is_written_once(message):
+    sources = Path(model.__file__).parent.glob("*.py")
+    assert sum(path.read_text(encoding="utf-8").count(message) for path in sources) == 1

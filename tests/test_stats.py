@@ -221,7 +221,7 @@ def scalar_duration_stats(trips: list[Trip], ctx: ScaleContext, rows: int, cols:
 
 
 class TestGridsMatchScalarOracle:
-    @settings(max_examples=200, deadline=None)
+    @settings(max_examples=200)
     @given(st.lists(st.lists(st.tuples(st.floats(-50, 150), st.floats(-50, 150),
                                        st.floats(0, 2000)), min_size=1, max_size=6),
                     max_size=8),
@@ -241,7 +241,7 @@ class TestGridsMatchScalarOracle:
 class TestGridHelpersMatchNumpy:
     """The grids' sort-based helper against np.unique."""
 
-    @settings(max_examples=200, deadline=None)
+    @settings(max_examples=200)
     @given(st.lists(st.integers(0, 40), max_size=60))
     def test_distinct_is_np_unique(self, keys):
         keys = np.array(keys, dtype=np.intp)
