@@ -2,9 +2,9 @@
 
 A car can service trip b after trip a when b starts after a ends and the
 hand-off (a's destination to b's origin) is within distance and time
-thresholds. Those hand-offs form a DAG over the trips; a minimum path
-partition of the DAG is a schedule with the fewest cars, and among the
-minimum partitions we pick one maximizing the total hand-off similarity.
+thresholds, screened in space and time at once. Those hand-offs form a
+DAG over the trips; a minimum path partition of it is a schedule with the
+fewest cars, and among those we pick one maximizing hand-off similarity.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ import numpy as np
 from . import metrics
 from .metrics import WgmWeights
 from .model import (ScaleContext, Trip, TripSet, od_points, path_lengths, scale_points,
-                    window_pairs, within_distance)
+                    space_time_pairs, within_distance)
 
 
 @dataclass(frozen=True, slots=True, eq=False)
@@ -73,9 +73,8 @@ def build_trip_dag(
     time differences, scaled into the trips' own bounding box. The edge rows
     are in ascending (a, b) order, with their weights beside them.
 
-    The candidate successors of every trip are found by model.window_pairs,
-    a bisection of the start times; the exact predicate runs on those pairs
-    alone, a block of them at a time.
+    model.space_time_pairs screens successor start times in the grid cells
+    around each destination; the exact predicate decides, a block at a time.
 
     Raises ValueError naming a trip id that repeats: chains and their
     statistics key trips by id.
@@ -95,7 +94,8 @@ def build_trip_dag(
     # widened by a relative slack because start <= end + T and
     # start - end <= T can round apart, and the exact gap test decides
     kept = []
-    for src, dst in window_pairs(start, end, (end + time_threshold) * (1 + 1e-12)):
+    for src, dst in space_time_pairs(start, end, (end + time_threshold) * (1 + 1e-12),
+                                     origin, dest, dist_threshold):
         gap = start[dst] - end[src]
         keep = (gap > 0) & (gap <= time_threshold)
         keep &= within_distance(*(dest[src] - origin[dst]).T, dist_threshold)

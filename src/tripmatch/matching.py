@@ -19,7 +19,7 @@ from . import metrics
 from .metrics import MetricParams, WgmWeights, check_metric
 from .model import (
     ScaleContext, Trip, TripSet, check_param, od_points, path_lengths, sample_points, scale_points,
-    window_pairs, within_distance,
+    space_time_pairs, within_distance,
 )
 
 #: -1 when the best ride maximises the metric (a similarity), 1 when it
@@ -135,12 +135,11 @@ def _candidate_indices(
     od_points gives them. A ride is a candidate when its origin and its
     destination each lie within time_threshold seconds and dist_threshold
     meters of the request's, and its window is ordered against the
-    request's as the mode requires. The order and origin-time gates confine
-    a ride's origin time to one interval per request, [t, t + T] for car
-    and [t - T, t] for carpool, so model.window_pairs bisects the rides'
-    origin times once for every request; the exact gates then run on the
-    pairs in those windows alone, a block of requests at a time, in three
-    stages that each gather columns only for the pairs the last one passed.
+    request's as the mode requires. model.space_time_pairs screens each
+    request's window of ride origin times, [t, t + T] for car and [t - T, t]
+    for carpool, in the grid cells of ride origins around its origin; the
+    exact gates then run a block of requests at a time, in three stages that
+    each gather columns only for the pairs the last one passed.
     """
     ox, oy, ot, dx, dy, dt = rides.reshape(-1, 6).T
     rox, roy, rot, rdx, rdy, rdt = requests.reshape(-1, 6).T
@@ -153,7 +152,7 @@ def _candidate_indices(
     # the order and destination-time gates as one interval: a - b <= 0 iff a <= b
     late_lo, late_hi = (-span, 0.0) if car else (0.0, span)
     kept = []
-    for i, j in window_pairs(ot, *windows):
+    for i, j in space_time_pairs(ot, *windows, rides[:, 0, :2], requests[:, 0, :2], dist):
         late = dt[j] - rdt[i]
         keep = np.flatnonzero((late >= late_lo) & (late <= late_hi))
         i, j = i[keep], j[keep]

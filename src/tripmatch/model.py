@@ -299,37 +299,59 @@ def within_distance(dx: np.ndarray, dy: np.ndarray, d: float) -> np.ndarray:
     return near
 
 
-#: Pairs window_pairs expands at a time, unless one window alone holds more.
+#: Pairs space_time_pairs expands at a time, unless one i alone holds more.
 WINDOW_BLOCK_PAIRS = 1 << 19
 
 
-def window_pairs(
-    keys: np.ndarray, lo: np.ndarray, hi: np.ndarray
-) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """Every pair (i, j) with lo[i] <= keys[j] <= hi[i], in blocks of two intp arrays.
+def space_time_pairs(keys: np.ndarray, lo: np.ndarray, hi: np.ndarray, points: np.ndarray,
+                     at: np.ndarray, reach: float) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Pairs (i, j), lo[i] <= keys[j] <= hi[i], with points[j] in the 3 x 3 cells around at[i].
 
-    The pairs are grouped by i in ascending order, and within a group j
-    runs in ascending key order. One stable sort of keys and two bisections
-    find each window. The windows are then expanded into pairs a block of
-    whole groups at a time: each block holds at most WINDOW_BLOCK_PAIRS
-    pairs, or one group, and there is at least one block. Every lo[i] must
-    be <= hi[i].
+    Among them is every window pair whose xy points lie within reach; exact
+    gates decide. The js are sorted once by (grid cell, time rank), so two
+    bisections bound i's window in each cell. Blocks of two intp arrays hold
+    whole groups by i, ascending: at most WINDOW_BLOCK_PAIRS pairs or one
+    group, and at least one block. Every lo[i] must be <= hi[i].
+
+    No pair within reach is missed. A cell is floor((p - corner) / s) per axis
+    in the box of all points, s >= reach (1 + 1e-9), extent / 2^20 and
+    extent sqrt(n) / 2^29, extent being the box's longer side, n = len(keys).
+    Quotients lie in [0, 2^20] and err by at most 2^-31. Points whose computed
+    hypot is <= reach lie within reach (1 + 2^-51) per axis, so their
+    quotients differ by under 1 - 9e-10 + 2^-30 < 1. A non-finite or zero box,
+    or an infinite reach, makes one cell. The key cell * n + rank, rank <= n,
+    cells in [-(g + 3), (g + 2)^2) for g + 1 a side, stays within
+    (g + 2)^2 n < 2^58 + 2^31 sqrt(n) + 4n < 2^63: numpy holds under 2^60 floats.
     """
+    n = len(keys)
     order = np.argsort(keys, kind="stable")
-    ordered = keys[order]
-    first = np.searchsorted(ordered, lo, side="left")
-    count = np.searchsorted(ordered, hi, side="right") - first
-    ends = np.cumsum(count)
-    # pair p of the groups together sits at sorted position p + shift[i]
-    shift = first - ends + count
+    lo_rank = np.searchsorted(keys[order], lo, side="left")
+    hi_rank = np.searchsorted(keys[order], hi, side="right")
+    box = np.concatenate([points, at])
+    with np.errstate(over="ignore", invalid="ignore"):  # a box wider than floats reach: inf
+        box -= box.min(axis=0, initial=np.inf)
+    extent = float(box.max(initial=-np.inf))
+    side = max(reach * (1 + 1e-9), extent * max(2.0**-20, math.sqrt(n) * 2.0**-29))
+    grid = int(extent / side) if 0 < extent < math.inf else 0
+    cells = np.floor(box / side).astype(np.intp) if grid else np.zeros_like(box, np.intp)
+    # rows grid + 2 wide put off-grid neighbours where no j is: row -1 or grid + 1, column grid + 1
+    key = np.sort((cells[:n, 0] * (grid + 2) + cells[:n, 1])[order] * n + np.arange(n))
+    order = order[key % n]
+    ax, ay = (cells[n:, k, None] + [-1, 0, 1] for k in (0, 1))
+    near = (ax[:, :, None] * (grid + 2) + ay[:, None, :]).reshape(-1, 9) * n
+    first = np.searchsorted(key, near + lo_rank[:, None]).ravel()
+    count = np.searchsorted(key, near + hi_rank[:, None]).ravel() - first
+    # pair p of all the runs together sits at sorted position p + shift[r], r its run
+    shift = first + count - np.cumsum(count)
+    ends = np.cumsum(count)[8::9]
     start, done = 0, 0
     while True:
         stop = max(int(np.searchsorted(ends, done + WINDOW_BLOCK_PAIRS, side="right")), start + 1)
         stop = min(stop, len(lo))
-        i = np.repeat(np.arange(start, stop), count[start:stop])
-        slot = np.arange(done, done + len(i))
-        slot += shift[i]
-        yield i, order[slot]
+        run = np.repeat(np.arange(9 * start, 9 * stop), count[9 * start:9 * stop])
+        slot = np.arange(done, done + len(run))
+        slot += shift[run]
+        yield run // 9, order[slot]
         if stop == len(lo):
             return
         start, done = stop, int(ends[stop - 1])

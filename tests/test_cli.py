@@ -1096,13 +1096,26 @@ def test_import_leaves_the_pipeline_modules_unloaded():
     assert _loaded("import tripmatch.cli") == [f"tripmatch.{m}" for m in CLI_MODULES]
 
 
-@pytest.mark.parametrize("name", sorted(RUN_MODULES))
-def test_a_run_loads_only_the_pipeline_modules_it_runs(name, trips_file, tmp_path):
+def _pipeline_run(name: str, trips_file: Path, out: Path) -> str:
+    """Code that runs subcommand name on trips_file in process, asserting it succeeds."""
     flags = {"cluster": ["--k", "3"], "affinity": [], "carshare": []}.get(
         name, ["--n-riders", "15", "--n-rides", "45"])
-    argv = [name, "--trips", str(trips_file), *flags, "--out", str(tmp_path / name)]
-    loaded = _loaded(f"from tripmatch.cli import main\nassert main({argv!r}) == 0")
+    argv = [name, "--trips", str(trips_file), *flags, "--out", str(out)]
+    return f"from tripmatch.cli import main\nassert main({argv!r}) == 0"
+
+
+@pytest.mark.parametrize("name", sorted(RUN_MODULES))
+def test_a_run_loads_only_the_pipeline_modules_it_runs(name, trips_file, tmp_path):
+    loaded = _loaded(_pipeline_run(name, trips_file, tmp_path / name))
     assert loaded == sorted(f"tripmatch.{m}" for m in CLI_MODULES + RUN_MODULES[name])
+
+
+@pytest.mark.parametrize("name", ["carshare", "cluster", "compare", "match"])
+def test_a_run_loads_no_scipy(name, trips_file, tmp_path):
+    # a cold scipy.spatial import takes longer than the whole space-time screen
+    # saves, so candidates and hand-offs are screened with numpy alone
+    _run_python(_pipeline_run(name, trips_file, tmp_path / name) + "\nimport sys\n"
+                "assert not [m for m in sys.modules if m.split('.')[0] == 'scipy']")
 
 
 def _exit(capsys, parse, argv: list[str]) -> tuple[object, str, str]:

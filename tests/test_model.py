@@ -4,12 +4,13 @@ from __future__ import annotations
 
 import math
 import re
+import warnings
 from pathlib import Path
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tripmatch import model
@@ -23,8 +24,8 @@ from tripmatch.model import (
     path_lengths,
     sample_points,
     scale_points,
+    space_time_pairs,
     spatial_distance,
-    window_pairs,
     within_distance,
 )
 
@@ -287,33 +288,73 @@ class TestPathLength:
         assert spatial_distance(Waypoint(0, 0, 0), Waypoint(3, 4, 9)) == 5.0
 
 
-class TestWindowPairs:
-    @settings(max_examples=200)
-    @given(st.lists(st.integers(0, 20), max_size=30),
-           st.lists(st.tuples(st.integers(-2, 22), st.integers(0, 8)), max_size=12))
-    def test_equals_scan_of_every_pair(self, keys, windows):
-        # small integer keys, so many ties and windows that end on a key
-        keys = np.array(keys, dtype=float)
-        lo = np.array([a for a, _ in windows], dtype=float)
-        hi = lo + [w for _, w in windows]
-        expected = [(i, j) for i in range(len(lo))
-                    for j in sorted(range(len(keys)), key=lambda j: keys[j])
-                    if lo[i] <= keys[j] <= hi[i]]
-        i, j = map(np.concatenate, zip(*window_pairs(keys, lo, hi)))
+@st.composite
+def screens(draw):
+    """Arguments for space_time_pairs: keys, windows, j points, i points and a reach.
+
+    Small integer keys give many ties and windows that end on a key; a window
+    runs forward from its key, [t, t + w], or back, [t - w, t]. The points lie
+    anywhere within 1e7 of the origin, all at one place, or on and next to the
+    grid's cell borders, at whole multiples of the reach.
+    """
+    keys = np.array(draw(st.lists(st.integers(0, 20), max_size=30)), dtype=float)
+    windows = draw(st.lists(st.tuples(st.integers(-2, 22), st.integers(0, 8)), max_size=12))
+    t = np.array([a for a, _ in windows], dtype=float)
+    w = np.array([b for _, b in windows], dtype=float)
+    lo, hi = (t - w, t) if draw(st.booleans()) else (t, t + w)
+    reach = draw(st.one_of(st.floats(1e-3, 1e7), st.just(math.inf)))
+    size = len(keys) + len(windows)
+    coord = st.floats(-1e7, 1e7)
+    layout = draw(st.sampled_from(["anywhere", "one place", "borders"]))
+    if layout == "anywhere":
+        xy = np.array(draw(st.lists(st.tuples(coord, coord), min_size=size, max_size=size)))
+    elif layout == "one place":
+        xy = np.tile(draw(st.tuples(coord, coord)), (size, 1))
+    else:
+        steps = draw(st.lists(st.tuples(st.integers(-4, 4), st.integers(-4, 4),
+                                        st.sampled_from([1.0, 1 + 1e-9, 1 - 2**-52])),
+                              min_size=size, max_size=size))
+        unit = reach if reach < math.inf else 1.0
+        xy = draw(st.tuples(coord, coord)) + np.array(
+            [(a * f, b * f) for a, b, f in steps]).reshape(size, 2) * unit
+    xy = xy.reshape(size, 2)
+    return keys, lo, hi, xy[:len(keys)], xy[len(keys):], reach
+
+
+#: A pair exactly reach apart whose quotients, from a corner at x = -276.19, round
+#: to 0.9999999999999999 and 2.0: cells of side reach alone would part them.
+BORDER_PAIR = (np.zeros(2), np.zeros(1), np.zeros(1),
+               np.array([[-276.1882295969321, 0.0], [1156.2617604249385, 0.0]]),
+               np.array([[440.0367654140031, 0.0]]), 716.2249950109353)
+
+
+class TestSpaceTimePairs:
+    @settings(max_examples=300)
+    @given(screens())
+    @example(BORDER_PAIR)
+    def test_holds_every_near_pair_of_a_scan_of_every_pair(self, args):
+        keys, lo, hi, points, at, reach = args
+        window = {(i, j) for i in range(len(lo)) for j in range(len(keys))
+                  if lo[i] <= keys[j] <= hi[i]}
+        near = {(i, j) for i, j in window if np.hypot(*(points[j] - at[i])) <= reach}
+        i, j = map(np.concatenate, zip(*space_time_pairs(keys, lo, hi, points, at, reach)))
         assert i.dtype == j.dtype == np.intp
-        assert list(zip(i.tolist(), j.tolist())) == expected
+        got = list(zip(i.tolist(), j.tolist()))
+        assert len(set(got)) == len(got)
+        assert near <= set(got) <= window
+        assert (np.diff(i) >= 0).all()
+        if reach < math.inf and len(got):
+            # neighbour cells only: within two cells' sides on each axis
+            box = np.concatenate([points, at])
+            side = max(reach * (1 + 1e-9), np.ptp(box, axis=0).max() * 2.0**-20)
+            assert np.abs(points[j] - at[i]).max() <= 2 * side * (1 + 1e-9)
 
     @settings(max_examples=200)
-    @given(st.lists(st.integers(0, 20), max_size=30),
-           st.lists(st.tuples(st.integers(-2, 22), st.integers(0, 8)), max_size=12),
-           st.integers(1, 12))
-    def test_blocks_hold_whole_windows_up_to_the_cap(self, keys, windows, cap):
-        keys = np.array(keys, dtype=float)
-        lo = np.array([a for a, _ in windows], dtype=float)
-        hi = lo + [w for _, w in windows]
-        whole = [np.concatenate(a) for a in zip(*window_pairs(keys, lo, hi))]
+    @given(screens(), st.integers(1, 12))
+    def test_blocks_hold_whole_groups_up_to_the_cap(self, args, cap):
+        whole = [np.concatenate(a) for a in zip(*space_time_pairs(*args))]
         with mock.patch.object(model, "WINDOW_BLOCK_PAIRS", cap):
-            blocks = list(window_pairs(keys, lo, hi))
+            blocks = list(space_time_pairs(*args))
         assert blocks
         for i, _ in blocks:
             assert len(i) <= cap or len(set(i.tolist())) == 1
@@ -321,6 +362,15 @@ class TestWindowPairs:
         assert all(a.isdisjoint(b) for a, b in zip(groups, groups[1:]))
         for got, want in zip(map(np.concatenate, zip(*blocks)), whole):
             assert got.tolist() == want.tolist()
+
+    def test_a_box_wider_than_floats_reach_is_one_cell(self):
+        keys = np.arange(4.0)
+        points = np.array([[-1.5e308, 0.0], [1.5e308, 0.0], [0.0, -1.5e308], [0.0, 1.5e308]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            i, j = map(np.concatenate, zip(*space_time_pairs(
+                keys, keys - 3, keys + 3, points, points, 1.0)))
+        assert sorted(zip(i.tolist(), j.tolist())) == [(a, b) for a in range(4) for b in range(4)]
 
 
 class TestWithinDistance:
