@@ -121,9 +121,9 @@ def _hash_inputs(paths: list[str]) -> Callable[[str], str]:
     return lookup
 
 
-def _load_trips(path: str) -> list[model.Trip]:
+def _load_trips(path: str) -> model.TripSet:
     with open(path, encoding="utf-8") as fh:
-        trips = list(ingest.read_trips_jsonl(fh))
+        trips = model.TripSet.of(ingest.read_trips_jsonl(fh))
     if not trips:
         raise ValueError(f"no trips in {path}")
     return trips
@@ -169,7 +169,7 @@ def _split_riders_rides(cfg: dict) -> tuple[model.TripSet, model.TripSet]:
     The split sizes and the seed are checked before --trips is read.
     """
     if cfg.get("requests") and cfg.get("rides"):
-        return tuple(model.TripSet.of(_load_trips(cfg[key])) for key in ("requests", "rides"))
+        return tuple(_load_trips(cfg[key]) for key in ("requests", "rides"))
     if cfg.get("requests") or cfg.get("rides"):
         missing = "--rides" if cfg.get("requests") else "--requests"
         raise ValueError(f"--requests and --rides go together: {missing} is missing")
@@ -237,7 +237,7 @@ def cmd_stats(cfg: dict, outdir: Path) -> dict:
     from . import stats
     rows, cols = cfg["grid_rows"], cfg["grid_cols"]
     stats.check_grid(rows, cols)
-    trips = model.TripSet.of(_load_trips(cfg["trips"]))
+    trips = _load_trips(cfg["trips"])
     ctx = model.ScaleContext.from_trips(trips)
     start, end = model.od_points(trips)[:, :, 2].T
     durations = [d for d in (end - start).tolist() if d > 0]
@@ -313,7 +313,7 @@ def _symmetric_ratio(a: np.ndarray) -> float:
 
 def cmd_affinity(cfg: dict, outdir: Path) -> dict:
     weights = metrics.WgmWeights(cfg["w_space"], cfg["w_time"])
-    trips = model.TripSet.of(_load_trips(cfg["trips"]))
+    trips = _load_trips(cfg["trips"])
     reps = model.scale_points(model.od_points(trips), model.ScaleContext.from_trips(trips))
     values = _affinity(cfg["scorer"], reps, weights)
     rows = values.T if cfg["scorer"] == "cp" else values
@@ -334,7 +334,7 @@ def cmd_cluster(cfg: dict, outdir: Path) -> dict:
     affinity.check_k(cfg["k"])
     model.check_seed(cfg["seed"])
     weights = metrics.WgmWeights(cfg["w_space"], cfg["w_time"])
-    trips = model.TripSet.of(_load_trips(cfg["trips"]))
+    trips = _load_trips(cfg["trips"])
     if len(trips) < 3:
         raise ValueError(f"cluster needs at least 3 trips for its 2-D embeddings, got {len(trips)}")
     affinity.check_k(cfg["k"], len(trips))
@@ -393,8 +393,8 @@ def cmd_match(cfg: dict, outdir: Path) -> dict:
     from . import matching
     sweeps = {key: _parse_list(cfg, key) for key in ("sweep_dist", "sweep_time")}
     sweep_l = _parse_list(cfg, "sweep_l", int) or [1]
-    if cfg.get("sweep_l") and not any(sweeps.values()):
-        raise ValueError("--sweep-L needs --sweep-dist or --sweep-time")
+    model.check_param("sweep_l", cfg["sweep_l"], any(sweeps.values()) or not cfg.get("sweep_l"),
+                      "needs --sweep-dist or --sweep-time")
     matching.check_sweeps(**sweeps, sweep_l=sweep_l)
     scenario = _scenario(cfg)
     requests, rides = _split_riders_rides(cfg)
@@ -445,7 +445,7 @@ def cmd_carshare(cfg: dict, outdir: Path) -> dict:
     metrics.check_thresholds(dist_threshold=cfg["dist_threshold"],
                              time_threshold=cfg["time_threshold"])
     weights = metrics.WgmWeights(cfg["w_space"], cfg["w_time"])
-    trips = model.TripSet.of(_load_trips(cfg["trips"]))
+    trips = _load_trips(cfg["trips"])
     dag, schedule = carshare.schedule_trips(
         trips,
         dist_threshold=cfg["dist_threshold"],

@@ -344,6 +344,7 @@ def space_time_pairs(keys: np.ndarray, lo: np.ndarray, hi: np.ndarray, points: n
     # pair p of all the runs together sits at sorted position p + shift[r], r its run
     shift = first + count - np.cumsum(count)
     ends = np.cumsum(count)[8::9]
+    del box, cells, key, ax, ay, near, first, lo_rank, hi_rank  # freed before the pairs expand
     start, done = 0, 0
     while True:
         stop = max(int(np.searchsorted(ends, done + WINDOW_BLOCK_PAIRS, side="right")), start + 1)

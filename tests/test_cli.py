@@ -301,28 +301,14 @@ class TestAffinityAndCluster:
         assert "at least 3 trips" in summary["message"] and "got 2" in summary["message"]
         assert list(out.iterdir()) == []
 
-    @pytest.mark.parametrize("flags, message", [
-        (["--k", "0"], "--k: must be in [2, n], got 0"),
-        (["--k", "61"], "--k: must be in [2, 60], got 61"),
-        (["--kernel-gamma", "-1"], "--kernel-gamma: must be positive and finite, got -1"),
-        (["--kernel-gamma", "nan"], "--kernel-gamma: must be positive and finite, got nan"),
-    ])
-    def test_bad_k_or_gamma_scores_nothing(self, flags, message, trips_file, tmp_path,
-                                           capsys):
+    def test_k_above_the_trip_count_scores_nothing(self, trips_file, tmp_path, capsys):
         out = tmp_path / "c"
         with mock.patch.object(metrics, "wgm_batch", side_effect=AssertionError("scored")):
-            code, summary = run(capsys, "cluster", "--trips", str(trips_file), "--k", "3",
-                                *flags, "--out", str(out))
-        assert code == 1 and summary["category"] == "invalid-argument"
-        assert summary["message"] == message
+            code, summary = run(capsys, "cluster", "--trips", str(trips_file), "--k", "61",
+                                "--out", str(out))
+        assert (code, summary["category"]) == (1, "invalid-argument")
+        assert summary["message"] == "--k: must be in [2, 60], got 61"
         assert list(out.iterdir()) == []
-
-    @pytest.mark.parametrize("gamma", ["-2", "0"])
-    def test_nonpositive_kernel_gamma_rejected(self, gamma, trips_file, tmp_path, capsys):
-        code, summary = run(capsys, "cluster", "--trips", str(trips_file), "--k", "2",
-                            "--kernel-gamma", gamma, "--out", str(tmp_path / "c"))
-        assert code == 1 and summary["category"] == "invalid-argument"
-        assert "gamma" in summary["message"]
 
 
 class TestMatch:
@@ -439,48 +425,6 @@ class TestMatch:
             ["time", "1800.0", "1"], ["time", "1800.0", "3"]]
         assert [int(r[3]) for r in rows[1:]] == [w["count"] for w in want]
 
-    @pytest.mark.parametrize("flag, value, message", [
-        ("--sweep-dist", "600,abc", "--sweep-dist: could not convert string to float: 'abc'"),
-        ("--sweep-time", "300,x", "--sweep-time: could not convert string to float: 'x'"),
-        ("--sweep-L", "x", "--sweep-L: invalid literal for int() with base 10: 'x'"),
-        ("--sweep-dist", "600,-5", "--sweep-dist: thresholds must be positive, got -5"),
-        ("--sweep-time", "0,900", "--sweep-time: thresholds must be positive, got 0"),
-        ("--sweep-time", "300,nan", "--sweep-time: thresholds must be positive, got nan"),
-        ("--sweep-L", "1,0", "--sweep-L: counts must be at least 1, got 0"),
-        ("--sweep-L", "-1", "--sweep-L: counts must be at least 1, got -1"),
-        ("--sweep-L", "1,3", "--sweep-L needs --sweep-dist or --sweep-time"),
-        ("--sweep-dist", ",", "--sweep-dist: needs at least one value, got ','"),
-        ("--sweep-time", ",", "--sweep-time: needs at least one value, got ','"),
-        ("--sweep-L", ", ,", "--sweep-L: needs at least one value, got ', ,'"),
-    ])
-    def test_bad_sweep_value_writes_nothing(self, flag, value, message, trips_file, tmp_path,
-                                            capsys):
-        out = tmp_path / "m"
-        # a count is checked only once a sweep is given, so those cases give one
-        sweep = ("--sweep-dist", "600") if message.startswith("--sweep-L:") else ()
-        code, summary = run(capsys, "match", "--trips", str(trips_file),
-                            "--n-riders", "15", "--n-rides", "45", flag, value, *sweep,
-                            "--out", str(out))
-        assert code == 1 and summary["category"] == "invalid-argument"
-        assert summary["message"] == message
-        assert list(out.iterdir()) == []
-
-    @pytest.mark.parametrize("flag, value, rule", [
-        ("--dist-threshold", "-5", "thresholds must be positive"),
-        ("--time-threshold", "0", "thresholds must be positive"),
-        ("--w-space", "-1", "weights must be finite and nonnegative"),
-        ("--w-time", "inf", "weights must be finite and nonnegative"),
-    ])
-    def test_bad_scenario_value_writes_nothing(self, flag, value, rule, tmp_path, capsys):
-        # the input files do not exist: the scenario is checked before any input is read
-        out = tmp_path / "m"
-        absent = str(tmp_path / "absent.jsonl")
-        code, summary = run(capsys, "match", "--requests", absent, "--rides", absent,
-                            flag, value, "--out", str(out))
-        assert code == 1 and summary["category"] == "invalid-argument"
-        assert summary["message"] == f"{flag}: {rule}, got {value}"
-        assert list(out.iterdir()) == []
-
     def test_bad_split_is_invalid(self, trips_file, tmp_path, capsys):
         code, summary = run(capsys, "match", "--trips", str(trips_file),
                             "--n-riders", "50", "--n-rides", "50",
@@ -514,46 +458,6 @@ class TestCompare:
         assert len(req_kms) == 1
         lines = (out / "comparison.csv").read_text().splitlines()
         assert lines[0] == "field,wgm,lcss,dtw"
-
-    def test_repeated_metric_rejected(self, trips_file, tmp_path, capsys):
-        out = tmp_path / "cmp"
-        code, summary = run(capsys, "compare", "--trips", str(trips_file),
-                            "--n-riders", "10", "--n-rides", "50",
-                            "--metrics", "wgm,dtw,wgm", "--out", str(out))
-        assert code == 1 and summary["category"] == "invalid-argument"
-        assert summary["message"] == ("--metrics: must name at least one metric, each once, "
-                                      "got 'wgm,dtw,wgm'")
-        assert not (out / "comparison.csv").exists()
-
-    def test_empty_wt_sweep_writes_nothing(self, trips_file, tmp_path, capsys):
-        out = tmp_path / "cmp"
-        code, summary = run(capsys, "compare", "--trips", str(trips_file),
-                            "--n-riders", "10", "--n-rides", "50",
-                            "--wt-sweep", ",", "--out", str(out))
-        assert code == 1 and summary["category"] == "invalid-argument"
-        assert summary["message"] == "--wt-sweep: needs at least one value, got ','"
-        assert list(out.iterdir()) == []
-
-    @pytest.mark.parametrize("flag, value, message", [
-        ("--rep-len", "1", "--rep-len: must be at least 2, got 1"),
-        ("--wt-sweep", "0.5,2", "--wt-sweep: weights must lie in [0, 1], got 2"),
-        ("--wt-sweep", "-0.1", "--wt-sweep: weights must lie in [0, 1], got -0.1"),
-        ("--wt-sweep", "nan", "--wt-sweep: weights must lie in [0, 1], got nan"),
-        ("--metrics", "wgm,bogus", "--metrics: must be one of wgm, wgm_time, lcss, dtw, "
-                                   "dtw_time, frechet, got 'bogus'"),
-        ("--dist-threshold", "-5", "--dist-threshold: thresholds must be positive, got -5"),
-        ("--w-space", "-1", "--w-space: weights must be finite and nonnegative, got -1"),
-        ("--w-time", "-0.5", "--w-time: weights must be finite and nonnegative, got -0.5"),
-    ])
-    def test_bad_flag_value_writes_nothing(self, flag, value, message, tmp_path, capsys):
-        # the trips file does not exist: the flag is checked before any input is read
-        out = tmp_path / "cmp"
-        code, summary = run(capsys, "compare", "--trips", str(tmp_path / "absent.jsonl"),
-                            "--n-riders", "10", "--n-rides", "50", flag, value,
-                            "--out", str(out))
-        assert code == 1 and summary["category"] == "invalid-argument"
-        assert summary["message"] == message
-        assert list(out.iterdir()) == []
 
     def test_trip_shorter_than_rep_len_is_invalid(self, trips_file, tmp_path, capsys):
         out = tmp_path / "short"
@@ -646,47 +550,8 @@ class TestCarshare:
         assert code == 0
         assert summary["n_cars"] == summary["n_trips"] - summary["cardinality"]
 
-    @pytest.mark.parametrize("flags, message", [
-        (("--dist-threshold", "-5"), "--dist-threshold: thresholds must be positive, got -5"),
-        (("--time-threshold", "0"), "--time-threshold: thresholds must be positive, got 0"),
-        (("--w-space", "-1"), "--w-space: weights must be finite and nonnegative, got -1"),
-        (("--w-time", "nan"), "--w-time: weights must be finite and nonnegative, got nan"),
-        (("--w-space", "0", "--w-time", "0"),
-         "--w-space, --w-time: weights must not both be zero, got (0.0, 0.0)"),
-    ])
-    def test_bad_flag_value_writes_nothing(self, flags, message, tmp_path, capsys):
-        # the trips file does not exist: the flag is checked before any input is read
-        out = tmp_path / "cs"
-        code, summary = run(capsys, "carshare", "--trips", str(tmp_path / "absent.jsonl"),
-                            *flags, "--out", str(out))
-        assert code == 1 and summary["category"] == "invalid-argument"
-        assert summary["message"] == message
-        assert list(out.iterdir()) == []
-
 
 class TestNonFiniteParameters:
-    @pytest.mark.parametrize("args", [
-        ("match", "--w-time", "nan"),
-        ("match", "--dist-threshold", "nan"),
-        ("compare", "--metrics", "wgm", "--wt-sweep", "nan"),
-        ("affinity", "--w-space", "inf"),
-        ("carshare", "--dist-threshold", "nan"),
-        ("carshare", "--time-threshold", "nan"),
-        ("cluster", "--k", "2", "--kernel-gamma", "nan"),
-        ("cluster", "--k", "2", "--kernel-gamma", "inf"),
-        ("synth", "--gamma-shape", "nan"),
-        ("synth", "--lognorm-mu", "inf"),
-        ("synth", "--bbox", "0,inf,0,20000,0,86400"),
-    ], ids=lambda a: " ".join(a))
-    def test_rejected_as_invalid_argument(self, args, trips_file, tmp_path, capsys):
-        command, *flags = args
-        inputs = {"synth": [], "match": ["--n-riders", "15", "--n-rides", "45"],
-                  "compare": ["--n-riders", "10", "--n-rides", "50"]}.get(command, [])
-        if command != "synth":
-            inputs = ["--trips", str(trips_file), *inputs]
-        code, summary = run(capsys, command, *inputs, *flags, "--out", str(tmp_path / "o"))
-        assert code == 1 and summary["category"] == "invalid-argument"
-
     @pytest.mark.parametrize("command", ["match", "carshare"])
     def test_infinite_thresholds_mean_no_limit(self, command, trips_file, tmp_path, capsys):
         split = ["--n-riders", "15", "--n-rides", "45"] if command == "match" else []
@@ -696,9 +561,10 @@ class TestNonFiniteParameters:
         assert code == 0
 
 
-#: One bad flag value for each case, over all eight subcommands: the command
-#: line after the subcommand's inputs, and the error message. The match,
-#: compare and carshare tables above hold their other scenario flags' cases.
+#: Every flag rule checked before any input is read, over all eight
+#: subcommands: the command line after the subcommand's inputs, and the exact
+#: error message. A rule that needs the input, such as --k against the trip
+#: count, has its own test above.
 BAD_FLAGS = [
     (("ingest", "--window-end", "-1"), "--window-end: must exceed the window start 0.0, got -1"),
     (("ingest", "--format", "t id x"), "--format: must include t, id, x and y, got 't id x'"),
@@ -707,29 +573,97 @@ BAD_FLAGS = [
     (("synth", "--n", "0"), "--n: must be at least 1, got 0"),
     (("synth", "--bbox", "0,0,0,1,0,1"),
      "--bbox: spans must be strictly positive and finite, got (0.0, 1.0, 1.0)"),
+    (("synth", "--bbox", "0,inf,0,20000,0,86400"),
+     "--bbox: spans must be strictly positive and finite, got (inf, 20000.0, 86400.0)"),
     (("synth", "--bbox", "0,1,0,1"),
      "--bbox: must be x_min,x_max,y_min,y_max,t_min,t_max, got '0,1,0,1'"),
     (("synth", "--bbox", "0,x,0,1,0,1"), "--bbox: could not convert string to float: 'x'"),
     (("synth", "--waypoints", "1"), "--waypoints: must be at least 2, got 1"),
+    (("synth", "--gamma-shape", "nan"), "--gamma-shape: must be positive and finite, got nan"),
     (("synth", "--gamma-scale", "0"), "--gamma-scale: must be positive and finite, got 0"),
     (("synth", "--lognorm-mu", "inf"), "--lognorm-mu: must be finite, got inf"),
     (("synth", "--seed", "-1"), "--seed: must be at least 0, got -1"),
     (("stats", "--grid-rows", "0"), "--grid-rows: must be at least 1, got 0"),
     (("stats", "--grid-cols", "-2"), "--grid-cols: must be at least 1, got -2"),
     (("affinity", "--w-space", "-1"), "--w-space: weights must be finite and nonnegative, got -1"),
+    (("affinity", "--w-space", "inf"),
+     "--w-space: weights must be finite and nonnegative, got inf"),
     (("affinity", "--w-space", "0", "--w-time", "0"),
      "--w-space, --w-time: weights must not both be zero, got (0.0, 0.0)"),
+    (("cluster", "--k", "0"), "--k: must be in [2, n], got 0"),
     (("cluster", "--k", "1"), "--k: must be in [2, n], got 1"),
     (("cluster", "--kernel-gamma", "0"), "--kernel-gamma: must be positive and finite, got 0"),
+    (("cluster", "--kernel-gamma", "-1"), "--kernel-gamma: must be positive and finite, got -1"),
+    (("cluster", "--kernel-gamma", "-2"), "--kernel-gamma: must be positive and finite, got -2"),
+    (("cluster", "--kernel-gamma", "nan"),
+     "--kernel-gamma: must be positive and finite, got nan"),
+    (("cluster", "--k", "2", "--kernel-gamma", "0"),
+     "--kernel-gamma: must be positive and finite, got 0"),
+    (("cluster", "--k", "2", "--kernel-gamma", "nan"),
+     "--kernel-gamma: must be positive and finite, got nan"),
+    (("cluster", "--k", "2", "--kernel-gamma", "inf"),
+     "--kernel-gamma: must be positive and finite, got inf"),
     (("cluster", "--w-time", "nan"), "--w-time: weights must be finite and nonnegative, got nan"),
     (("cluster", "--seed", "-2"), "--seed: must be at least 0, got -2"),
     (("match", "--n-riders", "0"), "--n-riders: must be at least 1 with --trips, got 0"),
+    (("match", "--sweep-dist", "600,abc"),
+     "--sweep-dist: could not convert string to float: 'abc'"),
+    (("match", "--sweep-dist", "600,-5"), "--sweep-dist: thresholds must be positive, got -5"),
+    (("match", "--sweep-dist", ","), "--sweep-dist: needs at least one value, got ','"),
+    (("match", "--sweep-time", "300,x"), "--sweep-time: could not convert string to float: 'x'"),
+    (("match", "--sweep-time", "0,900"), "--sweep-time: thresholds must be positive, got 0"),
+    (("match", "--sweep-time", "300,nan"), "--sweep-time: thresholds must be positive, got nan"),
+    (("match", "--sweep-time", ","), "--sweep-time: needs at least one value, got ','"),
+    # a count is checked only once a sweep is given, so these rows give one of
+    # either kind, each its own, which also sets their ids apart early
     (("match", "--sweep-dist", "600", "--sweep-L", "0"),
      "--sweep-L: counts must be at least 1, got 0"),
+    (("match", "--sweep-dist", "900", "--sweep-L", "x"),
+     "--sweep-L: invalid literal for int() with base 10: 'x'"),
+    (("match", "--sweep-dist", "1800", "--sweep-L", "1,0"),
+     "--sweep-L: counts must be at least 1, got 0"),
+    (("match", "--sweep-time", "900", "--sweep-L", "-1"),
+     "--sweep-L: counts must be at least 1, got -1"),
+    (("match", "--sweep-time", "1800", "--sweep-L", ", ,"),
+     "--sweep-L: needs at least one value, got ', ,'"),
+    (("match", "--sweep-L", "1,3"), "--sweep-L: needs --sweep-dist or --sweep-time, got '1,3'"),
+    (("match", "--dist-threshold", "-5"), "--dist-threshold: thresholds must be positive, got -5"),
+    (("match", "--dist-threshold", "nan"),
+     "--dist-threshold: thresholds must be positive, got nan"),
+    (("match", "--time-threshold", "0"), "--time-threshold: thresholds must be positive, got 0"),
+    (("match", "--w-space", "-1"), "--w-space: weights must be finite and nonnegative, got -1"),
+    (("match", "--w-time", "inf"), "--w-time: weights must be finite and nonnegative, got inf"),
+    (("match", "--w-time", "nan"), "--w-time: weights must be finite and nonnegative, got nan"),
     (("match", "--seed", "-3"), "--seed: must be at least 0, got -3"),
     (("compare", "--n-rides", "-3"), "--n-rides: must be at least 1 with --trips, got -3"),
+    (("compare", "--metrics", "wgm,bogus"),
+     "--metrics: must be one of wgm, wgm_time, lcss, dtw, dtw_time, frechet, got 'bogus'"),
+    (("compare", "--metrics", "wgm,dtw,wgm"),
+     "--metrics: must name at least one metric, each once, got 'wgm,dtw,wgm'"),
+    (("compare", "--rep-len", "1"), "--rep-len: must be at least 2, got 1"),
+    (("compare", "--wt-sweep", ","), "--wt-sweep: needs at least one value, got ','"),
+    (("compare", "--wt-sweep", "0.5,2"), "--wt-sweep: weights must lie in [0, 1], got 2"),
+    (("compare", "--wt-sweep", "-0.1"), "--wt-sweep: weights must lie in [0, 1], got -0.1"),
+    (("compare", "--wt-sweep", "nan"), "--wt-sweep: weights must lie in [0, 1], got nan"),
+    (("compare", "--metrics", "wgm", "--wt-sweep", "nan"),
+     "--wt-sweep: weights must lie in [0, 1], got nan"),
+    (("compare", "--dist-threshold", "-5"),
+     "--dist-threshold: thresholds must be positive, got -5"),
+    (("compare", "--w-space", "-1"), "--w-space: weights must be finite and nonnegative, got -1"),
+    (("compare", "--w-time", "-0.5"), "--w-time: weights must be finite and nonnegative, got -0.5"),
     (("compare", "--seed", "-4"), "--seed: must be at least 0, got -4"),
+    (("carshare", "--dist-threshold", "-5"),
+     "--dist-threshold: thresholds must be positive, got -5"),
+    (("carshare", "--dist-threshold", "nan"),
+     "--dist-threshold: thresholds must be positive, got nan"),
+    (("carshare", "--time-threshold", "0"), "--time-threshold: thresholds must be positive, got 0"),
+    (("carshare", "--time-threshold", "nan"),
+     "--time-threshold: thresholds must be positive, got nan"),
+    (("carshare", "--w-space", "-1"), "--w-space: weights must be finite and nonnegative, got -1"),
+    (("carshare", "--w-space", "0", "--w-time", "0"),
+     "--w-space, --w-time: weights must not both be zero, got (0.0, 0.0)"),
     (("carshare", "--w-time", "inf"), "--w-time: weights must be finite and nonnegative, got inf"),
+    (("carshare", "--w-time", "nan"), "--w-time: weights must be finite and nonnegative, got nan"),
 ]
 
 
