@@ -717,14 +717,20 @@ def main(argv: Sequence[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     parser, commands = build_parser(argv[0] if argv and argv[0] in HANDLERS else None)
     args = parser.parse_args(argv)
+    made: list[Path] = []
     try:
         cfg, digest = resolve_config(args, commands[args.command],
                                      argv[argv.index(args.command) + 1:])
         outdir = Path(cfg["out"])
+        # the directories this run makes, deepest first; a failed run removes them
+        made = [d for d in (outdir, *outdir.parents) if not d.exists()]
         outdir.mkdir(parents=True, exist_ok=True)
         summary = HANDLERS[args.command](cfg, outdir)
         _manifest(cfg, outdir, digest)
     except (ValueError, OSError) as exc:
+        for directory in made:  # rmdir refuses a directory that holds anything
+            with contextlib.suppress(OSError):
+                directory.rmdir()
         # the program's error classes name their category; an error that is both
         # a ValueError and an OSError stays invalid-argument
         category = getattr(exc, "category",

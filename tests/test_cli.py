@@ -41,6 +41,11 @@ def read(path: Path) -> bytes:
     return path.read_bytes()
 
 
+def assert_wrote_nothing(out: Path) -> None:
+    """A failed run left no --out directory behind, empty or not."""
+    assert not out.exists(), sorted(out.rglob("*"))
+
+
 TRACE = """\
 28800.0 veh1 1000.0 1000.0 10.0
 28810.0 veh1 1100.0 1000.0 10.0
@@ -131,7 +136,7 @@ class TestStats:
         code, summary = run(capsys, "stats", "--trips", str(trips_file), flag, "0",
                             "--out", str(out))
         assert code == 1 and summary["category"] == "invalid-argument"
-        assert list(out.iterdir()) == []
+        assert_wrote_nothing(out)
 
     def test_degenerate_samples_reported_as_such(self, tmp_path, capsys):
         trips = tmp_path / "trips.jsonl"
@@ -299,7 +304,7 @@ class TestAffinityAndCluster:
                             "--out", str(out))
         assert code == 1 and summary["category"] == "invalid-argument"
         assert "at least 3 trips" in summary["message"] and "got 2" in summary["message"]
-        assert list(out.iterdir()) == []
+        assert_wrote_nothing(out)
 
     def test_k_above_the_trip_count_scores_nothing(self, trips_file, tmp_path, capsys):
         out = tmp_path / "c"
@@ -308,7 +313,7 @@ class TestAffinityAndCluster:
                                 "--out", str(out))
         assert (code, summary["category"]) == (1, "invalid-argument")
         assert summary["message"] == "--k: must be in [2, 60], got 61"
-        assert list(out.iterdir()) == []
+        assert_wrote_nothing(out)
 
 
 class TestMatch:
@@ -333,7 +338,7 @@ class TestMatch:
         code, summary = run(capsys, "match", "--requests", str(trips), "--rides", str(trips),
                             "--out", str(out))
         assert code == 1 and summary["category"] == "undefined-report"
-        assert list(out.iterdir()) == []
+        assert_wrote_nothing(out)
 
     def test_zero_feasible_pairs(self, tmp_path, capsys):
         trips = tmp_path / "trips.jsonl"
@@ -674,21 +679,16 @@ def _absent_inputs(command: str, absent: Path) -> list[str]:
     return {"ingest": ["--input", str(absent)], "synth": []}.get(command, ["--trips", str(absent)])
 
 
-def _wrote_nothing(out: Path) -> bool:
-    return not out.exists() or not any(out.iterdir())
-
-
 @pytest.mark.parametrize("args, message", BAD_FLAGS, ids=[" ".join(a) for a, _ in BAD_FLAGS])
 def test_bad_flag_value_is_named_before_any_input_is_read(args, message, tmp_path, capsys):
     # the input does not exist, so a check made only once it is read would report io
     command, *flags = args
-    out = tmp_path / "o"
     code, summary = run(capsys, command, *_absent_inputs(command, tmp_path / "absent.jsonl"),
-                        *flags, "--out", str(out))
+                        *flags, "--out", str(tmp_path / "o" / "a" / "b"))
     assert (code, summary["category"]) == (1, "invalid-argument")
     # the message starts with the flags it is about, the one last given among them
     assert summary["message"] == message and flags[-2] in message.split(": ")[0].split(", ")
-    assert _wrote_nothing(out)
+    assert_wrote_nothing(tmp_path / "o")
 
 
 @pytest.mark.parametrize("source", ["config", "manifest"])
@@ -710,7 +710,12 @@ def test_bad_value_from_a_file_names_its_flag(source, trips_file, tmp_path, caps
         message = "--w-space: weights must be finite and nonnegative, got -0.5"
     code, summary = run(capsys, *argv, "--out", str(out))
     assert (code, summary["category"], summary["message"]) == (1, "invalid-argument", message)
-    assert _wrote_nothing(out)
+    assert_wrote_nothing(out)
+    # a directory that was there before the run stays, with what it holds
+    out.mkdir()
+    (out / "kept").write_text("kept")
+    assert run(capsys, *argv, "--out", str(out)) == (code, summary)
+    assert [p.name for p in out.iterdir()] == ["kept"]
 
 
 @pytest.mark.parametrize("command, named", [
@@ -723,7 +728,7 @@ def test_a_run_without_input_names_its_input_flags(command, named, tmp_path, cap
     code, summary = run(capsys, command, "--out", str(out))
     assert (code, summary["category"]) == (1, "invalid-argument")
     assert summary["message"] == f"{named} is required"
-    assert _wrote_nothing(out)
+    assert_wrote_nothing(out)
 
 
 class TestConfigAndManifest:
@@ -1019,17 +1024,6 @@ RUN_MODULES = {"affinity": ["affinity"], "cluster": ["affinity"], "carshare": ["
 CLI_MODULES = ["cli", "ingest", "metrics", "model"]
 
 
-def _loaded(code: str) -> list[str]:
-    """The tripmatch modules loaded after code, run in a fresh interpreter."""
-    out = _run_python(code + "\nimport sys\n"
-                      "print(sorted(m for m in sys.modules if m.startswith('tripmatch.')))")
-    return ast.literal_eval(out.splitlines()[-1])
-
-
-def test_import_leaves_the_pipeline_modules_unloaded():
-    assert _loaded("import tripmatch.cli") == [f"tripmatch.{m}" for m in CLI_MODULES]
-
-
 def _pipeline_run(name: str, trips_file: Path, out: Path) -> str:
     """Code that runs subcommand name on trips_file in process, asserting it succeeds."""
     flags = {"cluster": ["--k", "3"], "affinity": [], "carshare": []}.get(
@@ -1038,18 +1032,47 @@ def _pipeline_run(name: str, trips_file: Path, out: Path) -> str:
     return f"from tripmatch.cli import main\nassert main({argv!r}) == 0"
 
 
-@pytest.mark.parametrize("name", sorted(RUN_MODULES))
+@pytest.mark.parametrize("name", ["import", *sorted(RUN_MODULES)])
 def test_a_run_loads_only_the_pipeline_modules_it_runs(name, trips_file, tmp_path):
-    loaded = _loaded(_pipeline_run(name, trips_file, tmp_path / name))
-    assert loaded == sorted(f"tripmatch.{m}" for m in CLI_MODULES + RUN_MODULES[name])
-
-
-@pytest.mark.parametrize("name", ["carshare", "cluster", "compare", "match"])
-def test_a_run_loads_no_scipy(name, trips_file, tmp_path):
+    """Importing the CLI, or running one subcommand, loads exactly its tripmatch
+    modules, no scipy module and no numpy.ma."""
     # a cold scipy.spatial import takes longer than the whole space-time screen
-    # saves, so candidates and hand-offs are screened with numpy alone
-    _run_python(_pipeline_run(name, trips_file, tmp_path / name) + "\nimport sys\n"
-                "assert not [m for m in sys.modules if m.split('.')[0] == 'scipy']")
+    # saves, so candidates and hand-offs are screened with numpy alone; a hand-off
+    # DAG this small is matched in process, without scipy; and the cluster
+    # summary's medians skip np.median, whose NaN check imports numpy.ma
+    code = ("import tripmatch.cli" if name == "import"
+            else _pipeline_run(name, trips_file, tmp_path / name))
+    out = _run_python(code + "\nimport sys\nprint(sorted(m for m in sys.modules if m == 'numpy.ma'"
+                      " or m.split('.')[0] == 'scipy' or m.startswith('tripmatch.')))")
+    assert ast.literal_eval(out.splitlines()[-1]) == sorted(
+        f"tripmatch.{m}" for m in CLI_MODULES + RUN_MODULES.get(name, []))
+
+
+def test_carshare_above_the_in_process_limit_loads_only_scipy_sparse(trips_file, tmp_path):
+    _run_python("import sys, json\n"
+                "from tripmatch import carshare\n"
+                "from tripmatch.cli import main\n"
+                "carshare.MAX_IN_PROCESS_EDGES = 0\n"
+                f"assert main(['carshare', '--trips', {str(trips_file)!r}, "
+                f"'--out', {str(tmp_path / 'cs')!r}]) == 0\n"
+                f"assert json.load(open({str(tmp_path / 'cs' / 'schedule_summary.json')!r}))"
+                "['n_edges'] > 0\n"
+                "assert 'scipy.sparse.csgraph' in sys.modules\n"
+                "assert 'scipy.optimize' not in sys.modules")
+
+
+def test_stats_grids_and_cdfs_never_load_numpy_ma(trips_file):
+    # np.unique without return_counts would import numpy.ma; grid_duration_stats
+    # takes np.percentile, which does, as the stats subcommand loads it with
+    # scipy.special anyway
+    _run_python("import sys\n"
+                "from tripmatch import model, stats\n"
+                "from tripmatch.cli import _load_trips\n"
+                f"trips = _load_trips({str(trips_file)!r})\n"
+                "ctx = model.ScaleContext.from_trips(trips)\n"
+                "stats.grid_unique_counts(trips, ctx, 4, 5)\n"
+                "stats.empirical_cdf([t.duration for t in trips])\n"
+                "assert 'numpy.ma' not in sys.modules")
 
 
 def _exit(capsys, parse, argv: list[str]) -> tuple[object, str, str]:
@@ -1150,61 +1173,6 @@ class TestInputDigests:
         assert summary["message"] == f"[Errno 2] No such file or directory: {str(trips_file)!r}"
         _threads_done()
         assert capsys.readouterr().err == ""
-
-
-def test_import_does_not_load_the_assignment_solver():
-    _run_python("import tripmatch.cli, sys\n"
-                "assert 'scipy.optimize' not in sys.modules\n"
-                "assert 'scipy.sparse' not in sys.modules")
-
-
-def test_carshare_never_loads_scipy_optimize(trips_file, tmp_path):
-    # a hand-off DAG this small is matched in process, without scipy
-    _run_python("import sys\n"
-                "from tripmatch.cli import main\n"
-                f"assert main(['carshare', '--trips', {str(trips_file)!r}, "
-                f"'--out', {str(tmp_path / 'cs')!r}]) == 0\n"
-                "assert not [m for m in sys.modules if m.split('.')[0] == 'scipy']\n"
-                "assert 'scipy.optimize' not in sys.modules")
-
-
-def test_carshare_above_the_in_process_limit_loads_only_scipy_sparse(trips_file, tmp_path):
-    _run_python("import sys, json\n"
-                "from tripmatch import carshare\n"
-                "from tripmatch.cli import main\n"
-                "carshare.MAX_IN_PROCESS_EDGES = 0\n"
-                f"assert main(['carshare', '--trips', {str(trips_file)!r}, "
-                f"'--out', {str(tmp_path / 'cs')!r}]) == 0\n"
-                f"assert json.load(open({str(tmp_path / 'cs' / 'schedule_summary.json')!r}))"
-                "['n_edges'] > 0\n"
-                "assert 'scipy.sparse.csgraph' in sys.modules\n"
-                "assert 'scipy.optimize' not in sys.modules")
-
-
-def test_cluster_never_loads_numpy_ma(tmp_path, capsys):
-    # the cluster summary's medians skip np.median, whose NaN check imports numpy.ma
-    synth = RUNS["synth"]
-    assert main([synth[0], "--out", str(tmp_path / "synth"), *synth[1:]]) == 0
-    capsys.readouterr()
-    argv = [a.format(run=tmp_path) for a in RUNS["cluster"]]
-    _run_python("import sys\n"
-                "from tripmatch.cli import main\n"
-                f"assert main({[argv[0], '--out', str(tmp_path / 'cl'), *argv[1:]]!r}) == 0\n"
-                "assert 'numpy.ma' not in sys.modules")
-
-
-def test_stats_grids_and_cdfs_never_load_numpy_ma(trips_file):
-    # np.unique without return_counts would import numpy.ma; grid_duration_stats
-    # takes np.percentile, which does, as the stats subcommand loads it with
-    # scipy.special anyway
-    _run_python("import sys\n"
-                "from tripmatch import model, stats\n"
-                "from tripmatch.cli import _load_trips\n"
-                f"trips = _load_trips({str(trips_file)!r})\n"
-                "ctx = model.ScaleContext.from_trips(trips)\n"
-                "stats.grid_unique_counts(trips, ctx, 4, 5)\n"
-                "stats.empirical_cdf([t.duration for t in trips])\n"
-                "assert 'numpy.ma' not in sys.modules")
 
 
 #: A locale whose preferred encoding is ASCII, with Python's UTF-8 mode and
