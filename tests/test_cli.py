@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import ast
 import csv
+import functools
 import hashlib
 import io
 import json
@@ -108,12 +109,15 @@ class TestSynth:
         assert read(a / "trips.jsonl") != read(b / "trips.jsonl")
 
 
+#: The synth flags of the small population most tests run on.
+TRIPS_FILE_FLAGS = ["--n", "60", "--seed", "7", "--lognorm-mu", "7.5", "--waypoints", "60",
+                    "--bbox", "0,20000,0,20000,0,14400"]
+
+
 @pytest.fixture
 def trips_file(tmp_path, capsys) -> Path:
     out = tmp_path / "synthout"
-    code, _ = run(capsys, "synth", "--n", "60", "--seed", "7",
-                  "--lognorm-mu", "7.5", "--waypoints", "60",
-                  "--bbox", "0,20000,0,20000,0,14400", "--out", str(out))
+    code, _ = run(capsys, "synth", *TRIPS_FILE_FLAGS, "--out", str(out))
     assert code == 0
     return out / "trips.jsonl"
 
@@ -1032,20 +1036,58 @@ def _pipeline_run(name: str, trips_file: Path, out: Path) -> str:
     return f"from tripmatch.cli import main\nassert main({argv!r}) == 0"
 
 
-@pytest.mark.parametrize("name", ["import", *sorted(RUN_MODULES)])
-def test_a_run_loads_only_the_pipeline_modules_it_runs(name, trips_file, tmp_path):
-    """Importing the CLI, or running one subcommand, loads exactly its tripmatch
-    modules, no scipy module and no numpy.ma."""
+@pytest.fixture(scope="module")
+def loaded(tmp_path_factory):
+    """loaded(name): the tripmatch modules, scipy modules and numpy.ma that
+    importing the CLI (name "import") or running subcommand name loads, each
+    name run once in a fresh interpreter and shared by the tests below."""
+    root = tmp_path_factory.mktemp("loads")
+    assert main(["synth", *TRIPS_FILE_FLAGS, "--out", str(root / "synth")]) == 0
+
+    @functools.cache
+    def loaded(name: str) -> list[str]:
+        code = ("import tripmatch.cli" if name == "import"
+                else _pipeline_run(name, root / "synth" / "trips.jsonl", root / name))
+        out = _run_python(code + "\nimport sys\nprint(sorted(m for m in sys.modules"
+                          " if m == 'numpy.ma' or m.split('.')[0] == 'scipy'"
+                          " or m.startswith('tripmatch.')))")
+        return ast.literal_eval(out.splitlines()[-1])
+    return loaded
+
+
+def _scipy(modules: list[str]) -> list[str]:
+    return [m for m in modules if m.split(".")[0] == "scipy"]
+
+
+def test_import_leaves_the_pipeline_modules_unloaded(loaded):
+    assert loaded("import") == [f"tripmatch.{m}" for m in CLI_MODULES]
+
+
+@pytest.mark.parametrize("name", sorted(RUN_MODULES))
+def test_a_run_loads_only_the_pipeline_modules_it_runs(name, loaded):
+    """A run loads exactly its tripmatch modules, no scipy module and no numpy.ma."""
+    assert loaded(name) == sorted(f"tripmatch.{m}" for m in CLI_MODULES + RUN_MODULES[name])
+
+
+def test_import_does_not_load_the_assignment_solver(loaded):
+    assert _scipy(loaded("import")) == []
+
+
+@pytest.mark.parametrize("name", sorted(RUN_MODULES))
+def test_a_run_loads_no_scipy(name, loaded):
     # a cold scipy.spatial import takes longer than the whole space-time screen
-    # saves, so candidates and hand-offs are screened with numpy alone; a hand-off
-    # DAG this small is matched in process, without scipy; and the cluster
-    # summary's medians skip np.median, whose NaN check imports numpy.ma
-    code = ("import tripmatch.cli" if name == "import"
-            else _pipeline_run(name, trips_file, tmp_path / name))
-    out = _run_python(code + "\nimport sys\nprint(sorted(m for m in sys.modules if m == 'numpy.ma'"
-                      " or m.split('.')[0] == 'scipy' or m.startswith('tripmatch.')))")
-    assert ast.literal_eval(out.splitlines()[-1]) == sorted(
-        f"tripmatch.{m}" for m in CLI_MODULES + RUN_MODULES.get(name, []))
+    # saves, so candidates and hand-offs are screened with numpy alone
+    assert _scipy(loaded(name)) == []
+
+
+def test_carshare_never_loads_scipy_optimize(loaded):
+    # a hand-off DAG this small is matched in process, without scipy
+    assert "scipy.optimize" not in loaded("carshare")
+
+
+def test_cluster_never_loads_numpy_ma(loaded):
+    # the cluster summary's medians skip np.median, whose NaN check imports numpy.ma
+    assert "numpy.ma" not in loaded("cluster")
 
 
 def test_carshare_above_the_in_process_limit_loads_only_scipy_sparse(trips_file, tmp_path):
