@@ -20,7 +20,7 @@ import numpy as np
 from . import metrics
 from .metrics import WgmWeights
 from .model import (ScaleContext, Trip, TripSet, od_points, path_lengths, scale_points,
-                    space_time_pairs, within_distance)
+                    space_time_pairs)
 
 
 @dataclass(frozen=True, slots=True, eq=False)
@@ -73,8 +73,8 @@ def build_trip_dag(
     time differences, scaled into the trips' own bounding box. The edge rows
     are in ascending (a, b) order, with their weights beside them.
 
-    model.space_time_pairs screens successor start times in the grid cells
-    around each destination; the exact predicate decides, a block at a time.
+    model.space_time_pairs gives the pairs whose gap lies in [0, time_threshold]
+    and whose hand-off lies within dist_threshold; a zero gap is then dropped.
 
     Raises ValueError naming a trip id that repeats: chains and their
     statistics key trips by id.
@@ -90,19 +90,9 @@ def build_trip_dag(
             seen.add(tid)
     od, ctx = od_points(trips), ScaleContext.from_trips(trips)
     origin, start, dest, end = od[:, 0, :2], od[:, 0, 2], od[:, 1, :2], od[:, 1, 2]
-    # each trip's successors start in [end, end + T]; the upper bound is
-    # widened by a relative slack because start <= end + T and
-    # start - end <= T can round apart, and the exact gap test decides
-    kept = []
-    for src, dst in space_time_pairs(start, end, (end + time_threshold) * (1 + 1e-12),
-                                     origin, dest, dist_threshold):
-        gap = start[dst] - end[src]
-        keep = (gap > 0) & (gap <= time_threshold)
-        keep &= within_distance(*(dest[src] - origin[dst]).T, dist_threshold)
-        kept.append((src[keep], dst[keep]))
-    src, dst = map(np.concatenate, zip(*kept))
-    by_pair = np.lexsort((dst, src))
-    src, dst = src[by_pair], dst[by_pair]
+    src, dst = space_time_pairs(start, end, time_threshold, origin, dest, dist_threshold)
+    keep = start[dst] > end[src]
+    src, dst = src[keep], dst[keep]
     reps = scale_points(od, ctx)
     # a's destination against b's origin, as one-point sequences
     weight = metrics.wgm_batch(reps[src, 1:], reps[dst, :1], weights)
@@ -114,6 +104,9 @@ def build_trip_dag(
 #: even with scipy's import (about 0.3 s) plus solve near 150k edges, and falls
 #: behind beyond it (31 s against 21 s at 600k edges); the limit sits at two
 #: thirds of that crossover. The timing table is in CHANGES.md and ROADMAP.md.
+#: The switch reads the edge count only, but LAPJVsp's cost grows with the square
+#: of the trip count (100,001 disjoint pairs: 89 s), so a large fleet with few
+#: hand-offs goes to the slow side; ROADMAP item 3 plans one in-process solver.
 MAX_IN_PROCESS_EDGES = 100_000
 
 

@@ -135,35 +135,24 @@ def _candidate_indices(
     od_points gives them. A ride is a candidate when its origin and its
     destination each lie within time_threshold seconds and dist_threshold
     meters of the request's, and its window is ordered against the
-    request's as the mode requires. model.space_time_pairs screens each
-    request's window of ride origin times, [t, t + T] for car and [t - T, t]
-    for carpool, in the grid cells of ride origins around its origin; the
-    exact gates then run a block of requests at a time, in three stages that
-    each gather columns only for the pairs the last one passed.
+    request's as the mode requires. model.space_time_pairs gives the pairs
+    whose origins pass, the ride starting in [t, t + T] for car and
+    [t - T, t] for carpool; the destination order, time and distance gates
+    then decide.
     """
-    ox, oy, ot, dx, dy, dt = rides.reshape(-1, 6).T
-    rox, roy, rot, rdx, rdy, rdt = requests.reshape(-1, 6).T
+    dx, dy, dt = rides[:, 1].T
+    rdx, rdy, rdt = requests[:, 1].T
     dist, span = scenario.dist_threshold, scenario.time_threshold
-    # |ot - rot| <= T rounds at the scale of the times, not of rot - T, so
-    # the far bound is widened by a relative slack and the exact gate decides
-    pad = 1e-12 * (rot + span)
     car = scenario.mode == "car"
-    windows = (rot, rot + span + pad) if car else (rot - span - pad, rot)
+    i, j = space_time_pairs(rides[:, 0, 2], requests[:, 0, 2], span if car else -span,
+                            rides[:, 0, :2], requests[:, 0, :2], dist)
     # the order and destination-time gates as one interval: a - b <= 0 iff a <= b
     late_lo, late_hi = (-span, 0.0) if car else (0.0, span)
-    kept = []
-    for i, j in space_time_pairs(ot, *windows, rides[:, 0, :2], requests[:, 0, :2], dist):
-        late = dt[j] - rdt[i]
-        keep = np.flatnonzero((late >= late_lo) & (late <= late_hi))
-        i, j = i[keep], j[keep]
-        keep = np.flatnonzero(within_distance(ox[j] - rox[i], oy[j] - roy[i], dist))
-        i, j = i[keep], j[keep]
-        # inside its window, a pair fails the origin-time gate only in the pad
-        keep = np.flatnonzero(within_distance(dx[j] - rdx[i], dy[j] - rdy[i], dist)
-                              & (np.abs(ot[j] - rot[i]) <= span))
-        kept.append((i[keep], j[keep]))
-    i, j = map(np.concatenate, zip(*kept))
-    rides_of = j[np.lexsort((j, i))].tolist()
+    late = dt[j] - rdt[i]
+    keep = np.flatnonzero((late >= late_lo) & (late <= late_hi))
+    i, j = i[keep], j[keep]
+    keep = within_distance(dx[j] - rdx[i], dy[j] - rdy[i], dist)
+    i, rides_of = i[keep], j[keep].tolist()
     ends = np.cumsum(np.bincount(i, minlength=len(requests))).tolist()
     return [rides_of[a:b] for a, b in zip([0] + ends, ends)]
 

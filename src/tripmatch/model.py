@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 from numpy.typing import ArrayLike
@@ -299,19 +299,22 @@ def within_distance(dx: np.ndarray, dy: np.ndarray, d: float) -> np.ndarray:
     return near
 
 
-#: Pairs space_time_pairs expands at a time, unless one i alone holds more.
+#: Window pairs space_time_pairs expands at a time, unless one i alone holds more.
 WINDOW_BLOCK_PAIRS = 1 << 19
 
 
-def space_time_pairs(keys: np.ndarray, lo: np.ndarray, hi: np.ndarray, points: np.ndarray,
-                     at: np.ndarray, reach: float) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """Pairs (i, j), lo[i] <= keys[j] <= hi[i], with points[j] in the 3 x 3 cells around at[i].
+def space_time_pairs(keys: np.ndarray, t: np.ndarray, span: float, points: np.ndarray,
+                     at: np.ndarray, reach: float) -> tuple[np.ndarray, np.ndarray]:
+    """The pairs (i, j), as two intp arrays sorted by (i, j), near in time and in space.
 
-    Among them is every window pair whose xy points lie within reach; exact
-    gates decide. The js are sorted once by (grid cell, time rank), so two
-    bisections bound i's window in each cell. Blocks of two intp arrays hold
-    whole groups by i, ascending: at most WINDOW_BLOCK_PAIRS pairs or one
-    group, and at least one block. Every lo[i] must be <= hi[i].
+    A pair is near when 0 <= keys[j] - t[i] <= span, or for a negative span,
+    which looks back, 0 <= t[i] - keys[j] <= -span; and when
+    within_distance(points[j] - at[i], reach) holds. The js are sorted once by
+    (grid cell, time rank), so two bisections bound i's window, widened by a
+    relative 1e-12 for the rounding of keys[j] - t[i], in each of the 3 x 3
+    cells around at[i]. The window pairs are expanded at most
+    WINDOW_BLOCK_PAIRS at a time, unless one i alone holds more, and gated
+    exactly; one sort of the codes i * len(keys) + j orders the survivors.
 
     No pair within reach is missed. A cell is floor((p - corner) / s) per axis
     in the box of all points, s >= reach (1 + 1e-9), extent / 2^20 and
@@ -323,10 +326,12 @@ def space_time_pairs(keys: np.ndarray, lo: np.ndarray, hi: np.ndarray, points: n
     cells in [-(g + 3), (g + 2)^2) for g + 1 a side, stays within
     (g + 2)^2 n < 2^58 + 2^31 sqrt(n) + 4n < 2^63: numpy holds under 2^60 floats.
     """
-    n = len(keys)
+    n, back, span = len(keys), span < 0, abs(span)
+    pad = span + 1e-12 * (np.abs(t) + span)
+    far = t - pad if back else t + pad
     order = np.argsort(keys, kind="stable")
-    lo_rank = np.searchsorted(keys[order], lo, side="left")
-    hi_rank = np.searchsorted(keys[order], hi, side="right")
+    lo_rank = np.searchsorted(keys[order], far if back else t, side="left")
+    hi_rank = np.searchsorted(keys[order], t if back else far, side="right")
     box = np.concatenate([points, at])
     with np.errstate(over="ignore", invalid="ignore"):  # a box wider than floats reach: inf
         box -= box.min(axis=0, initial=np.inf)
@@ -344,18 +349,22 @@ def space_time_pairs(keys: np.ndarray, lo: np.ndarray, hi: np.ndarray, points: n
     # pair p of all the runs together sits at sorted position p + shift[r], r its run
     shift = first + count - np.cumsum(count)
     ends = np.cumsum(count)[8::9]
-    del box, cells, key, ax, ay, near, first, lo_rank, hi_rank  # freed before the pairs expand
-    start, done = 0, 0
-    while True:
+    del box, cells, key, ax, ay, near, first, pad, far, lo_rank, hi_rank  # freed before expanding
+    (jx, jy), (ix, iy) = points.T, at.T
+    codes, start, done = [np.empty(0, np.intp)], 0, 0
+    while start < len(t):
         stop = max(int(np.searchsorted(ends, done + WINDOW_BLOCK_PAIRS, side="right")), start + 1)
-        stop = min(stop, len(lo))
         run = np.repeat(np.arange(9 * start, 9 * stop), count[9 * start:9 * stop])
         slot = np.arange(done, done + len(run))
         slot += shift[run]
-        yield run // 9, order[slot]
-        if stop == len(lo):
-            return
+        i, j = run // 9, order[slot]
+        with np.errstate(over="ignore"):  # an offset past floats' reach is inf: not near
+            keep = np.flatnonzero(within_distance(jx[j] - ix[i], jy[j] - iy[i], reach))
+        i, j = i[keep], j[keep]
+        keep = (t[i] - keys[j] if back else keys[j] - t[i]) <= span
+        codes.append(i[keep] * n + j[keep])
         start, done = stop, int(ends[stop - 1])
+    return np.divmod(np.sort(np.concatenate(codes)), max(n, 1))
 
 
 def path_lengths(trips: Iterable[Trip] | TripSet) -> np.ndarray:

@@ -18,7 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tripmatch import carshare
+from tripmatch import carshare, model
 from tripmatch.carshare import (
     TripDag,
     build_trip_dag,
@@ -281,6 +281,21 @@ class TestBuildTripDag:
         assert b.start_time > a.end_time + 523.2
         assert b.start_time - a.end_time == 523.2
         assert build_trip_dag([a, b], time_threshold=523.2).edges.tolist() == [[0, 1]]
+
+    def test_edges_do_not_depend_on_the_block_cap(self):
+        # at three window pairs a block, a trip's successors span many blocks
+        rng = np.random.default_rng(5)
+        trips = []
+        for i in range(150):
+            (x0, y0), t0 = rng.uniform(0, 8000, 2), rng.uniform(0, 4000)
+            trips.append(straight_trip(f"t{i:03d}", (x0, y0), (x0 + 900, y0 - 400), t0, t0 + 300))
+        whole = build_trip_dag(trips)
+        with mock.patch.object(model, "WINDOW_BLOCK_PAIRS", 3):
+            blocked = build_trip_dag(trips)
+        assert len(whole.edges) > 300
+        assert (np.diff(whole.edges @ (len(trips), 1)) > 0).all()  # ascending (a, b) rows
+        assert np.array_equal(blocked.edges, whole.edges)
+        assert np.array_equal(blocked.weights, whole.weights)
 
     def test_dag_holds_its_edges_as_arrays(self):
         # trip j starts 2 (j - i) - 1 s after trip i ends: every later trip follows
