@@ -27,12 +27,32 @@ from .model import (ScaleContext, Trip, TripSet, od_points, path_lengths, scale_
 class TripDag:
     """Hand-off graph: node i is trips[i], edge row (i, j) means j can follow i.
 
-    edges is an (E, 2) intp array of distinct rows; weights[k] weighs row k.
+    edges is an (E, 2) intp array of rows; weights[k] weighs row k. Its
+    consumers rely on four rules, checked here once: distinct trip ids (chains
+    key trips by id), rows that index the trips, rows distinct and ascending
+    by (i, j), and nonnegative finite weights. Raises ValueError otherwise.
     """
 
     trip_ids: tuple[str, ...]
     edges: np.ndarray
     weights: np.ndarray
+
+    def __post_init__(self) -> None:
+        seen: set[str] = set()
+        for tid in self.trip_ids:
+            if tid in seen:
+                raise ValueError(f"duplicate trip id {tid!r}")
+            seen.add(tid)
+        if not len(self.edges):
+            return
+        n = self.n
+        if self.edges.min() < 0 or self.edges.max() >= n:
+            raise ValueError(f"edge rows must index the {n} trips")
+        codes = self.edges @ (n, 1)  # row (i, j) as i * n + j: they rise iff the rows do
+        if not (codes[1:] > codes[:-1]).all():
+            raise ValueError("edge rows must be distinct and in ascending order")
+        if not (np.isfinite(self.weights).all() and self.weights.min() >= 0):
+            raise ValueError("edge weights must be nonnegative and finite")
 
     @property
     def n(self) -> int:
@@ -76,18 +96,10 @@ def build_trip_dag(
     model.space_time_pairs gives the pairs whose gap lies in [0, time_threshold]
     and whose hand-off lies within dist_threshold; a zero gap is then dropped.
 
-    Raises ValueError naming a trip id that repeats: chains and their
-    statistics key trips by id.
+    Raises ValueError naming a trip id that repeats, as TripDag does.
     """
     metrics.check_thresholds(dist_threshold=dist_threshold, time_threshold=time_threshold)
     trips = TripSet.of(trips)
-    ids = trips.ids
-    if len(set(ids)) < len(ids):
-        seen: set[str] = set()
-        for tid in ids:
-            if tid in seen:
-                raise ValueError(f"duplicate trip id {tid!r}")
-            seen.add(tid)
     od, ctx = od_points(trips), ScaleContext.from_trips(trips)
     origin, start, dest, end = od[:, 0, :2], od[:, 0, 2], od[:, 1, :2], od[:, 1, 2]
     src, dst = space_time_pairs(start, end, time_threshold, origin, dest, dist_threshold)
@@ -96,7 +108,7 @@ def build_trip_dag(
     reps = scale_points(od, ctx)
     # a's destination against b's origin, as one-point sequences
     weight = metrics.wgm_batch(reps[src, 1:], reps[dst, :1], weights)
-    return TripDag(ids, np.stack([src, dst], axis=1), weight)
+    return TripDag(trips.ids, np.stack([src, dst], axis=1), weight)
 
 
 #: The largest hand-off DAG, in edges, matched by the in-process solver; larger
@@ -119,10 +131,10 @@ def max_card_max_weight_matching(dag: TripDag) -> dict[int, int]:
     (i, j) costs 1 + top - w and dummy column n + i costs n * (top + 1) + 1,
     more than any n real edges: the solver therefore matches as many
     predecessors to real successors as possible and, among those
-    matchings, one of maximum weight. Weights must be finite and
-    nonnegative; absent pairs never enter the matching. Every edge row must
-    hold two trip indices and appear once: the solver would add a repeated
-    row's costs.
+    matchings, one of maximum weight. Absent pairs never enter the
+    matching. TripDag's rules make the costs finite and positive, the
+    dummies dearer than any edge, and each row one entry of the cost
+    matrix, grouped by predecessor.
 
     A DAG of at most MAX_IN_PROCESS_EDGES edges is solved in process, a
     larger one by scipy; both solve the same assignment, so they agree
@@ -133,13 +145,6 @@ def max_card_max_weight_matching(dag: TripDag) -> dict[int, int]:
     if not len(dag.edges):
         return {}
     n, (rows, cols) = dag.n, dag.edges.T
-    if dag.edges.min() < 0 or dag.edges.max() >= n:
-        raise ValueError(f"edge rows must index the {n} trips")
-    # row (i, j) as i * n + j; a stable sort, unlike np.unique's, reuses lexsort's code pages
-    if not np.diff(np.sort(rows * n + cols, kind="stable")).all():
-        raise ValueError("edge rows must be distinct")
-    if not (np.isfinite(dag.weights).all() and dag.weights.min() >= 0):
-        raise ValueError("edge weights must be nonnegative and finite")
     top = float(dag.weights.max())
     solve = _shortest_paths if len(dag.edges) <= MAX_IN_PROCESS_EDGES else _lapjvsp
     return solve(n, rows, cols, 1 + top - dag.weights, n * (top + 1) + 1)
@@ -147,7 +152,7 @@ def max_card_max_weight_matching(dag: TripDag) -> dict[int, int]:
 
 def _shortest_paths(n: int, rows: np.ndarray, cols: np.ndarray, costs: np.ndarray,
                     dummy: float) -> dict[int, int]:
-    """The min-cost full matching by successive shortest paths.
+    """The min-cost full matching by successive shortest paths; rows ascend.
 
     Dijkstra on reduced costs c - u[i] - v[j], which row and column
     potentials keep nonnegative, finds each row's cheapest augmenting path
@@ -156,9 +161,8 @@ def _shortest_paths(n: int, rows: np.ndarray, cols: np.ndarray, costs: np.ndarra
     Only columns a search scans change potential, so every free column keeps
     potential 0 and path lengths to different free columns compare as costs.
     """
-    order = np.argsort(rows, kind="stable")
-    starts = np.searchsorted(rows[order], np.arange(n + 1)).tolist()
-    cols_of, costs_of = cols[order].tolist(), costs[order].tolist()
+    starts = np.searchsorted(rows, np.arange(n + 1)).tolist()
+    cols_of, costs_of = cols.tolist(), costs.tolist()
     adj = [list(zip(cols_of[a:b], costs_of[a:b])) for a, b in zip(starts, starts[1:])]
     u, v = [dummy] * n, [0.0] * n
     row_of, col_of = [-1] * n, [-1] * n  # -1: free column; a row on its dummy
@@ -241,8 +245,8 @@ def extract_chains(dag: TripDag, matching: Mapping[int, int]) -> ChainSchedule:
     if len(set(succs)) != len(succs):
         raise ValueError("matching assigns one successor to several trips")
     pairs = np.array(list(matching.items()), dtype=np.intp).reshape(-1, 2)
-    # each row (i, j) as i * n + j, looked up in the sorted rows by bisection
-    codes, wanted = np.sort(dag.edges @ (dag.n, 1), kind="stable"), pairs @ (dag.n, 1)
+    # each row (i, j) as i * n + j, looked up in the ascending rows by bisection
+    codes, wanted = dag.edges @ (dag.n, 1), pairs @ (dag.n, 1)
     is_edge = np.searchsorted(codes, wanted, "right") > np.searchsorted(codes, wanted)
     is_edge &= ((pairs >= 0) & (pairs < dag.n)).all(1)
     if not is_edge.all():

@@ -19,7 +19,7 @@ from . import metrics
 from .metrics import MetricParams, WgmWeights, check_metric
 from .model import (
     ScaleContext, Trip, TripSet, check_param, od_points, path_lengths, sample_points, scale_points,
-    space_time_pairs, within_distance,
+    space_time_pairs,
 )
 
 #: -1 when the best ride maximises the metric (a similarity), 1 when it
@@ -151,7 +151,8 @@ def _candidate_indices(
     late = dt[j] - rdt[i]
     keep = np.flatnonzero((late >= late_lo) & (late <= late_hi))
     i, j = i[keep], j[keep]
-    keep = within_distance(dx[j] - rdx[i], dy[j] - rdy[i], dist)
+    with np.errstate(over="ignore"):  # an offset past floats' reach is inf: not near
+        keep = np.hypot(dx[j] - rdx[i], dy[j] - rdy[i]) <= dist
     i, rides_of = i[keep], j[keep].tolist()
     ends = np.cumsum(np.bincount(i, minlength=len(requests))).tolist()
     return [rides_of[a:b] for a, b in zip([0] + ends, ends)]

@@ -287,18 +287,6 @@ def od_rep(trip: Trip, ctx: ScaleContext) -> np.ndarray:
     return scale_points(od_points([trip]), ctx)[0]
 
 
-def within_distance(dx: np.ndarray, dy: np.ndarray, d: float) -> np.ndarray:
-    """np.hypot(dx, dy) <= d, with hypot run only where dx^2 + dy^2 <= d^2 (1 + 1e-9) + tiny.
-
-    tiny is the smallest normal float. The margin exceeds the rounding of hypot
-    and of the squares, subnormal ones too, so no pair that hypot keeps is dropped.
-    """
-    with np.errstate(over="ignore"):  # an overflowing square is inf, which the test reads right
-        near = dx * dx + dy * dy <= d * d * (1 + 1e-9) + np.finfo(float).tiny
-    near[near] = np.hypot(dx[near], dy[near]) <= d
-    return near
-
-
 #: Window pairs space_time_pairs expands at a time, unless one i alone holds more.
 WINDOW_BLOCK_PAIRS = 1 << 19
 
@@ -309,7 +297,7 @@ def space_time_pairs(keys: np.ndarray, t: np.ndarray, span: float, points: np.nd
 
     A pair is near when 0 <= keys[j] - t[i] <= span, or for a negative span,
     which looks back, 0 <= t[i] - keys[j] <= -span; and when
-    within_distance(points[j] - at[i], reach) holds. The js are sorted once by
+    np.hypot(*(points[j] - at[i])) <= reach. The js are sorted once by
     (grid cell, time rank), so two bisections bound i's window, widened by a
     relative 1e-12 for the rounding of keys[j] - t[i], in each of the 3 x 3
     cells around at[i]. The window pairs are expanded at most
@@ -359,7 +347,7 @@ def space_time_pairs(keys: np.ndarray, t: np.ndarray, span: float, points: np.nd
         slot += shift[run]
         i, j = run // 9, order[slot]
         with np.errstate(over="ignore"):  # an offset past floats' reach is inf: not near
-            keep = np.flatnonzero(within_distance(jx[j] - ix[i], jy[j] - iy[i], reach))
+            keep = np.flatnonzero(np.hypot(jx[j] - ix[i], jy[j] - iy[i]) <= reach)
         i, j = i[keep], j[keep]
         keep = (t[i] - keys[j] if back else keys[j] - t[i]) <= span
         codes.append(i[keep] * n + j[keep])

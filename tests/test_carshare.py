@@ -8,6 +8,7 @@ over subsets (which never mentions matchings at all).
 from __future__ import annotations
 
 import math
+import re
 import sys
 import tracemalloc
 from functools import lru_cache
@@ -71,7 +72,7 @@ def dags(draw, max_n=8, tied=False) -> TripDag:
     """
     n = draw(st.integers(1, max_n))
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    chosen = draw(st.lists(st.sampled_from(pairs), unique=True) if pairs else st.just([]))
+    chosen = sorted(draw(st.lists(st.sampled_from(pairs), unique=True) if pairs else st.just([])))
     weights = st.floats(0.0, 1.0, allow_nan=False)
     if tied:
         weights = st.sampled_from(draw(st.lists(weights, min_size=1, max_size=3))) \
@@ -394,9 +395,8 @@ class TestMatching:
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_weights_rejected(self, bad):
         # NaN would pass a "min() < 0" test and mis-order the solver's heap
-        dag = dag_of(("a", "b", "c"), {(0, 1): 0.5, (1, 2): bad})
         with pytest.raises(ValueError, match="edge weights must be nonnegative and finite"):
-            max_card_max_weight_matching(dag)
+            dag_of(("a", "b", "c"), {(0, 1): 0.5, (1, 2): bad})
 
     def test_paths_agree_on_untied_weights(self):
         # continuous random weights tie with probability zero, so the
@@ -416,7 +416,8 @@ class TestMatching:
         n = -(-n_edges // 100)
         rows = np.arange(n_edges) // 100
         cols = (rows + 1 + np.arange(n_edges) % 100) % n
-        dag = TripDag(tuple(map(str, range(n))), np.stack([rows, cols], axis=1),
+        order = np.lexsort((cols, rows))
+        dag = TripDag(tuple(map(str, range(n))), np.stack([rows[order], cols[order]], axis=1),
                       np.full(n_edges, 0.5))
 
         def refuse(*args):
@@ -427,18 +428,27 @@ class TestMatching:
         assert len(matching) == n and len(set(matching.values())) == n
         assert set(matching.items()) <= set(map(tuple, dag.edges.tolist()))
 
+    @pytest.mark.parametrize("ids, rows, message", [
+        # the solver reads each predecessor's edges as one run, and chains bisect the rows
+        ("abc", [(1, 2), (0, 1)], "edge rows must be distinct and in ascending order"),
+        ("abc", [(0, 2), (0, 1)], "edge rows must be distinct and in ascending order"),
+        # chain_stats keys trips by id
+        ("aba", [(0, 1)], "duplicate trip id 'a'"),
+    ])
+    def test_dag_rejects_rows_out_of_order_and_repeated_ids(self, ids, rows, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            make_dag(tuple(ids), rows, [0.5] * len(rows))
+
     @pytest.mark.parametrize("row", [(0, 4), (0, 3), (3, 0), (-1, 2)])
     def test_rejects_rows_outside_the_trips(self, row):
         # column 4 would be trip 1's dummy column, column 3 trip 0's
-        dag = make_dag(("a", "b", "c"), [(0, 1), (1, 2), row], [0.5, 0.5, 0.9])
         with pytest.raises(ValueError, match="index the 3 trips"):
-            max_card_max_weight_matching(dag)
+            make_dag(("a", "b", "c"), [(0, 1), (1, 2), row], [0.5, 0.5, 0.9])
 
     def test_rejects_repeated_rows(self):
         # the sparse solver would add the two rows' costs into one edge
-        dag = make_dag(("a", "b", "c"), [(0, 1), (1, 2), (0, 1)], [0.5, 0.5, 0.5])
         with pytest.raises(ValueError, match="distinct"):
-            max_card_max_weight_matching(dag)
+            make_dag(("a", "b", "c"), [(0, 1), (1, 2), (0, 1)], [0.5, 0.5, 0.5])
 
     def test_prefers_cardinality_over_weight(self):
         # taking the heavy middle edge alone would block a 2-edge matching
